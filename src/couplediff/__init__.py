@@ -26,6 +26,7 @@ from .discretization import (
     assemble_heat_generator,
     build_grid,
     constant_state,
+    generator_edges,
     mass,
     state_from_function,
     weighted_inner,
@@ -33,6 +34,7 @@ from .discretization import (
 from .energy_spectrum import (
     EnergyBreakdown,
     SpectralReport,
+    edge_energy,
     energy,
     estimate_beta1,
     estimate_energy_control_k,

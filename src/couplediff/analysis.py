@@ -17,11 +17,10 @@ from .discretization import (
     StateField,
     assemble_generator,
     build_grid,
-    interface_profile,
-    pair_kernel_matrix,
+    generator_edges,
 )
 from .energy_spectrum import SpectralReport, estimate_beta1
-from .evolution import StepScheme, Trajectory, evolve
+from .evolution import StepScheme, Trajectory, _States
 from .kernels import CouplingConstants, Kernel, coupling_constants, make_kernel
 
 
@@ -145,48 +144,35 @@ def epsilon_sweep(
     base_kernel = kernel_from(base_config)
     constants = coupling_constants(base_kernel)
 
-    rows = []
-    for e in eps:
-        n_nl = max(base_config.grid_n_nonlocal, int(np.ceil(4.0 / (e * base_config.kernel_radius))))
-        grid = build_grid(base_config.grid_n_local, n_nl)
-        kernel = make_kernel(base_config.kernel_family, base_config.kernel_radius, e)
-        generator = assemble_generator(grid, kernel, constants)
-        w0 = initial_state(base_config, grid)
-        traj = evolve(generator, w0, StepScheme(kind="implicit", dt=dt), horizon)
-        ref = _HeatReference(w0, n_modes)
-        sup_err = 0.0
-        for t, snap_values in _iterate_states(traj, generator, w0, traj.dt):
-            diff = snap_values - ref.at(t)
-            err = float(np.sqrt(np.sum(grid.weights * diff * diff)))
-            sup_err = max(sup_err, err)
-        spectral = estimate_beta1(generator)
-        rows.append(
-            SweepRow(
-                epsilon=e,
-                n_nonlocal=n_nl,
-                dt=traj.dt,
-                sup_error_l2=sup_err,
-                beta1_eps=spectral.beta1,
-                interface_jump=interface_jump(traj.final_state),
-            )
-        )
-    return rows
+    scheme = StepScheme(kind="implicit", dt=dt)
+    return [_sweep_member(base_config, e, constants, scheme, horizon, n_modes) for e in eps]
 
 
-def _iterate_states(traj: Trajectory, generator, w0: StateField, dt: float):
-    """Re-walk the implicit trajectory state by state.
-
-    The trajectory stores scalar diagnostics only; replaying the prefactored
-    solve is cheaper than storing every state of every sweep member.
-    """
-    from .evolution import _ImplicitStepper
-
-    stepper = _ImplicitStepper(generator, dt)
-    values = w0.values.copy()
-    yield 0.0, values
-    for t in traj.times[1:]:
-        values = stepper.step(values)
-        yield float(t), values
+def _sweep_member(base_config, e, constants, scheme, horizon, n_modes) -> SweepRow:
+    """One sweep row, stepping the member once.  The generator and the
+    stepper live in this frame only, so they are freed before the next
+    member is assembled; the eigensolve runs before the stepper exists."""
+    n_nl = max(base_config.grid_n_nonlocal, int(np.ceil(4.0 / (e * base_config.kernel_radius))))
+    grid = build_grid(base_config.grid_n_local, n_nl)
+    kernel = make_kernel(base_config.kernel_family, base_config.kernel_radius, e)
+    generator = assemble_generator(grid, kernel, constants)
+    spectral = estimate_beta1(generator)
+    w0 = initial_state(base_config, grid)
+    ref = _HeatReference(w0, n_modes)
+    states = _States(generator, w0, scheme, horizon)
+    sup_err = 0.0
+    for t, values in states:
+        diff = values - ref.at(t)
+        err = float(np.sqrt(np.sum(grid.weights * diff * diff)))
+        sup_err = max(sup_err, err)
+    return SweepRow(
+        epsilon=e,
+        n_nonlocal=n_nl,
+        dt=states.dt,
+        sup_error_l2=sup_err,
+        beta1_eps=spectral.beta1,
+        interface_jump=interface_jump(StateField(grid, values)),
+    )
 
 
 @dataclass
@@ -247,7 +233,6 @@ def supersolution_check(
         raise ValueError("field shapes do not match the grid and time partition")
     dt = float(steps[0])
     h = grid.h_local
-    hn = grid.h_nonlocal
 
     ut = (u[2:] - u[:-2]) / (2.0 * dt)
     lap = (u[1:-1, :-2] - 2.0 * u[1:-1, 1:-1] + u[1:-1, 2:]) / h**2
@@ -256,18 +241,16 @@ def supersolution_check(
     left_slope = (u[:, 1] - u[:, 0]) / h
     margin2 = float(np.min(-left_slope))
 
-    q = interface_profile(grid, kernel)
-    u_iface = u[:, -1]
-    flux = constants.c2 * hn * (v - u_iface[:, None]) @ q
+    generator = assemble_generator(grid, kernel, constants)
+    w = np.hstack([u, v])
+    i, j, c = generator_edges(generator)[2]
+    flux = (w[:, j] - w[:, i]) @ c
     iface_slope = (u[:, -1] - u[:, -2]) / h
     margin3 = float(np.min(iface_slope - flux))
 
-    pair = pair_kernel_matrix(grid, kernel)
-    rowsum = pair.sum(axis=1)
-    jump = constants.c1 * hn * (v @ pair.T - v * rowsum[None, :])
-    exchange = constants.c2 * q[None, :] * (v - u_iface[:, None])
+    nl0 = grid.interface_index + 1  # the nonlocal rows of L are jump minus exchange
     vt = (v[2:] - v[:-2]) / (2.0 * dt)
-    margin4 = float(np.min(vt - (jump - exchange)[1:-1]))
+    margin4 = float(np.min(vt - (w[1:-1] @ generator.matrix[nl0:].T)))
 
     return SupersolutionReport(margin1, margin2, margin3, margin4, float(tol))
 

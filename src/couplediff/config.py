@@ -128,6 +128,10 @@ def _format_value(value) -> str:
 
 
 def validate(cfg: SimConfig):
+    for key, (attr, parser) in _KEYS.items():
+        value = getattr(cfg, attr)
+        if parser in (float, _parse_auto_float) and value != "auto" and not np.isfinite(value):
+            raise ConfigError(f"{key}: must be finite, got {value}")
     if cfg.kernel_family not in FAMILIES:
         raise ConfigError(f"kernel.family: unknown family {cfg.kernel_family!r}")
     if not cfg.kernel_radius > 0.0:
@@ -216,8 +220,13 @@ def _state_from_csv(path, grid: Grid) -> StateField:
         raise ConfigError(
             f"init.path: snapshot has {len(data)} rows, grid needs {grid.size}"
         )
-    x = np.array([float(r[0]) for r in data])
-    w = np.array([float(r[1]) for r in data])
+    try:
+        x = np.array([float(r[0]) for r in data])
+        w = np.array([float(r[1]) for r in data])
+    except (ValueError, IndexError) as exc:
+        raise ConfigError(f"init.path: {path} has a non-numeric x or w value: {exc}") from exc
+    if not np.all(np.isfinite(w)):
+        raise ConfigError(f"init.path: {path} has a non-finite w value")
     if not np.allclose(x, grid.positions, atol=1e-9):
         raise ConfigError("init.path: snapshot positions do not match the grid")
     return StateField(grid, w)

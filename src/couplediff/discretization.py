@@ -11,6 +11,10 @@ quadrature weights and A the (symmetric, positive semidefinite) Hessian of
 the energy, L = -W^-1 A.  Symmetry of W L, zero row sums, nonnegative
 off-diagonal entries and the exact mass identity  sum(W L w) = 0  are all
 consequences of that single construction.
+
+A is thus a weighted graph Laplacian.  generator_edges reads its edges
+(i, j, c), c = (W L)_ij, off L as local, nonlocal or coupling; every
+energy and interface flux is a sum over those edges.
 """
 from __future__ import annotations
 
@@ -147,16 +151,6 @@ def _check_grid(grid, w: StateField):
         raise ValueError("state field lives on a different grid")
 
 
-def require_resolved(grid: Grid, kernel: Kernel):
-    """Resolution rule: at least 8 cells across the kernel support."""
-    limit = kernel.support_radius / 4.0
-    if grid.h_nonlocal > limit * (1.0 + 1e-12):
-        raise ValueError(
-            f"under-resolved kernel: h_nonlocal = {grid.h_nonlocal:.3g} exceeds "
-            f"support_radius/4 = {limit:.3g}; refine n_nonlocal or increase epsilon"
-        )
-
-
 def pair_kernel_matrix(grid: Grid, kernel: Kernel) -> np.ndarray:
     """J_eps evaluated at all pairs of nonlocal cell centers."""
     y = grid.nonlocal_centers
@@ -166,6 +160,15 @@ def pair_kernel_matrix(grid: Grid, kernel: Kernel) -> np.ndarray:
 def interface_profile(grid: Grid, kernel: Kernel) -> np.ndarray:
     """Coupling weight q(y_j) at the nonlocal cell centers."""
     return coupling_profile_analytic(kernel, grid.nonlocal_centers)
+
+
+def _add_path_stiffness(A: np.ndarray, n_edges: int, h: float):
+    """Add sum over i < n_edges of (w_{i+1} - w_i)^2 / h to the quadratic form A."""
+    i = np.arange(n_edges)
+    np.add.at(A, (i, i), 1.0 / h)
+    np.add.at(A, (i + 1, i + 1), 1.0 / h)
+    np.add.at(A, (i, i + 1), -1.0 / h)
+    np.add.at(A, (i + 1, i), -1.0 / h)
 
 
 @dataclass
@@ -198,22 +201,22 @@ def assemble_generator(
     the Laplacian plus (2/h) times the discrete interface flux, and each
     nonlocal row the quadrature jump operator minus the interface exchange.
     """
-    require_resolved(grid, kernel)
+    limit = kernel.support_radius / 4.0  # at least 8 cells across the kernel support
+    if grid.h_nonlocal > limit * (1.0 + 1e-12):
+        raise ValueError(
+            f"under-resolved kernel: h_nonlocal = {grid.h_nonlocal:.3g} exceeds "
+            f"support_radius/4 = {limit:.3g}; refine n_nonlocal or increase epsilon"
+        )
     if not isinstance(constants, CouplingConstants):
         raise ValueError("constants must be a CouplingConstants instance")
 
     n = grid.size
     nl0 = grid.interface_index + 1
-    h = grid.h_local
     hn = grid.h_nonlocal
     A = np.zeros((n, n))
 
     # Local stiffness: sum over edges of (u_{i+1} - u_i)^2 / h.
-    i = np.arange(grid.n_local)
-    np.add.at(A, (i, i), 1.0 / h)
-    np.add.at(A, (i + 1, i + 1), 1.0 / h)
-    np.add.at(A, (i, i + 1), -1.0 / h)
-    np.add.at(A, (i + 1, i), -1.0 / h)
+    _add_path_stiffness(A, grid.n_local, grid.h_local)
 
     # Jump-diffusion quadratic form: (c1/4) sum_jk K_jk (v_k - v_j)^2 h^2.
     pair = pair_kernel_matrix(grid, kernel)
@@ -244,13 +247,25 @@ def assemble_heat_generator(n_intervals: int) -> GeneratorMatrix:
     if n_intervals < 4:
         raise ValueError("pure-heat diagnostic needs at least 4 intervals")
     grid = IntervalGrid(n_intervals)
-    h = grid.spacing
-    n = grid.size
-    A = np.zeros((n, n))
-    i = np.arange(n - 1)
-    np.add.at(A, (i, i), 1.0 / h)
-    np.add.at(A, (i + 1, i + 1), 1.0 / h)
-    np.add.at(A, (i, i + 1), -1.0 / h)
-    np.add.at(A, (i + 1, i), -1.0 / h)
+    A = np.zeros((grid.size, grid.size))
+    _add_path_stiffness(A, grid.n_intervals, grid.spacing)
     L = -A / grid.weights[:, None]
     return GeneratorMatrix(grid, L, grid.weights, None, None, "heat")
+
+
+def generator_edges(generator: GeneratorMatrix):
+    """The edges of the weighted graph behind L, grouped by index range.
+
+    Returns three (i, j, c) triples of arrays -- local, nonlocal, coupling --
+    holding every pair i < j with c = (W L)_ij nonzero, the conductance of
+    the edge.  An edge is local when both ends are local degrees of freedom
+    (every edge of an IntervalGrid generator is), nonlocal when both are
+    nonlocal cells, and coupling when it joins the interface node to a cell.
+    """
+    grid = generator.grid
+    n_loc = grid.interface_index + 1 if isinstance(grid, Grid) else generator.size
+    i, j = np.nonzero(generator.matrix)
+    i, j = i[i < j], j[i < j]
+    c = generator.weights[i] * generator.matrix[i, j]
+    groups = (j < n_loc, i >= n_loc, (i < n_loc) & (j >= n_loc))
+    return tuple((i[g], j[g], c[g]) for g in groups)

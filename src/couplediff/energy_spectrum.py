@@ -22,10 +22,9 @@ from .discretization import (
     GeneratorMatrix,
     Grid,
     StateField,
-    interface_profile,
+    assemble_generator,
+    generator_edges,
     mass,
-    pair_kernel_matrix,
-    require_resolved,
     weighted_inner,
 )
 from .kernels import CouplingConstants, Kernel
@@ -42,33 +41,34 @@ class EnergyBreakdown:
         return self.local_term + self.nonlocal_term + self.coupling_term
 
 
-def energy_terms(grid: Grid, constants: CouplingConstants, values, pair, q):
-    """The three energy terms from precomputed kernel data.
+def edge_energy(edges, values) -> tuple:
+    """Energy of each edge group in difference form, 1/2 sum c (w_j - w_i)^2.
 
+    With the groups of generator_edges this is (local, nonlocal, coupling):
     local    = 1/2 sum_i (u_{i+1} - u_i)^2 / h
     nonlocal = (c1/4) sum_jk K_jk (v_k - v_j)^2 h^2
     coupling = (c2/2) sum_j q_j (v_j - u_I)^2 h
     """
-    nl0 = grid.interface_index + 1
-    u = values[:nl0]
-    v = values[nl0:]
-    local = 0.5 * float(np.sum(np.diff(u) ** 2)) / grid.h_local
-    dv = v[None, :] - v[:, None]
-    nonlocal_ = 0.25 * constants.c1 * grid.h_nonlocal**2 * float(np.sum(pair * dv * dv))
-    coupling = (
-        0.5 * constants.c2 * grid.h_nonlocal * float(np.sum(q * (v - u[-1]) ** 2))
-    )
-    return local, nonlocal_, coupling
+    return tuple(0.5 * float(c @ np.square(values[j] - values[i])) for i, j, c in edges)
 
 
 def energy(
     grid: Grid, kernel: Kernel, constants: CouplingConstants, w: StateField
 ) -> EnergyBreakdown:
-    require_resolved(grid, kernel)
-    pair = pair_kernel_matrix(grid, kernel)
-    q = interface_profile(grid, kernel)
-    local, nonlocal_, coupling = energy_terms(grid, constants, w.values, pair, q)
-    return EnergyBreakdown(local, nonlocal_, coupling)
+    edges = generator_edges(assemble_generator(grid, kernel, constants))
+    return EnergyBreakdown(*edge_energy(edges, w.values))
+
+
+def _full_pair_weights(grid: Grid, kernel: Kernel) -> np.ndarray:
+    """w_x J_eps(x - y) w_y over all degree-of-freedom pairs of (-1, 1)."""
+    x = grid.positions
+    ww = grid.weights
+    return ww[:, None] * kernel(x[:, None] - x[None, :]) * ww[None, :]
+
+
+def _full_nonlocal_form(pair_weights: np.ndarray, values) -> float:
+    d = values[None, :] - values[:, None]
+    return float(np.sum(pair_weights * d * d))
 
 
 def nonlocal_energy_full(grid: Grid, kernel: Kernel, w: StateField) -> float:
@@ -77,12 +77,7 @@ def nonlocal_energy_full(grid: Grid, kernel: Kernel, w: StateField) -> float:
     Double quadrature over all degree-of-freedom pairs, local nodes and
     nonlocal centers alike, of J_eps(x - y) (w(y) - w(x))^2.
     """
-    require_resolved(grid, kernel)
-    x = grid.positions
-    ww = grid.weights
-    K = kernel(x[:, None] - x[None, :])
-    dw = w.values[None, :] - w.values[:, None]
-    return float(np.sum((ww[:, None] * ww[None, :]) * K * dw * dw))
+    return _full_nonlocal_form(_full_pair_weights(grid, kernel), w.values)
 
 
 @dataclass
@@ -93,6 +88,20 @@ class SpectralReport:
     residual: float
 
 
+def _symmetrized_eigh(generator: GeneratorMatrix):
+    """Eigenpairs of D A D with A = -W L symmetrized and D = W^-1/2.
+
+    Returns the ascending eigenvalues, the orthonormal eigenvectors and the
+    diagonal d of D; d * vecs[:, k] is the W-orthonormal eigenfunction of -L.
+    """
+    W = generator.weights
+    A = -(W[:, None] * generator.matrix)
+    A = 0.5 * (A + A.T)
+    d = 1.0 / np.sqrt(W)
+    vals, vecs = scipy.linalg.eigh(d[:, None] * A * d[None, :])
+    return vals, vecs, d
+
+
 def estimate_beta1(generator: GeneratorMatrix) -> SpectralReport:
     """Smallest nonzero eigenvalue of -L in the weighted inner product.
 
@@ -101,11 +110,7 @@ def estimate_beta1(generator: GeneratorMatrix) -> SpectralReport:
     beta1 = lambda2 / 2 and the mass-zero eigenfunction.
     """
     W = generator.weights
-    A = -(W[:, None] * generator.matrix)
-    A = 0.5 * (A + A.T)
-    d = 1.0 / np.sqrt(W)
-    B = d[:, None] * A * d[None, :]
-    vals, vecs = scipy.linalg.eigh(B)
+    vals, vecs, d = _symmetrized_eigh(generator)
     if vals[0] > 1e-8 * max(vals[1], 1.0):
         raise RuntimeError(
             f"constant mode not found in the spectrum (lowest eigenvalue {vals[0]:.3e})"
@@ -156,24 +161,19 @@ def estimate_energy_control_k(
     """
     if n_samples < 10:
         raise ValueError("need at least 10 samples")
-    require_resolved(grid, kernel)
-    pair = pair_kernel_matrix(grid, kernel)
-    q = interface_profile(grid, kernel)
-    x = grid.positions
+    edges = generator_edges(assemble_generator(grid, kernel, constants))
+    pair_weights = _full_pair_weights(grid, kernel)
     ww = grid.weights
-    K = kernel(x[:, None] - x[None, :])
-    WKW = ww[:, None] * K * ww[None, :]
 
     rng = np.random.default_rng(seed)
     best = np.inf
     for _ in range(n_samples):
         z = rng.standard_normal(grid.size)
         z -= 0.5 * float(ww @ z)
-        dz = z[None, :] - z[:, None]
-        nlf = float(np.sum(WKW * dz * dz))
+        nlf = _full_nonlocal_form(pair_weights, z)
         if nlf < 1e-14:
             continue
-        total = sum(energy_terms(grid, constants, z, pair, q))
+        total = sum(edge_energy(edges, z))
         best = min(best, total / nlf)
     if not np.isfinite(best):
         raise RuntimeError("all random samples had degenerate nonlocal energy")

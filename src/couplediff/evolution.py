@@ -22,10 +22,9 @@ from .discretization import (
     GeneratorMatrix,
     StateField,
     assemble_generator,
-    interface_profile,
-    pair_kernel_matrix,
+    generator_edges,
 )
-from .energy_spectrum import energy_terms
+from .energy_spectrum import edge_energy
 from .kernels import CouplingConstants, Kernel
 
 SCHEME_KINDS = ("explicit", "implicit", "picard")
@@ -154,30 +153,11 @@ def step_implicit(generator: GeneratorMatrix, w: StateField, dt: float) -> State
     return StateField(w.grid, stepper.step(w.values))
 
 
-def _energy_calculator(generator: GeneratorMatrix):
-    if generator.kind == "heat":
-        h = generator.grid.spacing
-
-        def calc(values):
-            return 0.5 * float(np.sum(np.diff(values) ** 2)) / h, 0.0, 0.0
-
-        return calc
-    grid = generator.grid
-    constants = generator.constants
-    pair = pair_kernel_matrix(grid, generator.kernel)
-    q = interface_profile(grid, generator.kernel)
-
-    def calc(values):
-        return energy_terms(grid, constants, values, pair, q)
-
-    return calc
-
-
 class _Recorder:
     def __init__(self, generator: GeneratorMatrix, n_records: int):
         self.weights = generator.weights
         self.half_measure = 0.5 * float(np.sum(self.weights))
-        self.calc = _energy_calculator(generator)
+        self.edges = generator_edges(generator)
         self.times = np.empty(n_records)
         self.mass = np.empty(n_records)
         self.e_loc = np.empty(n_records)
@@ -187,10 +167,8 @@ class _Recorder:
         self.k = 0
 
     def record(self, t: float, values: np.ndarray):
-        if not np.all(np.isfinite(values)):
-            raise RuntimeError(f"non-finite state detected at t = {t:.6g}; aborting")
         m = float(self.weights @ values)
-        loc, nl, cp = self.calc(values)
+        loc, nl, cp = edge_energy(self.edges, values)
         d = values - m / (2.0 * self.half_measure)  # subtract mass / measure
         dist = float(np.sqrt(np.sum(self.weights * d * d)))
         i = self.k
@@ -220,12 +198,46 @@ class _Recorder:
         )
 
 
-def resolve_dt(scheme: StepScheme, generator: GeneratorMatrix, horizon: float) -> float:
-    if scheme.dt != "auto":
-        return float(scheme.dt)
-    if scheme.kind == "explicit":
-        return cfl_limit(generator)
-    return horizon / 1000.0
+class _States:
+    """The states of w' = L w at t = k dt, k = 0..n_steps, one per iteration.
+
+    Resolves dt and the step count from the scheme and the horizon (dt is
+    nudged so that n_steps dt = horizon), then takes explicit or implicit
+    steps from a private copy of w0, aborting on a non-finite state.
+    """
+
+    def __init__(self, generator: GeneratorMatrix, w0: StateField, scheme: StepScheme,
+                 horizon: float):
+        if not horizon > 0.0:
+            raise ValueError(f"horizon must be positive, got {horizon}")
+        if scheme.dt != "auto":
+            dt = float(scheme.dt)
+        else:
+            dt = cfl_limit(generator) if scheme.kind == "explicit" else horizon / 1000.0
+        n_steps = max(1, round(horizon / dt))
+        if abs(n_steps * dt - horizon) > 1e-9 * horizon:
+            n_steps = int(np.ceil(horizon / dt - 1e-12))
+        self.dt = dt = horizon / n_steps
+        self.n_steps = n_steps
+        self.w0 = w0
+        if scheme.kind == "explicit":
+            limit = cfl_limit(generator)
+            if dt > limit * (1.0 + 1e-12):
+                raise ValueError(f"explicit dt = {dt:.6g} exceeds the CFL limit {limit:.6g}")
+            L = generator.matrix
+            self.step = lambda values: values + dt * (L @ values)
+        else:
+            self.step = _ImplicitStepper(generator, dt).step
+
+    def __iter__(self):
+        values = self.w0.values.copy()
+        yield 0.0, values
+        for k in range(1, self.n_steps + 1):
+            values = self.step(values)
+            t = k * self.dt
+            if not np.all(np.isfinite(values)):
+                raise RuntimeError(f"non-finite state detected at t = {t:.6g}; aborting")
+            yield t, values
 
 
 def evolve(
@@ -241,8 +253,6 @@ def evolve(
     its trajectory (the report is discarded here; call the window solver
     directly when the iteration diagnostics are wanted).
     """
-    if not horizon > 0.0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
     if scheme.kind == "picard":
         if generator.kind != "coupled":
             raise ValueError("picard scheme needs the coupled generator")
@@ -251,38 +261,17 @@ def evolve(
         )
         return traj
 
-    dt = resolve_dt(scheme, generator, horizon)
-    n_steps = max(1, round(horizon / dt))
-    if abs(n_steps * dt - horizon) > 1e-9 * horizon:
-        n_steps = int(np.ceil(horizon / dt - 1e-12))
-    dt = horizon / n_steps
-
-    if scheme.kind == "explicit":
-        limit = cfl_limit(generator)
-        if dt > limit * (1.0 + 1e-12):
-            raise ValueError(f"explicit dt = {dt:.6g} exceeds the CFL limit {limit:.6g}")
-        stepper = None
-    else:
-        stepper = _ImplicitStepper(generator, dt)
-
+    states = _States(generator, w0, scheme, horizon)
+    n_steps = states.n_steps
     rec = _Recorder(generator, n_steps + 1)
     snapshots = []
-    values = w0.values.copy()
-    rec.record(0.0, values)
-    snapshots.append((0.0, StateField(w0.grid, values.copy())))
-    L = generator.matrix
-    for k in range(1, n_steps + 1):
-        if stepper is None:
-            values = values + dt * (L @ values)
-        else:
-            values = stepper.step(values)
-        t = k * dt
+    for k, (t, values) in enumerate(states):
         rec.record(t, values)
-        if snapshot_stride > 0 and k % snapshot_stride == 0 and k != n_steps:
+        if k == 0 or (snapshot_stride > 0 and k % snapshot_stride == 0 and k != n_steps):
             snapshots.append((t, StateField(w0.grid, values.copy())))
     final = StateField(w0.grid, values.copy())
-    snapshots.append((n_steps * dt, final))
-    return rec.build(w0.grid, snapshots, final, dt)
+    snapshots.append((n_steps * states.dt, final))
+    return rec.build(w0.grid, snapshots, final, states.dt)
 
 
 def picard_window_solve(

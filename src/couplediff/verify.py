@@ -9,7 +9,6 @@ to confirm the harness actually detects broken structure.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .analysis import decay_report
 from .config import SimConfig, initial_state
@@ -19,7 +18,7 @@ from .discretization import (
     build_grid,
     mass,
 )
-from .energy_spectrum import estimate_beta1
+from .energy_spectrum import _symmetrized_eigh, estimate_beta1
 from .evolution import (
     StepScheme,
     cfl_limit,
@@ -161,10 +160,7 @@ def check_semigroup_oracle(cfg, transform=None):
     w0 = initial_state(bump, grid)
     t = 0.5
     W = gen.weights
-    A = -(W[:, None] * gen.matrix)
-    A = 0.5 * (A + A.T)
-    d = 1.0 / np.sqrt(W)
-    vals, vecs = scipy.linalg.eigh(d[:, None] * A * d[None, :])
+    vals, vecs, d = _symmetrized_eigh(gen)
     y0 = np.sqrt(W) * w0.values
     exact = d * (vecs @ (np.exp(-vals * t) * (vecs.T @ y0)))
     traj = evolve(gen, w0, StepScheme(kind="implicit", dt=1e-4), horizon=t)

@@ -166,6 +166,36 @@ def test_unknown_key_and_bad_value_exit_2(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "missing.cfg")]) == 2
 
 
+def _bad_init_csv(tmp_path, bad_x):
+    grid = build_grid(50, 50)
+    rows = [f"{x!r},0.5,local" for x in grid.positions]
+    rows[3] = "0.1x,0.5,local" if bad_x else f"{grid.positions[3]!r},abc,local"
+    path = tmp_path / "init.csv"
+    path.write_text("x,w,region\n" + "\n".join(rows) + "\n")
+    return ["init.kind=file", f"init.path={path}"]
+
+
+@pytest.mark.parametrize(
+    "key, overrides",
+    [
+        ("kernel.radius", lambda p: ["kernel.radius=inf"]),
+        ("time.horizon", lambda p: ["time.horizon=inf"]),
+        ("time.dt", lambda p: ["time.dt=inf"]),
+        ("init.value", lambda p: ["init.kind=constant", "init.value=nan"]),
+        ("init.path", lambda p: _bad_init_csv(p, bad_x=True)),
+        ("init.path", lambda p: _bad_init_csv(p, bad_x=False)),
+    ],
+    ids=["radius-inf", "horizon-inf", "dt-inf", "value-nan", "csv-bad-x", "csv-bad-w"],
+)
+def test_bad_input_exits_2_naming_key(tmp_path, capsys, key, overrides):
+    cfg = write_cfg(tmp_path, SMALL, f"output.dir = {tmp_path}/out\n")
+    args = ["simulate", "--config", cfg]
+    for item in overrides(tmp_path):
+        args += ["--set", item]
+    assert main(args) == 2
+    assert key in capsys.readouterr().err
+
+
 def test_runtime_failure_exits_3(tmp_path):
     cfg = write_cfg(
         tmp_path, SMALL,

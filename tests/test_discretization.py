@@ -9,6 +9,7 @@ from couplediff import (
     constant_state,
     coupling_constants,
     coupling_profile_analytic,
+    generator_edges,
     make_kernel,
     mass,
     weighted_inner,
@@ -202,3 +203,44 @@ def test_heat_generator_structure():
     _structure_asserts(gen)
     with pytest.raises(ValueError):
         assemble_heat_generator(2)
+
+
+def _rebuild_from_edges(gen, edges):
+    """-W^-1 A with A the graph Laplacian of the given edges."""
+    A = np.zeros_like(gen.matrix)
+    for i, j, c in edges:
+        np.add.at(A, (i, j), -c)
+        np.add.at(A, (j, i), -c)
+        np.add.at(A, (i, i), c)
+        np.add.at(A, (j, j), c)
+    return -A / gen.weights[:, None]
+
+
+@pytest.mark.parametrize("eps", (1.0, 0.25))
+@pytest.mark.parametrize("family", ("uniform", "triangle", "epanechnikov"))
+def test_generator_edges_rebuild_generator(family, eps):
+    grid = build_grid(50, 50)
+    kernel = make_kernel(family, 1.0, eps)
+    gen = assemble_generator(grid, kernel, coupling_constants(kernel))
+    edges = generator_edges(gen)
+    local, _, coupling = edges
+    rebuilt = _rebuild_from_edges(gen, edges)
+    scale = np.max(np.abs(gen.matrix))
+    assert np.max(np.abs(rebuilt - gen.matrix)) <= 1e-14 * scale
+    assert local[0].size == grid.n_local
+    q = coupling_profile_analytic(kernel, grid.nonlocal_centers)
+    assert coupling[0].size == np.count_nonzero(q)
+    assert np.all(coupling[0] == grid.interface_index)
+    for i, j, c in edges:
+        assert np.all(i < j)
+        assert np.all(c > 0.0)
+
+
+def test_generator_edges_heat_all_local():
+    gen = assemble_heat_generator(64)
+    local, nonlocal_, coupling = generator_edges(gen)
+    assert local[0].size == 64
+    assert nonlocal_[0].size == 0 and coupling[0].size == 0
+    assert np.all(local[2] > 0.0)
+    rebuilt = _rebuild_from_edges(gen, (local,))
+    assert np.max(np.abs(rebuilt - gen.matrix)) <= 1e-14 * np.max(np.abs(gen.matrix))
