@@ -88,29 +88,31 @@ class SpectralReport:
     residual: float
 
 
-def _symmetrized_eigh(generator: GeneratorMatrix):
+def _symmetrized_eigh(generator: GeneratorMatrix, subset_by_index=None):
     """Eigenpairs of D A D with A = -W L symmetrized and D = W^-1/2.
 
     Returns the ascending eigenvalues, the orthonormal eigenvectors and the
     diagonal d of D; d * vecs[:, k] is the W-orthonormal eigenfunction of -L.
+    subset_by_index = [lo, hi] keeps only eigenpairs lo..hi (all by default).
     """
     W = generator.weights
     A = -(W[:, None] * generator.matrix)
     A = 0.5 * (A + A.T)
     d = 1.0 / np.sqrt(W)
-    vals, vecs = scipy.linalg.eigh(d[:, None] * A * d[None, :])
+    vals, vecs = scipy.linalg.eigh(d[:, None] * A * d[None, :], subset_by_index=subset_by_index)
     return vals, vecs, d
 
 
 def estimate_beta1(generator: GeneratorMatrix) -> SpectralReport:
     """Smallest nonzero eigenvalue of -L in the weighted inner product.
 
-    Solves the W-symmetric eigenproblem A x = lambda W x with A = -W L,
-    deflates the constant (zero) mode, and returns lambda2 together with
-    beta1 = lambda2 / 2 and the mass-zero eigenfunction.
+    Solves the W-symmetric eigenproblem A x = lambda W x with A = -W L for
+    its two lowest eigenpairs only, deflates the constant (zero) mode, and
+    returns lambda2 together with beta1 = lambda2 / 2 and the mass-zero
+    eigenfunction.
     """
     W = generator.weights
-    vals, vecs, d = _symmetrized_eigh(generator)
+    vals, vecs, d = _symmetrized_eigh(generator, subset_by_index=[0, 1])
     if vals[0] > 1e-8 * max(vals[1], 1.0):
         raise RuntimeError(
             f"constant mode not found in the spectrum (lowest eigenvalue {vals[0]:.3e})"

@@ -20,6 +20,7 @@ from couplediff import (
     mass,
     supersolution_check,
 )
+from couplediff.analysis import _HeatReference
 from couplediff.config import SimConfig
 from conftest import weighted_norm
 
@@ -49,6 +50,17 @@ def test_heat_reference_projection_improves_with_modes():
         for m in (16, 64, 256)
     ]
     assert errs[0] > errs[1] >= errs[2]
+
+
+def test_heat_reference_drops_subnormal_terms():
+    grid = build_grid(200, 200)
+    w0 = StateField(grid, np.exp(-((grid.positions + 0.5) ** 2) / (2 * 0.15**2)))
+    ref = _HeatReference(w0, 256)
+    t = 0.05
+    terms = ref.coeff * np.exp(-ref.rates * t)
+    assert np.any((terms != 0.0) & (np.abs(terms) < np.finfo(float).tiny))
+    full = ref.mean + ref.modes @ terms
+    assert np.max(np.abs(ref.at(t) - full)) <= 1e-15
 
 
 def test_heat_reference_long_time_constant(grid100):
