@@ -218,11 +218,16 @@ def assemble_generator(
     # Local stiffness: sum over edges of (u_{i+1} - u_i)^2 / h.
     _add_path_stiffness(A, grid.n_local, grid.h_local)
 
-    # Jump-diffusion quadratic form: (c1/4) sum_jk K_jk (v_k - v_j)^2 h^2.
+    # Jump-diffusion quadratic form: (c1/4) sum_jk K_jk (v_k - v_j)^2 h^2,
+    # written straight into A's (still zero) nonlocal block as
+    # c1 h^2 (diag(rowsum) - pair); 0 - pair, not -pair, keeps the zeros
+    # off the kernel support +0.0.
     pair = pair_kernel_matrix(grid, kernel)
-    rowsum = pair.sum(axis=1)
-    block = constants.c1 * hn * hn * (np.diag(rowsum) - pair)
-    A[nl0:, nl0:] += block
+    block = A[nl0:, nl0:]
+    np.subtract(0.0, pair, out=block)
+    np.fill_diagonal(block, pair.sum(axis=1) - np.diagonal(pair))
+    del pair
+    block *= constants.c1 * hn * hn
 
     # Interface exchange: (c2/2) sum_j q_j (v_j - u_I)^2 h.
     q = interface_profile(grid, kernel)
@@ -234,7 +239,8 @@ def assemble_generator(
     A[I, jj] -= beta
     A[jj, I] -= beta
 
-    L = -A / grid.weights[:, None]
+    L = np.negative(A, out=A)  # L = -A / W, in A's memory
+    L /= grid.weights[:, None]
     return GeneratorMatrix(grid, L, grid.weights, constants, kernel, "coupled")
 
 

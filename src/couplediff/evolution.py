@@ -7,21 +7,21 @@ solution is built: freeze the interface trace, solve the jump subsystem over
 a short window, feed the result back into the local heat subsystem, and
 iterate to a fixed point before moving to the next window.
 
-Implicit solves are LU-prefactored once per step size and polished with
-iterative refinement so the per-step residual stays near machine precision;
-that is what keeps the total-mass drift below 1e-11 over ten thousand steps.
-The factor is kept in LAPACK band storage when the generator's half-bandwidth
-b is small against its size n (2 (3b + 1) <= n, as for small epsilon, where
-the kernel support spans few cells) and dense otherwise; see _ImplicitStepper.
+L = -W^-1 A with A symmetric positive semidefinite, so every implicit solve
+(I - dt L) x = b is the SPD system (W + dt A) x = W b: band-Cholesky factored
+once per step size (the window solver factors its two sub-blocks the same
+way) and polished with iterative refinement so the per-step residual stays
+near machine precision; that keeps the mass drift below 1e-11 over ten
+thousand steps.  See _ImplicitStepper.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.blas import dgbmv, dgemv
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dgetrf, dgetrs
+from scipy.linalg.blas import dsbmv
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .discretization import (
     GeneratorMatrix,
@@ -117,91 +117,86 @@ def step_explicit(generator: GeneratorMatrix, w: StateField, dt: float) -> State
     return StateField(w.grid, w.values + dt * (generator.matrix @ w.values))
 
 
+def _upper_band(L: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """A = -W L in LAPACK upper band storage: A[i, j] at row b + i - j of a
+    (b + 1, n) Fortran array, b the half-bandwidth of L.  Only A's upper
+    triangle is kept, so W L must be symmetric to roundoff; that is checked
+    diagonal by diagonal, with no n x n temporary."""
+    n = L.shape[0]
+    hb = 0
+    for r in range(0, n, 64):  # widest |i - j| of a nonzero, 64 rows at a time
+        i, j = np.nonzero(L[r:r + 64])
+        hb = max(hb, int(np.max(np.abs(i + r - j), initial=0)))
+    band = np.zeros((hb + 1, n), order="F")
+    np.multiply(np.diagonal(L), -weights, out=band[hb])
+    tol = 1e-12 * float(np.max(np.abs(band[hb]), initial=0.0))
+    for k in range(1, hb + 1):
+        upper = band[hb - k, k:]
+        np.multiply(np.diagonal(L, k), -weights[:n - k], out=upper)
+        if np.max(np.abs(upper + weights[k:] * np.diagonal(L, -k))) > tol:
+            raise ValueError(
+                f"W L is not symmetric to roundoff on diagonal {k}; "
+                "the implicit solvers need a generator that is self-adjoint in the W inner product"
+            )
+    return band
+
+
+def _cholesky(band: np.ndarray, weights: np.ndarray, dt: float) -> np.ndarray:
+    """Band Cholesky factor of W + dt A, A given as by _upper_band."""
+    factor = np.multiply(band, dt, order="F")
+    factor[-1] += weights
+    factor, info = dpbtrf(factor, overwrite_ab=1)
+    if info != 0:
+        raise RuntimeError(f"Cholesky factorization of W + dt A failed: pbtrf info = {info}")
+    return factor
+
+
 class _ImplicitStepper:
-    """LU-prefactored solve of (I - dt L) x = b with iterative refinement.
+    """Solve of (I - dt L) x = b as (W + dt A) x = W b, iteratively refined.
+
+    A's upper band (b + 1 rows, b the half-bandwidth of L) is the one copy of
+    the generator kept: W + dt A is factored from it by pbtrf and solved by
+    pbtrs, and dt L x is applied as -dt (A x) / W through sbmv.  A and its
+    factor take (b + 1) n entries each: n^2 together at epsilon = 1 on a
+    square grid (b = n/2), O(n b) at small epsilon.
 
     step() advances in increment form: solve (I - dt L) d = dt L w and return
     w + d.  The solve residual then scales with ||d|| rather than ||w||, so
     per-step conservation errors shrink as the state relaxes; that is what
     keeps the mass drift at the 1e-12 level over ten thousand steps.
-
-    L and the factor of I - dt L are held in one of two layouts, chosen from
-    the half-bandwidth b (the widest edge j - i of generator_edges; W L is
-    symmetric, so L has b sub- and b superdiagonals) and the size n alone:
-
-    - band, when 2 (3b + 1) <= n: L's 2b + 1 diagonals in LAPACK band
-      storage, applied by gbmv; I - dt L is built from them in 3b + 1 rows
-      (b more for the pivoting fill-in), factored by gbtrf and solved by
-      gbtrs.  No dense I - dt L is formed.
-    - dense otherwise: I - dt L factored by getrf and solved by getrs, with
-      L applied by gemv.
-
-    The band factor takes 3b + 1 rows of n where the dense one takes n; at
-    401 dofs (one BLAS thread, 2-vCPU Xeon) the band layout steps twice as
-    fast at b = 40 and about as fast at b = 80, where the rule switches to
-    dense.  Either way the residual b - x + dt L x is accumulated in
-    gemv/gbmv.
     """
 
     def __init__(self, generator: GeneratorMatrix, dt: float):
-        L = generator.matrix
-        n = generator.size
-        hb = max((int(np.max(j - i)) for i, j, _ in generator_edges(generator) if j.size),
-                 default=0)
-        self.dt = dt
-        self.n = n
-        self.half_bandwidth = hb
-        self.banded = 2 * (3 * hb + 1) <= n
-        if self.banded:
-            self.bands = np.zeros((2 * hb + 1, n), order="F")  # L[i, j] at row hb + i - j
-            for k in range(-hb, hb + 1):
-                self.bands[hb - k, max(k, 0):n + min(k, 0)] = np.diagonal(L, k)
-            ab = np.zeros((3 * hb + 1, n), order="F")
-            ab[hb:] = -dt * self.bands
-            ab[2 * hb] += 1.0
-            self.lu, self.piv, info = dgbtrf(ab, hb, hb, overwrite_ab=1)
-            routine = "gbtrf"
-        else:
-            self.LT = L.T  # Fortran-ordered view: gemv with trans=1 applies L
-            M = np.multiply(L, -dt, order="F")
-            diag = np.arange(n)
-            M[diag, diag] += 1.0
-            self.lu, self.piv, info = dgetrf(M, overwrite_a=1)
-            routine = "getrf"
-        if info != 0:
-            raise RuntimeError(f"LU factorization of I - dt L failed: {routine} info = {info}")
+        self.weights = generator.weights
+        self.scale = -dt / generator.weights
+        self.band = _upper_band(generator.matrix, generator.weights)
+        self.half_bandwidth = self.band.shape[0] - 1
+        self.factor = _cholesky(self.band, self.weights, dt)
 
-    def _apply(self, alpha: float, x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
-        """alpha L x, plus y when given."""
-        beta = 0.0 if y is None else 1.0
-        if self.banded:
-            hb = self.half_bandwidth
-            return dgbmv(self.n, self.n, hb, hb, alpha, self.bands, x, beta=beta, y=y)
-        return dgemv(alpha, self.LT, x, beta=beta, y=y, trans=1)
+    def _apply(self, x: np.ndarray) -> np.ndarray:
+        """dt L x = -dt (A x) / W."""
+        return dsbmv(self.half_bandwidth, 1.0, self.band, x) * self.scale
 
-    def _lu_solve(self, r: np.ndarray) -> np.ndarray:
-        if self.banded:
-            hb = self.half_bandwidth
-            return dgbtrs(self.lu, hb, hb, r, self.piv)[0]
-        return dgetrs(self.lu, self.piv, r)[0]
+    def _solve(self, r: np.ndarray) -> np.ndarray:
+        """(I - dt L)^-1 r as (W + dt A)^-1 W r."""
+        return dpbtrs(self.factor, self.weights * r, overwrite_b=1)[0]
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        x = self._lu_solve(b)
-        norm_b = float(np.linalg.norm(b)) or 1.0
+        x = self._solve(b)
+        norm_b = math.sqrt(b @ b) or 1.0
         for _ in range(3):
-            r = self._apply(self.dt, x, b - x)
-            if float(np.linalg.norm(r)) <= 1e-14 * norm_b:
+            r = (b - x) + self._apply(x)
+            if math.sqrt(r @ r) <= 1e-14 * norm_b:
                 return x
-            x = x + self._lu_solve(r)
-        r = self._apply(self.dt, x, b - x)
-        if float(np.linalg.norm(r)) > 1e-12 * norm_b:
-            raise RuntimeError(
-                f"implicit solve residual {np.linalg.norm(r):.3e} above 1e-12 * ||b||"
-            )
+            x = x + self._solve(r)
+        r = (b - x) + self._apply(x)
+        norm_r = math.sqrt(r @ r)
+        if norm_r > 1e-12 * norm_b:
+            raise RuntimeError(f"implicit solve residual {norm_r:.3e} above 1e-12 * ||b||")
         return x
 
     def step(self, w: np.ndarray) -> np.ndarray:
-        return w + self.solve(self._apply(self.dt, w))
+        return w + self.solve(self._apply(w))
 
 
 def step_implicit(generator: GeneratorMatrix, w: StateField, dt: float) -> StateField:
@@ -289,11 +284,12 @@ class _States:
 
     def __iter__(self):
         values = self.w0.values.copy()
+        zeros = np.zeros_like(values)  # 0 . w is 0 for finite w and NaN otherwise
         yield 0.0, values
         for k in range(1, self.n_steps + 1):
             values = self.step(values)
             t = k * self.dt
-            if not np.all(np.isfinite(values)):
+            if not math.isfinite(zeros @ values):
                 raise RuntimeError(f"non-finite state detected at t = {t:.6g}; aborting")
             yield t, values
 
@@ -364,13 +360,13 @@ def picard_window_solve(
     L = generator.matrix
     nl0 = grid.interface_index + 1
     iface = grid.interface_index
-    L_uu = L[:nl0, :nl0]
-    L_vv = L[nl0:, nl0:]
     trace_coeff = L[nl0:, iface].copy()   # c2 q_j, source for the jump solve
     robin_coeff = L[iface, nl0:].copy()   # (2/h) c2 q_j h_nl, source for the heat solve
-    lu_v = scipy.linalg.lu_factor(np.eye(grid.n_nonlocal) - dt * L_vv)
-    lu_u = scipy.linalg.lu_factor(np.eye(nl0) - dt * L_uu)
-    w_local = grid.weights[:nl0]
+    # (I - dt L_uu) x = r is (W_u + dt A_uu) x = W_u r with a tridiagonal matrix;
+    # the nonlocal block is banded the same way.
+    w_local, w_nonlocal = grid.weights[:nl0], grid.weights[nl0:]
+    chol_u = _cholesky(_upper_band(L[:nl0, :nl0], w_local), w_local, dt)
+    chol_v = _cholesky(_upper_band(L[nl0:, nl0:], w_nonlocal), w_nonlocal, dt)
 
     total_steps = int(np.ceil(horizon / dt - 1e-9))
     rec = _Recorder(generator, total_steps + 1)
@@ -402,14 +398,14 @@ def picard_window_solve(
             v_hist[0] = v_start
             for k in range(1, m + 1):
                 rhs = v_hist[k - 1] + dt * trace_coeff * trace[k]
-                v_hist[k] = scipy.linalg.lu_solve(lu_v, rhs)
+                v_hist[k] = dpbtrs(chol_v, w_nonlocal * rhs, overwrite_b=1)[0]
 
             u_new = np.empty_like(u_hist)
             u_new[0] = u_start
             for k in range(1, m + 1):
-                rhs = u_new[k - 1].copy()
-                rhs[iface] += dt * float(robin_coeff @ v_hist[k])
-                u_new[k] = scipy.linalg.lu_solve(lu_u, rhs)
+                rhs = w_local * u_new[k - 1]
+                rhs[iface] += w_local[iface] * dt * float(robin_coeff @ v_hist[k])
+                u_new[k] = dpbtrs(chol_u, rhs, overwrite_b=1)[0]
 
             diff = u_new - u_hist
             delta = float(np.sqrt(np.max(np.sum(w_local * diff * diff, axis=1))))

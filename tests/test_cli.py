@@ -100,6 +100,24 @@ def test_manifest_roundtrip_bit_identical(tmp_path):
     assert a == b
 
 
+def test_simulate_twice_byte_identical(tmp_path):
+    """Two runs of one config write byte-identical series, decay fit and
+    snapshots (the manifest differs only in output.dir)."""
+    cfg = write_cfg(tmp_path, SMALL, "init.kind = gaussian\ntime.snapshot_stride = 25\n")
+    for run in ("a", "b"):
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / run)]) == 0
+    names = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
+    assert "decay.csv" in names and len([n for n in names if n.startswith("snapshot_")]) == 5
+    for name in names:
+        a = (tmp_path / "a" / name).read_bytes()
+        b = (tmp_path / "b" / name).read_bytes()
+        if name == "manifest.cfg":
+            a, b = (b"".join(line for line in x.splitlines(keepends=True)
+                             if not line.startswith(b"output.dir")) for x in (a, b))
+        assert a == b, name
+
+
 def test_picard_manifest_roundtrip(tmp_path):
     cfg = write_cfg(
         tmp_path, SMALL,

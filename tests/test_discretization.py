@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -159,6 +161,19 @@ def test_under_resolved_kernel_rejected(constants):
     kernel = make_kernel("triangle", 1.0, 0.2)
     with pytest.raises(ValueError, match="under-resolved"):
         assemble_generator(grid, kernel, constants)
+
+
+def test_assembly_peak_memory(triangle_kernel, constants):
+    """The 1000 x 1000 generator (32 MB) is assembled within 2.5 times its own
+    size; a separate -A / W and nonlocal block took 3.5 times."""
+    grid = build_grid(1000, 1000)
+    tracemalloc.start()
+    try:
+        gen = assemble_generator(grid, triangle_kernel, constants)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * gen.matrix.nbytes
 
 
 def test_consistency_with_second_derivative(constants):

@@ -101,14 +101,15 @@ def test_step_implicit_contract(gen50, grid50, triangle_kernel, constants):
         step_implicit(gen50, const, 0.0)
 
 
-@pytest.mark.parametrize("eps, banded, half_bandwidth", [(1.0, False, 200), (0.05, True, 10)])
-def test_stepper_layouts_match_dense_solve(constants, eps, banded, half_bandwidth):
-    """Each layout, 200 steps against numpy.linalg.solve of the increment step."""
+@pytest.mark.parametrize("eps, half_bandwidth", [(1.0, 200), (0.05, 10)])
+def test_stepper_layouts_match_dense_solve(constants, eps, half_bandwidth):
+    """A full-width (eps = 1) and a narrow band, 200 steps against
+    numpy.linalg.solve of the increment step."""
     grid = build_grid(200, 200)
     gen = assemble_generator(grid, make_kernel("triangle", 1.0, eps), constants)
     dt = 5e-4
     stepper = _ImplicitStepper(gen, dt)
-    assert (stepper.banded, stepper.half_bandwidth) == (banded, half_bandwidth)
+    assert stepper.half_bandwidth == half_bandwidth
     M = np.eye(grid.size) - dt * gen.matrix
     w = ref = np.exp(-((grid.positions + 0.5) ** 2) / (2 * 0.15**2))
     for _ in range(200):
@@ -118,10 +119,9 @@ def test_stepper_layouts_match_dense_solve(constants, eps, banded, half_bandwidt
 
 
 def test_band_layout_conserves_mass_and_dissipates(constants):
-    """Criteria 01/02's bounds on the band layout over 2,000 steps."""
+    """Criteria 01/02's bounds on a narrow band (eps = 0.05) over 2,000 steps."""
     grid = build_grid(200, 200)
     gen = assemble_generator(grid, make_kernel("triangle", 1.0, 0.05), constants)
-    assert _ImplicitStepper(gen, 1e-3).banded
     step = StateField(grid, np.where(grid.positions <= 0.0, 1.0, 0.0))
     traj = evolve(gen, step, StepScheme(dt=1e-3), 2.0)
     assert len(traj.times) == 2001
@@ -130,22 +130,31 @@ def test_band_layout_conserves_mass_and_dissipates(constants):
 
 
 def test_stepper_rejects_singular_factor(grid50):
-    """getrf/gbtrf reporting a zero pivot raise instead of stepping on."""
+    """pbtrf reporting a non-positive pivot raises instead of stepping on, and
+    a generator whose W L is not symmetric is refused before any factoring."""
     dt = 0.1
-    band = GeneratorMatrix(grid50, np.eye(grid50.size) / dt, grid50.weights)
-    dense = np.zeros((grid50.size, grid50.size))
-    dense[0, 0] = 1.0 / dt  # zero first column of I - dt L
-    dense[0, -1] = 1.0      # full width, so the dense layout
-    for gen, routine in ((band, "gbtrf"), (GeneratorMatrix(grid50, dense, grid50.weights), "getrf")):
-        with pytest.raises(RuntimeError, match=f"{routine} info = 1"):
-            _ImplicitStepper(gen, dt)
+    n = grid50.size
+    zero = GeneratorMatrix(grid50, np.eye(n) / dt, grid50.weights)  # W + dt A = 0
+    with pytest.raises(RuntimeError, match="pbtrf info = 1"):
+        _ImplicitStepper(zero, dt)
+    # symmetric and indefinite with a positive diagonal: W + dt A = W except
+    # for rows 5 and 6, which hold h [[1, -2], [-2, 1]] (h = 0.02)
+    L = np.zeros((n, n))
+    L[5, 6] = L[6, 5] = 2.0 / dt
+    with pytest.raises(RuntimeError, match="pbtrf info = 7"):
+        _ImplicitStepper(GeneratorMatrix(grid50, L, grid50.weights), dt)
+    skew = np.zeros((n, n))
+    skew[0, 0] = 1.0 / dt
+    skew[0, -1] = 1.0  # no (W L)[-1, 0] to match it
+    with pytest.raises(ValueError, match="not symmetric"):
+        _ImplicitStepper(GeneratorMatrix(grid50, skew, grid50.weights), dt)
 
 
 def test_small_eps_fine_grid_implicit_run(constants):
     """eps = 0.01 on 2000 x 2000 (4,001 dofs, half-bandwidth 20), dt = 1e-3 and
-    the default gaussian: a dense solve stops at step 7 with its residual
-    above 1e-12 ||b||; the band layout completes the run.  Assembling the
-    dense generator peaks near 480 MB."""
+    the default gaussian: a dense LU solve stops at step 7 with its residual
+    above 1e-12 ||b||; the band Cholesky stepper completes the run.
+    Assembling the dense generator peaks near 280 MB."""
     grid = build_grid(2000, 2000)
     gen = assemble_generator(grid, make_kernel("triangle", 1.0, 0.01), constants)
     w0 = initial_state(SimConfig(), grid)
@@ -189,6 +198,29 @@ def test_evolve_aborts_on_blowup():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(RuntimeError, match="non-finite"):
             evolve(blow, w, StepScheme(kind="explicit", dt="auto"), 2.0)
+
+
+@pytest.mark.parametrize("position", [0, 50, -1])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_states_abort_on_injected_non_finite(gen50, grid50, bad, position):
+    """A single NaN or infinity in the third state stops the iteration there."""
+    states = _States(gen50, constant_state(grid50, 1.0), StepScheme(dt=0.1), 1.0)
+    calls = []
+
+    def poisoned(values):
+        calls.append(None)
+        out = values.copy()
+        if len(calls) == 3:
+            out[position] = bad
+        return out
+
+    states.step = poisoned
+    seen = []
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(RuntimeError, match="non-finite state detected at t = 0.3"):
+            for t, _ in states:
+                seen.append(t)
+    assert seen == pytest.approx([0.0, 0.1, 0.2])
 
 
 def test_scheme_agreement_first_order(triangle_kernel, constants):
