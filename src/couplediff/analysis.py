@@ -69,6 +69,10 @@ def heat_reference(w0: StateField, t: float, n_modes: int = 256) -> StateField:
     return StateField(w0.grid, ref.at(t))
 
 
+class DecayFitError(ValueError):
+    """The trajectory does not decay enough for a fit window."""
+
+
 @dataclass
 class DecayReport:
     fitted_rate: float
@@ -87,10 +91,10 @@ def decay_report(traj: Trajectory, spectral: SpectralReport) -> DecayReport:
     d = traj.dist_to_mean
     t = traj.times
     if int(np.sum(d >= 1e-12)) < 20:
-        raise ValueError("insufficient usable samples for a decay fit")
+        raise DecayFitError("insufficient usable samples for a decay fit")
     window = (d >= 1e-10) & (d <= 0.5 * d[0])
     if int(np.sum(window)) < 2:
-        raise ValueError("decay fit window is empty; extend the horizon")
+        raise DecayFitError("decay fit window is empty; extend the horizon")
     tw = t[window]
     logd = np.log(d[window])
     slope, intercept = np.polyfit(tw, logd, 1)
@@ -254,7 +258,8 @@ def supersolution_check(
 
     nl0 = grid.interface_index + 1  # the nonlocal rows of L are jump minus exchange
     vt = (v[2:] - v[:-2]) / (2.0 * dt)
-    margin4 = float(np.min(vt - (w[1:-1] @ generator.matrix[nl0:].T)))
+    jump = np.array([generator.apply(row)[nl0:] for row in w[1:-1]])
+    margin4 = float(np.min(vt - jump))
 
     return SupersolutionReport(margin1, margin2, margin3, margin4, float(tol))
 

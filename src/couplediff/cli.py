@@ -12,7 +12,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import verify as verify_mod
-from .analysis import decay_report, epsilon_sweep
+from .analysis import DecayFitError, decay_report, epsilon_sweep
 from .config import (
     ConfigError,
     SimConfig,
@@ -121,9 +121,12 @@ def run_simulate(cfg: SimConfig, svg: bool = False) -> list:
     atomic_write_text(manifest, header + extra + config_to_text(resolved))
     artifacts.append(manifest)
 
+    spectral = estimate_beta1(generator)
     try:
-        spectral = estimate_beta1(generator)
         decay = decay_report(traj, spectral)
+    except DecayFitError as exc:  # the timeseries still stands
+        print(f"decay.csv skipped: {exc}", file=sys.stderr)
+    else:
         dec = out / "decay.csv"
         write_csv(
             dec,
@@ -137,8 +140,6 @@ def run_simulate(cfg: SimConfig, svg: bool = False) -> list:
             )],
         )
         artifacts.append(dec)
-    except ValueError:
-        pass  # too few usable samples for a fit; timeseries still stands
 
     if svg:
         plot = out / "dist_to_mean.svg"

@@ -12,15 +12,18 @@ the energy, L = -W^-1 A.  Symmetry of W L, zero row sums, nonnegative
 off-diagonal entries and the exact mass identity  sum(W L w) = 0  are all
 consequences of that single construction.
 
-A is thus a weighted graph Laplacian.  generator_edges reads its edges
-(i, j, c), c = (W L)_ij, off L as local, nonlocal or coupling; every
-energy and interface flux is a sum over those edges.
+A is thus a weighted graph Laplacian, banded (the kernel reaches R eps) and
+stored as W and A's upper band only; GeneratorMatrix.dense() rebuilds L for
+small reference computations.  generator_edges reads the edges (i, j, c),
+c = -A_ij, off the band as local, nonlocal or coupling; every energy and
+interface flux is a sum over those edges.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dsbmv
 
 from .kernels import CouplingConstants, Kernel, coupling_profile_analytic
 
@@ -151,50 +154,72 @@ def _check_grid(grid, w: StateField):
         raise ValueError("state field lives on a different grid")
 
 
-def pair_kernel_matrix(grid: Grid, kernel: Kernel) -> np.ndarray:
-    """J_eps evaluated at all pairs of nonlocal cell centers."""
-    y = grid.nonlocal_centers
-    return kernel(y[:, None] - y[None, :])
-
-
-def interface_profile(grid: Grid, kernel: Kernel) -> np.ndarray:
-    """Coupling weight q(y_j) at the nonlocal cell centers."""
-    return coupling_profile_analytic(kernel, grid.nonlocal_centers)
-
-
-def _add_path_stiffness(A: np.ndarray, n_edges: int, h: float):
-    """Add sum over i < n_edges of (w_{i+1} - w_i)^2 / h to the quadratic form A."""
-    i = np.arange(n_edges)
-    np.add.at(A, (i, i), 1.0 / h)
-    np.add.at(A, (i + 1, i + 1), 1.0 / h)
-    np.add.at(A, (i, i + 1), -1.0 / h)
-    np.add.at(A, (i + 1, i), -1.0 / h)
+def _add_path_stiffness(band: np.ndarray, n_edges: int, h: float):
+    """Add sum over i < n_edges of (w_{i+1} - w_i)^2 / h to A's band."""
+    b = band.shape[0] - 1
+    band[b - 1, 1 : n_edges + 1] -= 1.0 / h
+    band[b, :n_edges] += 1.0 / h
+    band[b, 1 : n_edges + 1] += 1.0 / h
 
 
 @dataclass
 class GeneratorMatrix:
-    """Dense generator L with its weights; w' = L w is the discrete flow.
+    """The generator L = -W^-1 A of w' = L w, kept as W and A's upper band.
 
-    kind is "coupled" for the two-subdomain model and "heat" for the
-    single-domain diagnostic Laplacian.
+    A[i, j] (i <= j) sits at band[b + i - j, j] of a (b + 1, n) Fortran
+    array (LAPACK upper band storage), b the widest offset j - i that holds a
+    nonzero; A is symmetric, so that is all of it.  kind is "coupled" for the
+    two-subdomain model and "heat" for the single-domain diagnostic Laplacian.
     """
 
     grid: object
-    matrix: np.ndarray
     weights: np.ndarray
+    band: np.ndarray
     constants: CouplingConstants | None = None
     kernel: Kernel | None = None
     kind: str = "coupled"
 
     @property
     def size(self) -> int:
-        return self.matrix.shape[0]
+        return self.band.shape[1]
+
+    @property
+    def half_bandwidth(self) -> int:
+        return self.band.shape[0] - 1
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """L x = -(A x) / W."""
+        return dsbmv(self.half_bandwidth, -1.0, self.band, x) / self.weights
+
+    def dense(self) -> np.ndarray:
+        """L as an n x n array; a reference for small sizes and oracles."""
+        n, b = self.size, self.half_bandwidth
+        L = np.zeros((n, n))
+        for k in range(b + 1):
+            i = np.arange(n - k)
+            L[i, i + k] = L[i + k, i] = self.band[b - k, k:]
+        L /= -self.weights[:, None]
+        return L
+
+    @classmethod
+    def from_dense(cls, grid, L, weights, constants=None, kernel=None, kind="coupled"):
+        """The generator of a dense L (small, hand-built ones).  Only A's upper
+        triangle is kept, so W L must be symmetric to roundoff."""
+        WL = weights[:, None] * L
+        if np.max(np.abs(WL - WL.T)) > 1e-12 * np.max(np.abs(np.diagonal(WL))):
+            raise ValueError("W L is not symmetric to roundoff: L is not self-adjoint in W")
+        i, j = np.nonzero(L)
+        b = int(np.max(np.abs(j - i), initial=0))
+        band = np.zeros((b + 1, L.shape[0]), order="F")
+        for k in range(b + 1):
+            band[b - k, k:] = -np.diagonal(WL, k)
+        return cls(grid, weights, band, constants, kernel, kind)
 
 
 def assemble_generator(
     grid: Grid, kernel: Kernel, constants: CouplingConstants
 ) -> GeneratorMatrix:
-    """Assemble L = -W^-1 A from the three energy terms.
+    """Assemble A's band from the three energy terms, in O(n b).
 
     Rows of L, written out: interior local nodes carry the standard 3-point
     Laplacian, the left end a second-order Neumann ghost, the interface node
@@ -210,38 +235,38 @@ def assemble_generator(
     if not isinstance(constants, CouplingConstants):
         raise ValueError("constants must be a CouplingConstants instance")
 
-    n = grid.size
+    n_nl = grid.n_nonlocal
     nl0 = grid.interface_index + 1
     hn = grid.h_nonlocal
-    A = np.zeros((n, n))
+    # The nonlocal block is Toeplitz (uniform cell centers): its offset-d
+    # entries all come from the symbol s_d = J_eps(d h), whose zeros the
+    # kernel's own support rule settles once per offset.
+    width = min(n_nl - 1, int(np.ceil(kernel.support_radius / hn)))
+    s = kernel(np.arange(width + 1) * hn)
+    beta = constants.c2 * coupling_profile_analytic(kernel, grid.nonlocal_centers) * hn
+    b = max(1, int(np.flatnonzero(s)[-1]), int(np.max(np.flatnonzero(beta), initial=-1)) + 1)
+    band = np.zeros((b + 1, grid.size), order="F")
 
     # Local stiffness: sum over edges of (u_{i+1} - u_i)^2 / h.
-    _add_path_stiffness(A, grid.n_local, grid.h_local)
+    _add_path_stiffness(band, grid.n_local, grid.h_local)
 
     # Jump-diffusion quadratic form: (c1/4) sum_jk K_jk (v_k - v_j)^2 h^2,
-    # written straight into A's (still zero) nonlocal block as
-    # c1 h^2 (diag(rowsum) - pair); 0 - pair, not -pair, keeps the zeros
-    # off the kernel support +0.0.
-    pair = pair_kernel_matrix(grid, kernel)
-    block = A[nl0:, nl0:]
-    np.subtract(0.0, pair, out=block)
-    np.fill_diagonal(block, pair.sum(axis=1) - np.diagonal(pair))
-    del pair
-    block *= constants.c1 * hn * hn
+    # that is c1 h^2 (diag(rowsum) - K); the row sums are partial sums of s,
+    # rows within the support of 0 or 1 losing terms.
+    c = constants.c1 * hn * hn
+    for d in range(1, min(width, b) + 1):
+        band[b - d, nl0 + d :] = -c * s[d]
+    partial = np.concatenate(([0.0], np.cumsum(s[1:])))
+    rows = np.minimum(np.arange(n_nl), width)
+    band[b, nl0:] = (partial[rows] + partial[rows[::-1]]) * c
 
-    # Interface exchange: (c2/2) sum_j q_j (v_j - u_I)^2 h.
-    q = interface_profile(grid, kernel)
-    beta = constants.c2 * q * hn
-    I = grid.interface_index
-    jj = np.arange(nl0, n)
-    A[I, I] += beta.sum()
-    A[jj, jj] += beta
-    A[I, jj] -= beta
-    A[jj, I] -= beta
-
-    L = np.negative(A, out=A)  # L = -A / W, in A's memory
-    L /= grid.weights[:, None]
-    return GeneratorMatrix(grid, L, grid.weights, constants, kernel, "coupled")
+    # Interface exchange: (c2/2) sum_j q_j (v_j - u_I)^2 h, an edge of
+    # offset j + 1 from the interface node nl0 - 1 to cell j.
+    j = np.arange(b)
+    band[b - 1 - j, nl0 + j] = np.negative(beta[:b])
+    band[b, nl0 - 1] += beta.sum()
+    band[b, nl0:] += beta
+    return GeneratorMatrix(grid, grid.weights, band, constants, kernel, "coupled")
 
 
 def assemble_heat_generator(n_intervals: int) -> GeneratorMatrix:
@@ -253,25 +278,26 @@ def assemble_heat_generator(n_intervals: int) -> GeneratorMatrix:
     if n_intervals < 4:
         raise ValueError("pure-heat diagnostic needs at least 4 intervals")
     grid = IntervalGrid(n_intervals)
-    A = np.zeros((grid.size, grid.size))
-    _add_path_stiffness(A, grid.n_intervals, grid.spacing)
-    L = -A / grid.weights[:, None]
-    return GeneratorMatrix(grid, L, grid.weights, None, None, "heat")
+    band = np.zeros((2, grid.size), order="F")
+    _add_path_stiffness(band, grid.n_intervals, grid.spacing)
+    return GeneratorMatrix(grid, grid.weights, band, None, None, "heat")
 
 
 def generator_edges(generator: GeneratorMatrix):
     """The edges of the weighted graph behind L, grouped by index range.
 
     Returns three (i, j, c) triples of arrays -- local, nonlocal, coupling --
-    holding every pair i < j with c = (W L)_ij nonzero, the conductance of
-    the edge.  An edge is local when both ends are local degrees of freedom
-    (every edge of an IntervalGrid generator is), nonlocal when both are
-    nonlocal cells, and coupling when it joins the interface node to a cell.
+    holding every pair i < j with c = -A_ij = (W L)_ij nonzero, the
+    conductance of the edge, read off the band diagonal by diagonal.  An edge
+    is local when both ends are local degrees of freedom (every edge of an
+    IntervalGrid generator is), nonlocal when both are nonlocal cells, and
+    coupling when it joins the interface node to a cell.
     """
     grid = generator.grid
     n_loc = grid.interface_index + 1 if isinstance(grid, Grid) else generator.size
-    i, j = np.nonzero(generator.matrix)
-    i, j = i[i < j], j[i < j]
-    c = generator.weights[i] * generator.matrix[i, j]
+    b = generator.half_bandwidth
+    rows, j = np.nonzero(generator.band[:b])
+    i = j - (b - rows)
+    c = -generator.band[rows, j]
     groups = (j < n_loc, i >= n_loc, (i < n_loc) & (j >= n_loc))
     return tuple((i[g], j[g], c[g]) for g in groups)

@@ -59,16 +59,18 @@ def energy(
     return EnergyBreakdown(*edge_energy(edges, w.values))
 
 
-def _full_pair_weights(grid: Grid, kernel: Kernel) -> np.ndarray:
-    """w_x J_eps(x - y) w_y over all degree-of-freedom pairs of (-1, 1)."""
+def _full_pair_weights(grid: Grid, kernel: Kernel):
+    """Edges (i, j, c) of the full-domain nonlocal energy: every pair i < j
+    of degrees of freedom (positions sorted) within the kernel's reach, with
+    c = 4 w_i J_eps(x_i - x_j) w_j, so that edge_energy sums over ordered
+    pairs, each unordered pair twice.  The kernel decides every value."""
     x = grid.positions
     ww = grid.weights
-    return ww[:, None] * kernel(x[:, None] - x[None, :]) * ww[None, :]
-
-
-def _full_nonlocal_form(pair_weights: np.ndarray, values) -> float:
-    d = values[None, :] - values[:, None]
-    return float(np.sum(pair_weights * d * d))
+    reach = np.searchsorted(x, x + kernel.support_radius * (1.0 + 1e-9), side="right")
+    counts = reach - np.arange(x.size) - 1
+    i = np.repeat(np.arange(x.size), counts)
+    j = i + 1 + np.arange(i.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    return i, j, 4.0 * ww[i] * kernel(x[i] - x[j]) * ww[j]
 
 
 def nonlocal_energy_full(grid: Grid, kernel: Kernel, w: StateField) -> float:
@@ -77,7 +79,7 @@ def nonlocal_energy_full(grid: Grid, kernel: Kernel, w: StateField) -> float:
     Double quadrature over all degree-of-freedom pairs, local nodes and
     nonlocal centers alike, of J_eps(x - y) (w(y) - w(x))^2.
     """
-    return _full_nonlocal_form(_full_pair_weights(grid, kernel), w.values)
+    return edge_energy((_full_pair_weights(grid, kernel),), w.values)[0]
 
 
 @dataclass
@@ -96,11 +98,20 @@ def _symmetrized_eigh(generator: GeneratorMatrix, subset_by_index=None):
     subset_by_index = [lo, hi] keeps only eigenpairs lo..hi (all by default).
     """
     W = generator.weights
-    A = -(W[:, None] * generator.matrix)
+    A = -(W[:, None] * generator.dense())
     A = 0.5 * (A + A.T)
     d = 1.0 / np.sqrt(W)
     vals, vecs = scipy.linalg.eigh(d[:, None] * A * d[None, :], subset_by_index=subset_by_index)
     return vals, vecs, d
+
+
+def _semigroup_oracle(generator: GeneratorMatrix, values, times) -> np.ndarray:
+    """exp(t L) w for each t in times (one row each), from the dense
+    eigendecomposition: the exact semi-discrete flow, for small sizes."""
+    vals, vecs, d = _symmetrized_eigh(generator)
+    coeff = vecs.T @ (np.sqrt(generator.weights) * values)
+    decay = np.exp(-np.outer(np.atleast_1d(times), vals))
+    return (decay * coeff) @ vecs.T * d
 
 
 def estimate_beta1(generator: GeneratorMatrix) -> SpectralReport:
@@ -121,7 +132,7 @@ def estimate_beta1(generator: GeneratorMatrix) -> SpectralReport:
     x = d * vecs[:, 1]
     x /= np.sqrt(np.sum(W * x * x))
     x *= np.sign(x[np.argmax(np.abs(x))]) or 1.0
-    r = -generator.matrix @ x - lam * x
+    r = -generator.apply(x) - lam * x
     residual = float(np.sqrt(np.sum(W * r * r)))
     if residual > 1e-8 * lam:
         raise RuntimeError(
@@ -164,7 +175,7 @@ def estimate_energy_control_k(
     if n_samples < 10:
         raise ValueError("need at least 10 samples")
     edges = generator_edges(assemble_generator(grid, kernel, constants))
-    pair_weights = _full_pair_weights(grid, kernel)
+    pairs = (_full_pair_weights(grid, kernel),)
     ww = grid.weights
 
     rng = np.random.default_rng(seed)
@@ -172,7 +183,7 @@ def estimate_energy_control_k(
     for _ in range(n_samples):
         z = rng.standard_normal(grid.size)
         z -= 0.5 * float(ww @ z)
-        nlf = _full_nonlocal_form(pair_weights, z)
+        nlf = edge_energy(pairs, z)[0]
         if nlf < 1e-14:
             continue
         total = sum(edge_energy(edges, z))

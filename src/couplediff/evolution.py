@@ -104,45 +104,26 @@ def contraction_factor(constants: CouplingConstants, window: float) -> float:
 
 def cfl_limit(generator: GeneratorMatrix) -> float:
     """Explicit-step bound 0.9 / max |L_ii| (Gershgorin, row sums vanish)."""
-    dmax = float(np.max(np.abs(np.diag(generator.matrix))))
+    dmax = float(np.max(np.abs(generator.band[-1] / generator.weights)))
     if dmax == 0.0:
         raise ValueError("zero generator has no CFL limit")
     return 0.9 / dmax
 
 
-def step_explicit(generator: GeneratorMatrix, w: StateField, dt: float) -> StateField:
+def _explicit_step(generator: GeneratorMatrix, dt: float):
+    """values -> values + dt L values, once dt is checked against the CFL limit."""
     limit = cfl_limit(generator)
     if dt > limit * (1.0 + 1e-12):
         raise ValueError(f"explicit dt = {dt:.6g} exceeds the CFL limit {limit:.6g}")
-    return StateField(w.grid, w.values + dt * (generator.matrix @ w.values))
+    return lambda values: values + dt * generator.apply(values)
 
 
-def _upper_band(L: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """A = -W L in LAPACK upper band storage: A[i, j] at row b + i - j of a
-    (b + 1, n) Fortran array, b the half-bandwidth of L.  Only A's upper
-    triangle is kept, so W L must be symmetric to roundoff; that is checked
-    diagonal by diagonal, with no n x n temporary."""
-    n = L.shape[0]
-    hb = 0
-    for r in range(0, n, 64):  # widest |i - j| of a nonzero, 64 rows at a time
-        i, j = np.nonzero(L[r:r + 64])
-        hb = max(hb, int(np.max(np.abs(i + r - j), initial=0)))
-    band = np.zeros((hb + 1, n), order="F")
-    np.multiply(np.diagonal(L), -weights, out=band[hb])
-    tol = 1e-12 * float(np.max(np.abs(band[hb]), initial=0.0))
-    for k in range(1, hb + 1):
-        upper = band[hb - k, k:]
-        np.multiply(np.diagonal(L, k), -weights[:n - k], out=upper)
-        if np.max(np.abs(upper + weights[k:] * np.diagonal(L, -k))) > tol:
-            raise ValueError(
-                f"W L is not symmetric to roundoff on diagonal {k}; "
-                "the implicit solvers need a generator that is self-adjoint in the W inner product"
-            )
-    return band
+def step_explicit(generator: GeneratorMatrix, w: StateField, dt: float) -> StateField:
+    return StateField(w.grid, _explicit_step(generator, dt)(w.values))
 
 
 def _cholesky(band: np.ndarray, weights: np.ndarray, dt: float) -> np.ndarray:
-    """Band Cholesky factor of W + dt A, A given as by _upper_band."""
+    """Band Cholesky factor of W + dt A, A in LAPACK upper band storage."""
     factor = np.multiply(band, dt, order="F")
     factor[-1] += weights
     factor, info = dpbtrf(factor, overwrite_ab=1)
@@ -154,11 +135,11 @@ def _cholesky(band: np.ndarray, weights: np.ndarray, dt: float) -> np.ndarray:
 class _ImplicitStepper:
     """Solve of (I - dt L) x = b as (W + dt A) x = W b, iteratively refined.
 
-    A's upper band (b + 1 rows, b the half-bandwidth of L) is the one copy of
-    the generator kept: W + dt A is factored from it by pbtrf and solved by
-    pbtrs, and dt L x is applied as -dt (A x) / W through sbmv.  A and its
-    factor take (b + 1) n entries each: n^2 together at epsilon = 1 on a
-    square grid (b = n/2), O(n b) at small epsilon.
+    The generator's band of A (b + 1 rows) is used in place, not copied:
+    W + dt A is factored from it by pbtrf and solved by pbtrs, and dt L x is
+    applied as -dt (A x) / W through sbmv.  The factor takes (b + 1) n
+    entries more: n^2 / 2 at epsilon = 1 on a square grid (b = n/2), O(n b)
+    at small epsilon.
 
     step() advances in increment form: solve (I - dt L) d = dt L w and return
     w + d.  The solve residual then scales with ||d|| rather than ||w||, so
@@ -169,8 +150,8 @@ class _ImplicitStepper:
     def __init__(self, generator: GeneratorMatrix, dt: float):
         self.weights = generator.weights
         self.scale = -dt / generator.weights
-        self.band = _upper_band(generator.matrix, generator.weights)
-        self.half_bandwidth = self.band.shape[0] - 1
+        self.band = generator.band
+        self.half_bandwidth = generator.half_bandwidth
         self.factor = _cholesky(self.band, self.weights, dt)
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
@@ -209,46 +190,22 @@ def step_implicit(generator: GeneratorMatrix, w: StateField, dt: float) -> State
 class _Recorder:
     def __init__(self, generator: GeneratorMatrix, n_records: int):
         self.weights = generator.weights
-        self.half_measure = 0.5 * float(np.sum(self.weights))
+        self.measure = float(np.sum(self.weights))
         self.edges = generator_edges(generator)
-        self.times = np.empty(n_records)
-        self.mass = np.empty(n_records)
-        self.e_loc = np.empty(n_records)
-        self.e_nl = np.empty(n_records)
-        self.e_cp = np.empty(n_records)
-        self.dist = np.empty(n_records)
+        self.rows = np.empty((n_records, 6))  # t, mass, three energy terms, dist
         self.k = 0
 
     def record(self, t: float, values: np.ndarray):
         m = float(self.weights @ values)
         loc, nl, cp = edge_energy(self.edges, values)
-        d = values - m / (2.0 * self.half_measure)  # subtract mass / measure
+        d = values - m / self.measure
         dist = float(np.sqrt(np.sum(self.weights * d * d)))
-        i = self.k
-        self.times[i] = t
-        self.mass[i] = m
-        self.e_loc[i] = loc
-        self.e_nl[i] = nl
-        self.e_cp[i] = cp
-        self.dist[i] = dist
+        self.rows[self.k] = (t, m, loc, nl, cp, dist)
         self.k += 1
 
     def build(self, grid, snapshots, final_state, dt) -> Trajectory:
-        n = self.k
-        e_tot = self.e_loc[:n] + self.e_nl[:n] + self.e_cp[:n]
-        return Trajectory(
-            grid=grid,
-            times=self.times[:n].copy(),
-            mass=self.mass[:n].copy(),
-            energy_local=self.e_loc[:n].copy(),
-            energy_nonlocal=self.e_nl[:n].copy(),
-            energy_coupling=self.e_cp[:n].copy(),
-            energy_total=e_tot,
-            dist_to_mean=self.dist[:n].copy(),
-            snapshots=snapshots,
-            final_state=final_state,
-            dt=dt,
-        )
+        t, m, loc, nl, cp, dist = self.rows[: self.k].T.copy()
+        return Trajectory(grid, t, m, loc, nl, cp, loc + nl + cp, dist, snapshots, final_state, dt)
 
 
 class _States:
@@ -274,11 +231,7 @@ class _States:
         self.n_steps = n_steps
         self.w0 = w0
         if scheme.kind == "explicit":
-            limit = cfl_limit(generator)
-            if dt > limit * (1.0 + 1e-12):
-                raise ValueError(f"explicit dt = {dt:.6g} exceeds the CFL limit {limit:.6g}")
-            L = generator.matrix
-            self.step = lambda values: values + dt * (L @ values)
+            self.step = _explicit_step(generator, dt)
         else:
             self.step = _ImplicitStepper(generator, dt).step
 
@@ -357,16 +310,20 @@ def picard_window_solve(
         )
 
     generator = assemble_generator(grid, kernel, constants)
-    L = generator.matrix
     nl0 = grid.interface_index + 1
     iface = grid.interface_index
-    trace_coeff = L[nl0:, iface].copy()   # c2 q_j, source for the jump solve
-    robin_coeff = L[iface, nl0:].copy()   # (2/h) c2 q_j h_nl, source for the heat solve
-    # (I - dt L_uu) x = r is (W_u + dt A_uu) x = W_u r with a tridiagonal matrix;
-    # the nonlocal block is banded the same way.
     w_local, w_nonlocal = grid.weights[:nl0], grid.weights[nl0:]
-    chol_u = _cholesky(_upper_band(L[:nl0, :nl0], w_local), w_local, dt)
-    chol_v = _cholesky(_upper_band(L[nl0:, nl0:], w_nonlocal), w_nonlocal, dt)
+    _, j, c = generator_edges(generator)[2]  # edges (iface, j), c = c2 q h_nl
+    trace_coeff = np.zeros(grid.n_nonlocal)  # L[nl0:, iface] = c2 q, source for the jump solve
+    robin_coeff = np.zeros(grid.n_nonlocal)  # L[iface, nl0:], source for the heat solve
+    trace_coeff[j - nl0] = c / w_nonlocal[j - nl0]
+    robin_coeff[j - nl0] = c / w_local[iface]
+    # (I - dt L_uu) x = r is (W_u + dt A_uu) x = W_u r with A_uu the tridiagonal
+    # corner of the band; A_vv is the band's nonlocal columns, whose coupling
+    # entries fall in the storage triangle LAPACK does not reference.
+    b = generator.half_bandwidth
+    chol_u = _cholesky(generator.band[b - 1 :, :nl0], w_local, dt)
+    chol_v = _cholesky(generator.band[:, nl0:], w_nonlocal, dt)
 
     total_steps = int(np.ceil(horizon / dt - 1e-9))
     rec = _Recorder(generator, total_steps + 1)
@@ -433,7 +390,7 @@ def picard_window_solve(
         t0 += win_len
 
     final = StateField(grid, values.copy())
-    traj = rec.build(grid, [(0.0, w0.copy()), (rec.times[rec.k - 1], final)], final, dt)
+    traj = rec.build(grid, [(0.0, w0.copy()), (rec.rows[rec.k - 1, 0], final)], final, dt)
     report = PicardReport(
         window_count=len(iterations),
         iterations=iterations,

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.linalg
 
 from couplediff import (
     BarrierSpec,
@@ -21,6 +20,7 @@ from couplediff import (
     supersolution_check,
 )
 from couplediff.analysis import _HeatReference
+from couplediff.energy_spectrum import _semigroup_oracle
 from couplediff.config import SimConfig
 from conftest import weighted_norm
 
@@ -140,15 +140,9 @@ def test_supersolution_exact_solution_margins(triangle_kernel, constants):
     so the honest pass tolerance is the mesh width."""
     grid = build_grid(20, 20)
     gen = assemble_generator(grid, triangle_kernel, constants)
-    W = gen.weights
-    A = -(W[:, None] * gen.matrix)
-    A = 0.5 * (A + A.T)
-    d = 1.0 / np.sqrt(W)
-    vals, vecs = scipy.linalg.eigh(d[:, None] * A * d[None, :])
     prof = np.exp(-((grid.positions + 0.5) ** 2) / (2 * 0.15**2))
-    y0 = np.sqrt(W) * prof
     times = np.arange(0.1, 0.5 + 1e-12, 5e-4)
-    states = np.array([d * (vecs @ (np.exp(-vals * t) * (vecs.T @ y0))) for t in times])
+    states = _semigroup_oracle(gen, prof, times)
     nl0 = grid.interface_index + 1
     report = supersolution_check(
         states[:, :nl0], states[:, nl0:], times, grid, triangle_kernel, constants,

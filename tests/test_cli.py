@@ -118,6 +118,19 @@ def test_simulate_twice_byte_identical(tmp_path):
         assert a == b, name
 
 
+def test_simulate_short_horizon_skips_decay_fit(tmp_path, capsys):
+    """Eleven samples are too few for a decay fit: the run still succeeds,
+    writes no decay.csv and says why on stderr."""
+    cfg = write_cfg(tmp_path, SMALL)
+    out = tmp_path / "short"
+    assert main(["simulate", "--config", cfg, "--out", str(out),
+                 "--set", "time.horizon=0.1"]) == 0
+    assert (out / "timeseries.csv").exists()
+    assert not (out / "decay.csv").exists()
+    err = capsys.readouterr().err
+    assert "decay.csv skipped: insufficient usable samples for a decay fit" in err
+
+
 def test_picard_manifest_roundtrip(tmp_path):
     cfg = write_cfg(
         tmp_path, SMALL,
@@ -303,9 +316,9 @@ def test_initial_profiles():
 def test_verify_detects_corruption():
     cfg = SimConfig(grid_n_local=50, grid_n_nonlocal=50)
 
-    def corrupt(gen):
+    def corrupt(gen):  # zero A[I, I + 1], the coupling edge to the first cell
         i = gen.grid.interface_index
-        gen.matrix[i, i + 1] = 0.0
+        gen.band[gen.half_bandwidth - 1, i + 1] = 0.0
 
     ok, _ = verify.check_mass_conservation(cfg, transform=corrupt)
     assert not ok

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from couplediff import (
     StateField,
@@ -16,6 +18,9 @@ from couplediff import (
     mass,
     weighted_inner,
 )
+from couplediff.energy_spectrum import _symmetrized_eigh
+from couplediff.kernels import FAMILIES
+from couplediff.verify import _structure_defects
 from conftest import weighted_norm
 
 
@@ -66,7 +71,7 @@ def test_weighted_inner(grid50):
 
 
 def _structure_asserts(gen):
-    L = gen.matrix
+    L = gen.dense()
     W = gen.weights
     n = L.shape[0]
     row_mag = np.abs(L).sum(axis=1)
@@ -106,7 +111,7 @@ def test_generator_rows_match_stated_stencil(grid50, triangle_kernel, constants)
     """The assembled rows equal the closed-form stencil the energy gradient
     produces; this pins the assembly independently of the quadratic form."""
     gen = assemble_generator(grid50, triangle_kernel, constants)
-    L = gen.matrix
+    L = gen.dense()
     g = grid50
     h, hn = g.h_local, g.h_nonlocal
     I = g.interface_index
@@ -143,16 +148,35 @@ def test_generator_rows_match_stated_stencil(grid50, triangle_kernel, constants)
     assert np.all(L[row, : I - 1] == 0.0)
 
 
+def test_uniform_block_translation_invariant(constants):
+    """At eps = 0.05 on 200 x 200 the support edge R eps / h_nl = 10 is an
+    integer: the kernel's closed support keeps or drops the pair at that
+    offset once for the whole block, so every off-diagonal of the nonlocal
+    block is constant (the roundoff of y_j - y_k once dropped 168 of its 380
+    entries)."""
+    grid = build_grid(200, 200)
+    kernel = make_kernel("uniform", 1.0, 0.05)
+    gen = assemble_generator(grid, kernel, coupling_constants(kernel))
+    nl0 = grid.interface_index + 1
+    block = gen.dense()[nl0:, nl0:]
+    for d in range(1, grid.n_nonlocal):
+        for diagonal in (np.diagonal(block, d), np.diagonal(block, -d)):
+            assert np.ptp(diagonal) <= 1e-15 * np.max(np.abs(diagonal)), d
+    assert np.all(np.diagonal(block, 10) > 0.0)
+
+
 def test_constants_are_stationary(gen50, grid50):
-    out = gen50.matrix @ np.full(grid50.size, 3.7)
-    assert np.max(np.abs(out)) <= 1e-12 * np.abs(gen50.matrix).max()
+    L = gen50.dense()
+    out = L @ np.full(grid50.size, 3.7)
+    assert np.max(np.abs(out)) <= 1e-12 * np.abs(L).max()
 
 
 def test_mass_identity_random_states(gen50, grid50):
     rng = np.random.default_rng(3)
+    L = gen50.dense()
     for _ in range(20):
         w = StateField(grid50, rng.standard_normal(grid50.size))
-        rate = mass(grid50, StateField(grid50, gen50.matrix @ w.values))
+        rate = mass(grid50, StateField(grid50, L @ w.values))
         assert abs(rate) <= 1e-12 * weighted_norm(grid50, w.values)
 
 
@@ -164,8 +188,8 @@ def test_under_resolved_kernel_rejected(constants):
 
 
 def test_assembly_peak_memory(triangle_kernel, constants):
-    """The 1000 x 1000 generator (32 MB) is assembled within 2.5 times its own
-    size; a separate -A / W and nonlocal block took 3.5 times."""
+    """The 1000 x 1000 generator is assembled within 2.5 times the size of a
+    dense L (32 MB); a separate -A / W and nonlocal block took 3.5 times."""
     grid = build_grid(1000, 1000)
     tracemalloc.start()
     try:
@@ -173,7 +197,22 @@ def test_assembly_peak_memory(triangle_kernel, constants):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * gen.matrix.nbytes
+    assert peak <= 2.5 * gen.size**2 * 8
+
+
+def test_assembly_peak_memory_narrow_band(constants):
+    """At eps = 0.01 on 2000 x 2000 (4,001 dofs) assembly stays within 4 times
+    the band it returns (21 rows, 0.67 MB); a dense L alone is 128 MB."""
+    grid = build_grid(2000, 2000)
+    kernel = make_kernel("triangle", 1.0, 0.01)
+    tracemalloc.start()
+    try:
+        gen = assemble_generator(grid, kernel, constants)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert gen.half_bandwidth == 20
+    assert peak <= 4 * gen.band.nbytes
 
 
 def test_consistency_with_second_derivative(constants):
@@ -188,7 +227,7 @@ def test_consistency_with_second_derivative(constants):
     for eps in (0.2, 0.1, 0.05):
         kernel = make_kernel("triangle", 1.0, eps)
         gen = assemble_generator(grid, kernel, coupling_constants(kernel))
-        rhs = (gen.matrix @ w)[grid.interface_index + 1 :]
+        rhs = (gen.dense() @ w)[grid.interface_index + 1 :]
         y = grid.nonlocal_centers
         sel = (y > 0.3) & (y < 0.9)
         errors.append(np.max(np.abs(rhs[sel] - phixx(y[sel]))))
@@ -198,15 +237,9 @@ def test_consistency_with_second_derivative(constants):
 
 @pytest.mark.parametrize("n", (100, 400))
 def test_spectrum_nonnegative_single_zero(n, triangle_kernel, constants):
-    import scipy.linalg
-
     grid = build_grid(n, n)
     gen = assemble_generator(grid, triangle_kernel, constants)
-    W = gen.weights
-    A = -(W[:, None] * gen.matrix)
-    A = 0.5 * (A + A.T)
-    d = 1.0 / np.sqrt(W)
-    vals = scipy.linalg.eigvalsh(d[:, None] * A * d[None, :])
+    vals = _symmetrized_eigh(gen)[0]
     assert vals[0] >= -1e-10
     assert int(np.sum(vals < 1e-10)) == 1
 
@@ -222,7 +255,7 @@ def test_heat_generator_structure():
 
 def _rebuild_from_edges(gen, edges):
     """-W^-1 A with A the graph Laplacian of the given edges."""
-    A = np.zeros_like(gen.matrix)
+    A = np.zeros((gen.size, gen.size))
     for i, j, c in edges:
         np.add.at(A, (i, j), -c)
         np.add.at(A, (j, i), -c)
@@ -240,8 +273,8 @@ def test_generator_edges_rebuild_generator(family, eps):
     edges = generator_edges(gen)
     local, _, coupling = edges
     rebuilt = _rebuild_from_edges(gen, edges)
-    scale = np.max(np.abs(gen.matrix))
-    assert np.max(np.abs(rebuilt - gen.matrix)) <= 1e-14 * scale
+    L = gen.dense()
+    assert np.max(np.abs(rebuilt - L)) <= 1e-14 * np.max(np.abs(L))
     assert local[0].size == grid.n_local
     q = coupling_profile_analytic(kernel, grid.nonlocal_centers)
     assert coupling[0].size == np.count_nonzero(q)
@@ -258,4 +291,30 @@ def test_generator_edges_heat_all_local():
     assert nonlocal_[0].size == 0 and coupling[0].size == 0
     assert np.all(local[2] > 0.0)
     rebuilt = _rebuild_from_edges(gen, (local,))
-    assert np.max(np.abs(rebuilt - gen.matrix)) <= 1e-14 * np.max(np.abs(gen.matrix))
+    L = gen.dense()
+    assert np.max(np.abs(rebuilt - L)) <= 1e-14 * np.max(np.abs(L))
+
+
+@st.composite
+def _resolved_generators(draw):
+    """A coupled generator with at most 150 dofs whose grid meets the
+    resolution rule h_nl <= R eps / 4."""
+    family = draw(st.sampled_from(FAMILIES))
+    radius = draw(st.floats(0.25, 2.0))
+    n_local = draw(st.integers(4, 60))
+    n_nonlocal = draw(st.integers(4, 149 - n_local))
+    eps_min = 4.0 / (radius * n_nonlocal)
+    eps = draw(st.floats(eps_min, max(eps_min, 2.0)))
+    kernel = make_kernel(family, radius, eps)
+    return assemble_generator(build_grid(n_local, n_nonlocal), kernel, coupling_constants(kernel))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(_resolved_generators())
+def test_generator_band_properties(gen):
+    assert max(_structure_defects(gen).values()) <= 1e-12
+    L = gen.dense()
+    rebuilt = _rebuild_from_edges(gen, generator_edges(gen))
+    assert np.max(np.abs(rebuilt - L)) <= 1e-14 * np.max(np.abs(L))
+    i, j = np.nonzero(L)
+    assert gen.half_bandwidth == np.max(np.abs(i - j))

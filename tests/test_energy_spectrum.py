@@ -78,7 +78,7 @@ def test_energy_generator_identity(grid50, gen50, triangle_kernel, constants):
     for _ in range(100):
         w = StateField(grid50, rng.standard_normal(grid50.size))
         quad_form = 0.5 * float(
-            np.sum(grid50.weights * w.values * (-gen50.matrix @ w.values))
+            np.sum(grid50.weights * w.values * (-gen50.dense() @ w.values))
         )
         total = energy(grid50, triangle_kernel, constants, w).total
         assert total == pytest.approx(quad_form, rel=1e-10)

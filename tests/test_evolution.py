@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.linalg
 
 from couplediff import (
     GeneratorMatrix,
@@ -20,6 +19,7 @@ from couplediff import (
     step_implicit,
 )
 from couplediff.config import SimConfig, initial_state
+from couplediff.energy_spectrum import _semigroup_oracle
 from couplediff.evolution import _ImplicitStepper, _States
 from conftest import weighted_norm
 
@@ -40,7 +40,7 @@ def test_cfl_decreases_with_epsilon(constants):
 
 
 def test_cfl_zero_generator(grid50):
-    gen = GeneratorMatrix(grid50, np.zeros((grid50.size,) * 2), grid50.weights)
+    gen = GeneratorMatrix.from_dense(grid50, np.zeros((grid50.size,) * 2), grid50.weights)
     with pytest.raises(ValueError):
         cfl_limit(gen)
 
@@ -75,7 +75,7 @@ def test_explicit_sup_norm_contraction(triangle_kernel, constants):
     dt = cfl_limit(gen)
     rng = np.random.default_rng(11)
     w = rng.standard_normal(grid.size)
-    M = np.eye(grid.size) + dt * gen.matrix
+    M = np.eye(grid.size) + dt * gen.dense()
     prev = np.max(np.abs(w))
     for _ in range(10_000):
         w = M @ w
@@ -110,11 +110,12 @@ def test_stepper_layouts_match_dense_solve(constants, eps, half_bandwidth):
     dt = 5e-4
     stepper = _ImplicitStepper(gen, dt)
     assert stepper.half_bandwidth == half_bandwidth
-    M = np.eye(grid.size) - dt * gen.matrix
+    L = gen.dense()
+    M = np.eye(grid.size) - dt * L
     w = ref = np.exp(-((grid.positions + 0.5) ** 2) / (2 * 0.15**2))
     for _ in range(200):
         w = stepper.step(w)
-        ref = ref + np.linalg.solve(M, dt * (gen.matrix @ ref))
+        ref = ref + np.linalg.solve(M, dt * (L @ ref))
         assert np.max(np.abs(w - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -131,10 +132,10 @@ def test_band_layout_conserves_mass_and_dissipates(constants):
 
 def test_stepper_rejects_singular_factor(grid50):
     """pbtrf reporting a non-positive pivot raises instead of stepping on, and
-    a generator whose W L is not symmetric is refused before any factoring."""
+    a dense L whose W L is not symmetric is refused before it becomes a band."""
     dt = 0.1
     n = grid50.size
-    zero = GeneratorMatrix(grid50, np.eye(n) / dt, grid50.weights)  # W + dt A = 0
+    zero = GeneratorMatrix.from_dense(grid50, np.eye(n) / dt, grid50.weights)  # W + dt A = 0
     with pytest.raises(RuntimeError, match="pbtrf info = 1"):
         _ImplicitStepper(zero, dt)
     # symmetric and indefinite with a positive diagonal: W + dt A = W except
@@ -142,19 +143,19 @@ def test_stepper_rejects_singular_factor(grid50):
     L = np.zeros((n, n))
     L[5, 6] = L[6, 5] = 2.0 / dt
     with pytest.raises(RuntimeError, match="pbtrf info = 7"):
-        _ImplicitStepper(GeneratorMatrix(grid50, L, grid50.weights), dt)
+        _ImplicitStepper(GeneratorMatrix.from_dense(grid50, L, grid50.weights), dt)
     skew = np.zeros((n, n))
     skew[0, 0] = 1.0 / dt
     skew[0, -1] = 1.0  # no (W L)[-1, 0] to match it
     with pytest.raises(ValueError, match="not symmetric"):
-        _ImplicitStepper(GeneratorMatrix(grid50, skew, grid50.weights), dt)
+        GeneratorMatrix.from_dense(grid50, skew, grid50.weights)
 
 
 def test_small_eps_fine_grid_implicit_run(constants):
     """eps = 0.01 on 2000 x 2000 (4,001 dofs, half-bandwidth 20), dt = 1e-3 and
     the default gaussian: a dense LU solve stops at step 7 with its residual
     above 1e-12 ||b||; the band Cholesky stepper completes the run.
-    Assembling the dense generator peaks near 280 MB."""
+    Assembly writes only the band (21 rows, 0.67 MB)."""
     grid = build_grid(2000, 2000)
     gen = assemble_generator(grid, make_kernel("triangle", 1.0, 0.01), constants)
     w0 = initial_state(SimConfig(), grid)
@@ -193,7 +194,7 @@ def test_evolve_aborts_on_blowup():
     # sign-flipped heat generator is anti-dissipative: explicit stepping
     # overflows and the recorder must abort instead of emitting corrupt series
     base = assemble_heat_generator(50)
-    blow = GeneratorMatrix(base.grid, -base.matrix, base.weights, kind="heat")
+    blow = GeneratorMatrix.from_dense(base.grid, -base.dense(), base.weights, kind="heat")
     w = StateField(base.grid, np.cos(np.pi * (base.grid.positions + 1) / 2))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(RuntimeError, match="non-finite"):
@@ -248,13 +249,8 @@ def test_semigroup_oracle_small_instance(triangle_kernel, constants):
     flow; implicit Euler at dt = 1e-4 must match at t = 0.5 within 1e-5."""
     grid = build_grid(20, 20)
     gen = assemble_generator(grid, triangle_kernel, constants)
-    W = gen.weights
-    A = -(W[:, None] * gen.matrix)
-    A = 0.5 * (A + A.T)
-    d = 1.0 / np.sqrt(W)
-    vals, vecs = scipy.linalg.eigh(d[:, None] * A * d[None, :])
     w0 = StateField(grid, np.exp(-((grid.positions + 0.5) ** 2) / (2 * 0.15**2)))
-    exact = d * (vecs @ (np.exp(-vals * 0.5) * (vecs.T @ (np.sqrt(W) * w0.values))))
+    exact = _semigroup_oracle(gen, w0.values, 0.5)[0]
     traj = evolve(gen, w0, StepScheme(dt=1e-4), 0.5)
     assert weighted_norm(grid, traj.final_state.values - exact) <= 1e-5
 
