@@ -13,6 +13,7 @@ import numpy as np
 
 from .config import SimConfig, initial_state, kernel_from
 from .discretization import (
+    GeneratorMatrix,
     Grid,
     StateField,
     assemble_generator,
@@ -21,7 +22,7 @@ from .discretization import (
 )
 from .energy_spectrum import SpectralReport, estimate_beta1
 from .evolution import StepScheme, Trajectory, _States
-from .kernels import CouplingConstants, Kernel, coupling_constants, make_kernel
+from .kernels import coupling_constants, make_kernel
 
 _TINY = np.finfo(float).tiny
 
@@ -148,11 +149,10 @@ def epsilon_sweep(
     if any(b >= a for a, b in zip(eps[:-1], eps[1:])):
         raise ValueError("eps_list must be strictly decreasing")
     horizon = base_config.time_horizon if horizon is None else float(horizon)
-    dt = horizon / 1000.0 if base_config.time_dt == "auto" else float(base_config.time_dt)
     base_kernel = kernel_from(base_config)
     constants = coupling_constants(base_kernel)
 
-    scheme = StepScheme(kind="implicit", dt=dt)
+    scheme = StepScheme(kind="implicit", dt=base_config.time_dt)
     return [_sweep_member(base_config, e, constants, scheme, horizon, n_modes) for e in eps]
 
 
@@ -214,9 +214,7 @@ def supersolution_check(
     u_field,
     v_field,
     times,
-    grid: Grid,
-    kernel: Kernel,
-    constants: CouplingConstants,
+    generator: GeneratorMatrix,
     tol: float,
 ) -> SupersolutionReport:
     """Check the four discrete supersolution inequalities on sampled fields.
@@ -229,6 +227,7 @@ def supersolution_check(
     Time derivatives use centered differences, so (1) and (4) are evaluated
     at interior time samples; (2) and (3) are pointwise in time.
     """
+    grid = generator.grid
     u = np.asarray(u_field, dtype=float)
     v = np.asarray(v_field, dtype=float)
     times = np.asarray(times, dtype=float)
@@ -249,7 +248,6 @@ def supersolution_check(
     left_slope = (u[:, 1] - u[:, 0]) / h
     margin2 = float(np.min(-left_slope))
 
-    generator = assemble_generator(grid, kernel, constants)
     w = np.hstack([u, v])
     i, j, c = generator_edges(generator)[2]
     flux = (w[:, j] - w[:, i]) @ c

@@ -45,13 +45,10 @@ SPECTRUM_SAMPLES = 200
 
 def _setup(cfg: SimConfig):
     kernel = kernel_from(cfg)
-    constants = coupling_constants(kernel)
-    grid = grid_from(cfg)
     try:
-        generator = assemble_generator(grid, kernel, constants)
+        return assemble_generator(grid_from(cfg), kernel, coupling_constants(kernel))
     except ValueError as exc:
         raise ConfigError(f"grid.n_nonlocal / kernel.epsilon: {exc}") from exc
-    return kernel, constants, grid, generator
 
 
 def _write_timeseries(path, traj):
@@ -78,7 +75,7 @@ def _write_snapshot(path, state):
 
 
 def run_simulate(cfg: SimConfig, svg: bool = False) -> list:
-    kernel, constants, grid, generator = _setup(cfg)
+    generator = _setup(cfg)
     scheme = scheme_from(cfg)
     if scheme.kind == "explicit" and scheme.dt != "auto":
         limit = cfl_limit(generator)
@@ -86,13 +83,18 @@ def run_simulate(cfg: SimConfig, svg: bool = False) -> list:
             raise ConfigError(
                 f"time.dt: {scheme.dt} exceeds the explicit CFL limit {limit:.6g}"
             )
-    w0 = initial_state(cfg, grid)
+    w0 = initial_state(cfg, generator.grid)
 
     if scheme.kind == "picard":
-        scheme.window_for(constants)  # validates the window against the constants
-        traj, report = picard_window_solve(
-            grid, kernel, constants, w0, scheme, cfg.time_horizon
-        )
+        try:
+            window = scheme.window_for(generator.constants)
+        except ValueError as exc:
+            raise ConfigError(f"picard.window: {exc}") from exc
+        try:  # fails here, not after stepping the windows that fit the horizon
+            scheme.picard_steps(generator.constants, cfg.time_horizon)
+        except ValueError as exc:
+            raise ConfigError(f"time.dt / time.horizon: {exc}") from exc
+        traj, report = picard_window_solve(generator, w0, scheme, cfg.time_horizon)
     else:
         report = None
         traj = evolve(generator, w0, scheme, cfg.time_horizon, cfg.time_snapshot_stride)
@@ -108,8 +110,8 @@ def run_simulate(cfg: SimConfig, svg: bool = False) -> list:
         artifacts.append(snap)
 
     resolved = replace(cfg, time_dt=traj.dt)
-    if scheme.kind == "picard":
-        resolved = replace(resolved, picard_window=scheme.window_for(constants))
+    if report is not None:
+        resolved = replace(resolved, picard_window=window)
     manifest = out / "manifest.cfg"
     header = "# manifest: resolved parameters; re-parses as a config\n"
     extra = ""
@@ -164,11 +166,9 @@ def run_spectrum(cfg: SimConfig, pure_heat: bool = False) -> list:
         row = (n, 0, 0.0, spectral.beta1, spectral.lambda2, spectral.residual,
                float("nan"))
     else:
-        kernel, constants, grid, generator = _setup(cfg)
+        generator = _setup(cfg)
         spectral = estimate_beta1(generator)
-        k_hat = estimate_energy_control_k(
-            grid, kernel, constants, n_samples=SPECTRUM_SAMPLES, seed=cfg.seed
-        )
+        k_hat = estimate_energy_control_k(generator, n_samples=SPECTRUM_SAMPLES, seed=cfg.seed)
         row = (
             cfg.grid_n_local,
             cfg.grid_n_nonlocal,

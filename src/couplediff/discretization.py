@@ -16,7 +16,9 @@ A is thus a weighted graph Laplacian, banded (the kernel reaches R eps) and
 stored as W and A's upper band only; GeneratorMatrix.dense() rebuilds L for
 small reference computations.  generator_edges reads the edges (i, j, c),
 c = -A_ij, off the band as local, nonlocal or coupling; every energy and
-interface flux is a sum over those edges.
+interface flux is a sum over those edges.  The GeneratorMatrix also carries
+its grid, kernel and constants: every routine after assembly takes it, and
+none assembles again.
 """
 from __future__ import annotations
 
@@ -168,16 +170,18 @@ class GeneratorMatrix:
 
     A[i, j] (i <= j) sits at band[b + i - j, j] of a (b + 1, n) Fortran
     array (LAPACK upper band storage), b the widest offset j - i that holds a
-    nonzero; A is symmetric, so that is all of it.  kind is "coupled" for the
-    two-subdomain model and "heat" for the single-domain diagnostic Laplacian.
+    nonzero; A is symmetric, so that is all of it.  W is grid.weights;
+    constants and kernel are None for the single-domain diagnostic Laplacian.
     """
 
     grid: object
-    weights: np.ndarray
     band: np.ndarray
     constants: CouplingConstants | None = None
     kernel: Kernel | None = None
-    kind: str = "coupled"
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self.grid.weights
 
     @property
     def size(self) -> int:
@@ -202,10 +206,10 @@ class GeneratorMatrix:
         return L
 
     @classmethod
-    def from_dense(cls, grid, L, weights, constants=None, kernel=None, kind="coupled"):
+    def from_dense(cls, grid, L, constants=None, kernel=None):
         """The generator of a dense L (small, hand-built ones).  Only A's upper
         triangle is kept, so W L must be symmetric to roundoff."""
-        WL = weights[:, None] * L
+        WL = grid.weights[:, None] * L
         if np.max(np.abs(WL - WL.T)) > 1e-12 * np.max(np.abs(np.diagonal(WL))):
             raise ValueError("W L is not symmetric to roundoff: L is not self-adjoint in W")
         i, j = np.nonzero(L)
@@ -213,7 +217,7 @@ class GeneratorMatrix:
         band = np.zeros((b + 1, L.shape[0]), order="F")
         for k in range(b + 1):
             band[b - k, k:] = -np.diagonal(WL, k)
-        return cls(grid, weights, band, constants, kernel, kind)
+        return cls(grid, band, constants, kernel)
 
 
 def assemble_generator(
@@ -266,7 +270,7 @@ def assemble_generator(
     band[b - 1 - j, nl0 + j] = np.negative(beta[:b])
     band[b, nl0 - 1] += beta.sum()
     band[b, nl0:] += beta
-    return GeneratorMatrix(grid, grid.weights, band, constants, kernel, "coupled")
+    return GeneratorMatrix(grid, band, constants, kernel)
 
 
 def assemble_heat_generator(n_intervals: int) -> GeneratorMatrix:
@@ -280,7 +284,7 @@ def assemble_heat_generator(n_intervals: int) -> GeneratorMatrix:
     grid = IntervalGrid(n_intervals)
     band = np.zeros((2, grid.size), order="F")
     _add_path_stiffness(band, grid.n_intervals, grid.spacing)
-    return GeneratorMatrix(grid, grid.weights, band, None, None, "heat")
+    return GeneratorMatrix(grid, band)
 
 
 def generator_edges(generator: GeneratorMatrix):

@@ -22,12 +22,11 @@ from .discretization import (
     GeneratorMatrix,
     Grid,
     StateField,
-    assemble_generator,
     generator_edges,
     mass,
     weighted_inner,
 )
-from .kernels import CouplingConstants, Kernel
+from .kernels import Kernel
 
 
 @dataclass
@@ -52,11 +51,8 @@ def edge_energy(edges, values) -> tuple:
     return tuple(0.5 * float(c @ np.square(values[j] - values[i])) for i, j, c in edges)
 
 
-def energy(
-    grid: Grid, kernel: Kernel, constants: CouplingConstants, w: StateField
-) -> EnergyBreakdown:
-    edges = generator_edges(assemble_generator(grid, kernel, constants))
-    return EnergyBreakdown(*edge_energy(edges, w.values))
+def energy(generator: GeneratorMatrix, w: StateField) -> EnergyBreakdown:
+    return EnergyBreakdown(*edge_energy(generator_edges(generator), w.values))
 
 
 def _full_pair_weights(grid: Grid, kernel: Kernel):
@@ -146,25 +142,18 @@ def estimate_beta1(generator: GeneratorMatrix) -> SpectralReport:
     )
 
 
-def rayleigh(
-    grid: Grid, kernel: Kernel, constants: CouplingConstants, w: StateField
-) -> float:
+def rayleigh(generator: GeneratorMatrix, w: StateField) -> float:
     """Energy over squared weighted norm of the mean-free part of w."""
+    grid = generator.grid
     shifted = StateField(grid, w.values - 0.5 * mass(grid, w))
     denom = weighted_inner(grid, shifted, shifted)
     scale = float(np.max(np.abs(w.values))) or 1.0
     if denom <= 1e-28 * scale * scale:
         raise ValueError("rayleigh quotient undefined for (numerically) constant input")
-    return energy(grid, kernel, constants, w).total / denom
+    return energy(generator, w).total / denom
 
 
-def estimate_energy_control_k(
-    grid: Grid,
-    kernel: Kernel,
-    constants: CouplingConstants,
-    n_samples: int,
-    seed: int,
-) -> float:
+def estimate_energy_control_k(generator: GeneratorMatrix, n_samples: int, seed: int) -> float:
     """Randomized lower estimate of the constant dominating the full nonlocal energy.
 
     Draws mean-zero standard normal states sequentially from one seeded
@@ -174,8 +163,9 @@ def estimate_energy_control_k(
     """
     if n_samples < 10:
         raise ValueError("need at least 10 samples")
-    edges = generator_edges(assemble_generator(grid, kernel, constants))
-    pairs = (_full_pair_weights(grid, kernel),)
+    grid = generator.grid
+    edges = generator_edges(generator)
+    pairs = (_full_pair_weights(grid, generator.kernel),)
     ww = grid.weights
 
     rng = np.random.default_rng(seed)

@@ -23,14 +23,9 @@ import numpy as np
 from scipy.linalg.blas import dsbmv
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
-from .discretization import (
-    GeneratorMatrix,
-    StateField,
-    assemble_generator,
-    generator_edges,
-)
+from .discretization import GeneratorMatrix, StateField, generator_edges
 from .energy_spectrum import edge_energy
-from .kernels import CouplingConstants, Kernel
+from .kernels import CouplingConstants
 
 SCHEME_KINDS = ("explicit", "implicit", "picard")
 
@@ -62,6 +57,18 @@ class StepScheme:
                 f"picard window {tw} must lie in (0, 1/(2 c1 + c2)) = (0, {sup:.6g})"
             )
         return tw
+
+    def picard_steps(self, constants: CouplingConstants, horizon: float) -> tuple:
+        """(window, dt, n_steps): the window, the sub-step ('auto' takes 1/32
+        of the window), which must divide both the window and the horizon, and
+        the sub-steps to the horizon."""
+        window = self.window_for(constants)
+        dt = window / 32.0 if self.dt == "auto" else float(self.dt)
+        for name, span in (("picard window", window), ("horizon", horizon)):
+            n_steps = round(span / dt)
+            if n_steps < 1 or abs(n_steps * dt - span) > 1e-9 * span:
+                raise ValueError(f"sub-step dt = {dt:.6g} must divide the {name} {span:.6g}")
+        return window, dt, n_steps
 
 
 @dataclass
@@ -256,17 +263,12 @@ def evolve(
 ):
     """Advance w' = L w to t = horizon, recording diagnostics every step.
 
-    For the picard scheme this delegates to picard_window_solve and returns
-    its trajectory (the report is discarded here; call the window solver
-    directly when the iteration diagnostics are wanted).
+    For the picard scheme this delegates to picard_window_solve on the same
+    generator and returns its trajectory (the report is discarded here; call
+    the window solver directly when the iteration diagnostics are wanted).
     """
     if scheme.kind == "picard":
-        if generator.kind != "coupled":
-            raise ValueError("picard scheme needs the coupled generator")
-        traj, _ = picard_window_solve(
-            generator.grid, generator.kernel, generator.constants, w0, scheme, horizon
-        )
-        return traj
+        return picard_window_solve(generator, w0, scheme, horizon)[0]
 
     states = _States(generator, w0, scheme, horizon)
     n_steps = states.n_steps
@@ -282,12 +284,7 @@ def evolve(
 
 
 def picard_window_solve(
-    grid,
-    kernel: Kernel,
-    constants: CouplingConstants,
-    w0: StateField,
-    scheme: StepScheme,
-    horizon: float,
+    generator: GeneratorMatrix, w0: StateField, scheme: StepScheme, horizon: float
 ):
     """Window-alternating fixed point: jump solve given the trace, then heat
     solve given the jump field, iterated to convergence window by window.
@@ -300,16 +297,13 @@ def picard_window_solve(
     """
     if not horizon > 0.0:
         raise ValueError(f"horizon must be positive, got {horizon}")
-    window = scheme.window_for(constants)
+    constants = generator.constants
+    if constants is None:
+        raise ValueError("picard scheme needs the coupled generator")
+    window, dt, total_steps = scheme.picard_steps(constants, horizon)
     kappa = contraction_factor(constants, window)
-    dt = window / 32.0 if scheme.dt == "auto" else float(scheme.dt)
-    n_sub_full = round(window / dt)
-    if n_sub_full < 1 or abs(n_sub_full * dt - window) > 1e-9 * window:
-        raise ValueError(
-            f"sub-step dt = {dt:.6g} must divide the picard window {window:.6g}"
-        )
 
-    generator = assemble_generator(grid, kernel, constants)
+    grid = generator.grid
     nl0 = grid.interface_index + 1
     iface = grid.interface_index
     w_local, w_nonlocal = grid.weights[:nl0], grid.weights[nl0:]
@@ -325,7 +319,6 @@ def picard_window_solve(
     chol_u = _cholesky(generator.band[b - 1 :, :nl0], w_local, dt)
     chol_v = _cholesky(generator.band[:, nl0:], w_nonlocal, dt)
 
-    total_steps = int(np.ceil(horizon / dt - 1e-9))
     rec = _Recorder(generator, total_steps + 1)
     values = w0.values.copy()
     rec.record(0.0, values)
@@ -339,10 +332,6 @@ def picard_window_solve(
     while t0 < horizon - 1e-9 * max(horizon, 1.0):
         win_len = min(window, horizon - t0)
         m = round(win_len / dt)
-        if m < 1 or abs(m * dt - win_len) > 1e-9 * win_len:
-            raise ValueError(
-                f"sub-step dt = {dt:.6g} must divide the final window {win_len:.6g}"
-            )
         u_start = values[:nl0].copy()
         v_start = values[nl0:].copy()
 

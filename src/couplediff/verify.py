@@ -72,16 +72,15 @@ def check_operator_structure(cfg, transform=None):
 
 def _coupled_setup(cfg, n=100, transform=None):
     kernel = make_kernel(cfg.kernel_family, cfg.kernel_radius, cfg.kernel_epsilon)
-    constants = coupling_constants(kernel)
     grid = build_grid(n, n)
-    gen = assemble_generator(grid, kernel, constants)
+    gen = assemble_generator(grid, kernel, coupling_constants(kernel))
     if transform is not None:
         transform(gen)
-    return grid, kernel, constants, gen
+    return grid, gen
 
 
 def check_mass_conservation(cfg, transform=None):
-    grid, _, _, gen = _coupled_setup(cfg, transform=transform)
+    grid, gen = _coupled_setup(cfg, transform=transform)
     w0 = StateField(grid, np.where(grid.positions <= 0.0, 1.0, 0.0))
     traj = evolve(gen, w0, StepScheme(kind="implicit", dt=1e-2), horizon=2.0)
     drift = float(np.max(np.abs(traj.mass - traj.mass[0])))
@@ -90,7 +89,7 @@ def check_mass_conservation(cfg, transform=None):
 
 
 def check_energy_dissipation(cfg, transform=None):
-    grid, _, _, gen = _coupled_setup(cfg, transform=transform)
+    grid, gen = _coupled_setup(cfg, transform=transform)
     w0 = StateField(grid, np.where(grid.positions <= 0.0, 1.0, 0.0))
     traj = evolve(gen, w0, StepScheme(kind="implicit", dt=1e-2), horizon=2.0)
     rise = float(np.max(np.diff(traj.energy_total)))
@@ -98,7 +97,7 @@ def check_energy_dissipation(cfg, transform=None):
 
 
 def check_comparison_principle(cfg, transform=None):
-    grid, _, _, gen = _coupled_setup(cfg, n=30, transform=transform)
+    grid, gen = _coupled_setup(cfg, n=30, transform=transform)
     rng = np.random.default_rng(cfg.seed)
     worst = 0.0
     dt_exp = cfl_limit(gen)
@@ -119,7 +118,7 @@ def check_comparison_principle(cfg, transform=None):
 
 
 def check_decay_bound(cfg, transform=None):
-    grid, _, _, gen = _coupled_setup(cfg, transform=transform)
+    grid, gen = _coupled_setup(cfg, transform=transform)
     bump = SimConfig(init_kind="gaussian", init_center=-0.5, init_width=0.15)
     w0 = initial_state(bump, grid)
     traj = evolve(gen, w0, StepScheme(kind="implicit", dt=2e-3), horizon=3.0)
@@ -135,14 +134,12 @@ def check_decay_bound(cfg, transform=None):
 
 
 def check_picard_oracle(cfg, transform=None):
-    grid, kernel, constants, gen = _coupled_setup(cfg, n=50, transform=transform)
+    grid, gen = _coupled_setup(cfg, n=50, transform=transform)
     w0 = StateField(grid, np.where(grid.positions <= 0.0, 1.0, 0.0))
     scheme = StepScheme(kind="picard", picard_tol=1e-10)
-    window = scheme.window_for(constants)
-    dt = window / 32.0
-    horizon = 10 * window
-    traj, report = picard_window_solve(grid, kernel, constants, w0, scheme, horizon)
-    mono = evolve(gen, w0, StepScheme(kind="implicit", dt=dt), horizon)
+    horizon = 10 * scheme.window_for(gen.constants)
+    traj, report = picard_window_solve(gen, w0, scheme, horizon)
+    mono = evolve(gen, w0, StepScheme(kind="implicit", dt=traj.dt), horizon)
     diff = traj.final_state.values - mono.final_state.values
     dist = float(np.sqrt(np.sum(grid.weights * diff * diff)))
     ratio_ok = all(r <= report.kappa for r in report.contraction_ratios)
@@ -154,7 +151,7 @@ def check_picard_oracle(cfg, transform=None):
 
 
 def check_semigroup_oracle(cfg, transform=None):
-    grid, _, _, gen = _coupled_setup(cfg, n=20, transform=transform)
+    grid, gen = _coupled_setup(cfg, n=20, transform=transform)
     bump = SimConfig(init_kind="gaussian", init_center=-0.5, init_width=0.15,
                      init_amplitude=0.25)
     w0 = initial_state(bump, grid)

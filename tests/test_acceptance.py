@@ -192,8 +192,8 @@ def test_criterion_08_picard_fidelity():
     window = 0.8 / (2 * constants.c1 + constants.c2)
     scheme = StepScheme(kind="picard", picard_window=window, picard_tol=1e-10)
     w0 = StateField(grid, np.where(grid.positions <= 0.0, 1.0, 0.0))
-    traj, rep = picard_window_solve(grid, kernel, constants, w0, scheme, 0.5)
     generator = assemble_generator(grid, kernel, constants)
+    traj, rep = picard_window_solve(generator, w0, scheme, 0.5)
     mono = evolve(generator, w0, StepScheme(kind="implicit", dt=traj.dt), 0.5)
     gap = weighted_norm(grid, traj.final_state.values - mono.final_state.values)
     converged = all(n <= scheme.picard_tol for n in rep.final_update_norms)
@@ -254,7 +254,9 @@ def test_criterion_11_energy_control():
     for eps, n in ((1.0, 100), (0.5, 200), (0.25, 400)):
         grid = build_grid(n, n)
         kernel = make_kernel("triangle", 1.0, eps)
-        ks[eps] = estimate_energy_control_k(grid, kernel, constants, 500, seed=1234)
+        ks[eps] = estimate_energy_control_k(
+            assemble_generator(grid, kernel, constants), 500, seed=1234
+        )
     positive = all(v > 0.0 for v in ks.values())
     uniform = min(ks.values()) >= 0.5 * ks[1.0]
     ok = positive and uniform
@@ -273,7 +275,9 @@ def test_criterion_12_barrier_supersolution():
     spec = BarrierSpec(xi0=2.0, a=0.5, T=0.03)
     times = np.arange(0.0, spec.T + 1e-12, 1e-5)
     u, v = barrier_fields(spec, grid, times)
-    rep = supersolution_check(u, v, times, grid, kernel, constants, tol=1e-6)
+    rep = supersolution_check(
+        u, v, times, assemble_generator(grid, kernel, constants), tol=1e-6
+    )
     ok = rep.passed((1, 2, 3))
     assert report(
         12, "barrier-supersolution",

@@ -145,26 +145,23 @@ def test_supersolution_exact_solution_margins(triangle_kernel, constants):
     states = _semigroup_oracle(gen, prof, times)
     nl0 = grid.interface_index + 1
     report = supersolution_check(
-        states[:, :nl0], states[:, nl0:], times, grid, triangle_kernel, constants,
-        tol=grid.h_local,
+        states[:, :nl0], states[:, nl0:], times, gen, tol=grid.h_local
     )
     assert report.passed((1, 2, 3, 4)), report.margins()
 
 
-def test_supersolution_needs_three_samples(grid50, triangle_kernel, constants):
+def test_supersolution_needs_three_samples(grid50, gen50):
     u = np.zeros((2, grid50.n_local + 1))
     v = np.zeros((2, grid50.n_nonlocal))
     with pytest.raises(ValueError):
-        supersolution_check(u, v, [0.0, 0.1], grid50, triangle_kernel, constants, 1e-6)
+        supersolution_check(u, v, [0.0, 0.1], gen50, 1e-6)
 
 
-def test_supersolution_rejects_nonuniform_times(grid50, triangle_kernel, constants):
+def test_supersolution_rejects_nonuniform_times(grid50, gen50):
     u = np.zeros((4, grid50.n_local + 1))
     v = np.zeros((4, grid50.n_nonlocal))
     with pytest.raises(ValueError, match="uniform"):
-        supersolution_check(
-            u, v, [0.0, 0.1, 0.15, 0.4], grid50, triangle_kernel, constants, 1e-6
-        )
+        supersolution_check(u, v, [0.0, 0.1, 0.15, 0.4], gen50, 1e-6)
 
 
 def test_heat_reference_needs_a_mode(grid100):
@@ -197,7 +194,8 @@ def test_barrier_is_supersolution(triangle_kernel, constants):
     spec = BarrierSpec(xi0=2.0, a=0.5, T=0.03)
     times = np.arange(0.0, spec.T + 1e-12, 1e-5)
     u, v = barrier_fields(spec, grid, times)
-    report = supersolution_check(u, v, times, grid, triangle_kernel, constants, 1e-6)
+    gen = assemble_generator(grid, triangle_kernel, constants)
+    report = supersolution_check(u, v, times, gen, 1e-6)
     assert report.passed((1, 2, 3)), report.margins()
 
 
@@ -206,7 +204,8 @@ def test_negated_barrier_is_subsolution(triangle_kernel, constants):
     spec = BarrierSpec(xi0=2.0, a=0.5, T=0.03)
     times = np.arange(0.0, spec.T + 1e-12, 2e-4)
     u, v = barrier_fields(spec, grid, times)
-    report = supersolution_check(-u, -v, times, grid, triangle_kernel, constants, 1e-6)
+    gen = assemble_generator(grid, triangle_kernel, constants)
+    report = supersolution_check(-u, -v, times, gen, 1e-6)
     assert not report.passed((1,))
     assert report.margin_interior < -1e-3
 

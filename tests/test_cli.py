@@ -215,8 +215,13 @@ def _bad_init_csv(tmp_path, bad_x):
         ("init.value", lambda p: ["init.kind=constant", "init.value=nan"]),
         ("init.path", lambda p: _bad_init_csv(p, bad_x=True)),
         ("init.path", lambda p: _bad_init_csv(p, bad_x=False)),
+        ("picard.window", lambda p: ["time.scheme=picard", "picard.window=0.5"]),
+        ("time.dt", lambda p: ["time.scheme=picard", "time.dt=0.003"]),  # window 0.032
+        ("time.horizon",
+         lambda p: ["time.scheme=picard", "time.dt=auto", "time.horizon=0.2005"]),
     ],
-    ids=["radius-inf", "horizon-inf", "dt-inf", "value-nan", "csv-bad-x", "csv-bad-w"],
+    ids=["radius-inf", "horizon-inf", "dt-inf", "value-nan", "csv-bad-x", "csv-bad-w",
+         "picard-window", "picard-dt", "picard-horizon"],
 )
 def test_bad_input_exits_2_naming_key(tmp_path, capsys, key, overrides):
     cfg = write_cfg(tmp_path, SMALL, f"output.dir = {tmp_path}/out\n")

@@ -246,7 +246,7 @@ def test_spectrum_nonnegative_single_zero(n, triangle_kernel, constants):
 
 def test_heat_generator_structure():
     gen = assemble_heat_generator(100)
-    assert gen.kind == "heat"
+    assert gen.constants is None
     assert np.sum(gen.weights) == pytest.approx(2.0, abs=1e-14)
     _structure_asserts(gen)
     with pytest.raises(ValueError):

@@ -40,7 +40,7 @@ def test_cfl_decreases_with_epsilon(constants):
 
 
 def test_cfl_zero_generator(grid50):
-    gen = GeneratorMatrix.from_dense(grid50, np.zeros((grid50.size,) * 2), grid50.weights)
+    gen = GeneratorMatrix.from_dense(grid50, np.zeros((grid50.size,) * 2))
     with pytest.raises(ValueError):
         cfl_limit(gen)
 
@@ -84,7 +84,7 @@ def test_explicit_sup_norm_contraction(triangle_kernel, constants):
         prev = cur
 
 
-def test_step_implicit_contract(gen50, grid50, triangle_kernel, constants):
+def test_step_implicit_contract(gen50, grid50):
     from couplediff import energy
 
     const = constant_state(grid50, -1.5)
@@ -94,8 +94,8 @@ def test_step_implicit_contract(gen50, grid50, triangle_kernel, constants):
         w = StateField(grid50, rng.standard_normal(grid50.size))
         out = step_implicit(gen50, w, 0.05)
         assert mass(grid50, out) == pytest.approx(mass(grid50, w), rel=1e-12, abs=1e-13)
-        e0 = energy(grid50, triangle_kernel, constants, w).total
-        e1 = energy(grid50, triangle_kernel, constants, out).total
+        e0 = energy(gen50, w).total
+        e1 = energy(gen50, out).total
         assert e1 <= e0
     with pytest.raises(ValueError):
         step_implicit(gen50, const, 0.0)
@@ -135,7 +135,7 @@ def test_stepper_rejects_singular_factor(grid50):
     a dense L whose W L is not symmetric is refused before it becomes a band."""
     dt = 0.1
     n = grid50.size
-    zero = GeneratorMatrix.from_dense(grid50, np.eye(n) / dt, grid50.weights)  # W + dt A = 0
+    zero = GeneratorMatrix.from_dense(grid50, np.eye(n) / dt)  # W + dt A = 0
     with pytest.raises(RuntimeError, match="pbtrf info = 1"):
         _ImplicitStepper(zero, dt)
     # symmetric and indefinite with a positive diagonal: W + dt A = W except
@@ -143,12 +143,12 @@ def test_stepper_rejects_singular_factor(grid50):
     L = np.zeros((n, n))
     L[5, 6] = L[6, 5] = 2.0 / dt
     with pytest.raises(RuntimeError, match="pbtrf info = 7"):
-        _ImplicitStepper(GeneratorMatrix.from_dense(grid50, L, grid50.weights), dt)
+        _ImplicitStepper(GeneratorMatrix.from_dense(grid50, L), dt)
     skew = np.zeros((n, n))
     skew[0, 0] = 1.0 / dt
     skew[0, -1] = 1.0  # no (W L)[-1, 0] to match it
     with pytest.raises(ValueError, match="not symmetric"):
-        GeneratorMatrix.from_dense(grid50, skew, grid50.weights)
+        GeneratorMatrix.from_dense(grid50, skew)
 
 
 def test_small_eps_fine_grid_implicit_run(constants):
@@ -194,7 +194,7 @@ def test_evolve_aborts_on_blowup():
     # sign-flipped heat generator is anti-dissipative: explicit stepping
     # overflows and the recorder must abort instead of emitting corrupt series
     base = assemble_heat_generator(50)
-    blow = GeneratorMatrix.from_dense(base.grid, -base.dense(), base.weights, kind="heat")
+    blow = GeneratorMatrix.from_dense(base.grid, -base.dense())
     w = StateField(base.grid, np.cos(np.pi * (base.grid.positions + 1) / 2))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(RuntimeError, match="non-finite"):
@@ -262,30 +262,27 @@ def test_picard_window_validation(constants):
     scheme = StepScheme(kind="picard", picard_window=0.8 * sup, dt=0.8 * sup / 7.3)
     grid = build_grid(20, 20)
     kernel = make_kernel("triangle", 1.0, 1.0)
+    gen = assemble_generator(grid, kernel, constants)
     w0 = constant_state(grid, 1.0)
     with pytest.raises(ValueError, match="divide"):
-        picard_window_solve(grid, kernel, constants, w0, scheme, 0.5)
+        picard_window_solve(gen, w0, scheme, 0.5)
 
 
-def test_picard_constant_state(grid50, triangle_kernel, constants):
+def test_picard_constant_state(grid50, gen50, constants):
     scheme = StepScheme(kind="picard")
     window = scheme.window_for(constants)
-    traj, report = picard_window_solve(
-        grid50, triangle_kernel, constants, constant_state(grid50, 3.0), scheme, 3 * window
-    )
+    traj, report = picard_window_solve(gen50, constant_state(grid50, 3.0), scheme, 3 * window)
     assert report.iterations == [1, 1, 1]
     assert np.max(traj.dist_to_mean) <= 1e-12
     assert report.kappa == pytest.approx(contraction_factor(constants, window))
     assert report.kappa < 1.0
 
 
-def test_picard_matches_monolithic(grid100, gen100, triangle_kernel, constants):
+def test_picard_matches_monolithic(grid100, gen100):
     w0 = StateField(grid100, np.where(grid100.positions <= 0, 1.0, 0.0))
     scheme = StepScheme(kind="picard", picard_tol=1e-10)
     horizon = 0.25
-    traj, report = picard_window_solve(
-        grid100, triangle_kernel, constants, w0, scheme, horizon
-    )
+    traj, report = picard_window_solve(gen100, w0, scheme, horizon)
     mono = evolve(gen100, w0, StepScheme(dt=traj.dt), horizon)
     gap = weighted_norm(grid100, traj.final_state.values - mono.final_state.values)
     assert gap <= 1e-6
@@ -296,11 +293,11 @@ def test_picard_matches_monolithic(grid100, gen100, triangle_kernel, constants):
     assert drift <= 1e-11 * abs(traj.mass[0]) + 1e-13
 
 
-def test_picard_nonconvergence_reported(grid50, triangle_kernel, constants):
+def test_picard_nonconvergence_reported(grid50, gen50):
     w0 = StateField(grid50, np.where(grid50.positions <= 0, 1.0, 0.0))
     scheme = StepScheme(kind="picard", picard_tol=1e-14, picard_max_iters=1)
     with pytest.raises(RuntimeError, match="did not converge"):
-        picard_window_solve(grid50, triangle_kernel, constants, w0, scheme, 0.1)
+        picard_window_solve(gen50, w0, scheme, 0.1)
 
 
 def test_evolve_dispatches_picard(grid50, triangle_kernel, constants):
