@@ -94,7 +94,9 @@ def run_simulate(cfg: SimConfig, svg: bool = False) -> list:
             scheme.picard_steps(generator.constants, cfg.time_horizon)
         except ValueError as exc:
             raise ConfigError(f"time.dt / time.horizon: {exc}") from exc
-        traj, report = picard_window_solve(generator, w0, scheme, cfg.time_horizon)
+        traj, report = picard_window_solve(
+            generator, w0, scheme, cfg.time_horizon, cfg.time_snapshot_stride
+        )
     else:
         report = None
         traj = evolve(generator, w0, scheme, cfg.time_horizon, cfg.time_snapshot_stride)

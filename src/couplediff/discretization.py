@@ -25,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dsbmv
 
+from ._lapack import dsbmv
 from .kernels import CouplingConstants, Kernel, coupling_profile_analytic
 
 

@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
+from ._lapack import eigh
 from .discretization import (
     GeneratorMatrix,
     Grid,
@@ -97,7 +97,7 @@ def _symmetrized_eigh(generator: GeneratorMatrix, subset_by_index=None):
     A = -(W[:, None] * generator.dense())
     A = 0.5 * (A + A.T)
     d = 1.0 / np.sqrt(W)
-    vals, vecs = scipy.linalg.eigh(d[:, None] * A * d[None, :], subset_by_index=subset_by_index)
+    vals, vecs = eigh(d[:, None] * A * d[None, :], subset_by_index=subset_by_index)
     return vals, vecs, d
 
 

@@ -20,9 +20,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.blas import dsbmv
-from scipy.linalg.lapack import dpbtrf, dpbtrs
 
+from ._lapack import dpbtrf, dpbtrs, dsbmv
 from .discretization import GeneratorMatrix, StateField, generator_edges
 from .energy_spectrum import edge_energy
 from .kernels import CouplingConstants
@@ -254,6 +253,12 @@ class _States:
             yield t, values
 
 
+def _snapshot_due(k: int, n_steps: int, stride: int) -> bool:
+    """Whether step k of n_steps is a snapshot besides the final state: the
+    initial state and, for stride > 0, every stride-th step before the last."""
+    return k == 0 or (stride > 0 and k % stride == 0 and k != n_steps)
+
+
 def evolve(
     generator: GeneratorMatrix,
     w0: StateField,
@@ -268,7 +273,7 @@ def evolve(
     the window solver directly when the iteration diagnostics are wanted).
     """
     if scheme.kind == "picard":
-        return picard_window_solve(generator, w0, scheme, horizon)[0]
+        return picard_window_solve(generator, w0, scheme, horizon, snapshot_stride)[0]
 
     states = _States(generator, w0, scheme, horizon)
     n_steps = states.n_steps
@@ -276,7 +281,7 @@ def evolve(
     snapshots = []
     for k, (t, values) in enumerate(states):
         rec.record(t, values)
-        if k == 0 or (snapshot_stride > 0 and k % snapshot_stride == 0 and k != n_steps):
+        if _snapshot_due(k, n_steps, snapshot_stride):
             snapshots.append((t, StateField(w0.grid, values.copy())))
     final = StateField(w0.grid, values.copy())
     snapshots.append((n_steps * states.dt, final))
@@ -284,7 +289,11 @@ def evolve(
 
 
 def picard_window_solve(
-    generator: GeneratorMatrix, w0: StateField, scheme: StepScheme, horizon: float
+    generator: GeneratorMatrix,
+    w0: StateField,
+    scheme: StepScheme,
+    horizon: float,
+    snapshot_stride: int = 0,
 ):
     """Window-alternating fixed point: jump solve given the trace, then heat
     solve given the jump field, iterated to convergence window by window.
@@ -293,7 +302,8 @@ def picard_window_solve(
     at sub-step resolution, evaluating the frozen data at the new time level;
     the fixed point therefore coincides with the monolithic implicit solution
     at the same step size.  Convergence is measured in the sup-over-window
-    discrete L2(-1, 0) norm of the trace-side iterate.
+    discrete L2(-1, 0) norm of the trace-side iterate.  Snapshots follow
+    evolve's rule, counting sub-steps across windows.
     """
     if not horizon > 0.0:
         raise ValueError(f"horizon must be positive, got {horizon}")
@@ -322,6 +332,7 @@ def picard_window_solve(
     rec = _Recorder(generator, total_steps + 1)
     values = w0.values.copy()
     rec.record(0.0, values)
+    snapshots = [(0.0, w0.copy())]
 
     iterations: list[int] = []
     final_norms: list[float] = []
@@ -375,11 +386,15 @@ def picard_window_solve(
 
         values = np.concatenate([u_hist[m], v_hist[m]])
         for k in range(1, m + 1):
-            rec.record(t0 + k * dt, np.concatenate([u_hist[k], v_hist[k]]))
+            t, state = t0 + k * dt, np.concatenate([u_hist[k], v_hist[k]])
+            if _snapshot_due(rec.k, total_steps, snapshot_stride):  # rec.k: step index
+                snapshots.append((t, StateField(grid, state)))
+            rec.record(t, state)
         t0 += win_len
 
     final = StateField(grid, values.copy())
-    traj = rec.build(grid, [(0.0, w0.copy()), (rec.rows[rec.k - 1, 0], final)], final, dt)
+    snapshots.append((rec.rows[rec.k - 1, 0], final))
+    traj = rec.build(grid, snapshots, final, dt)
     report = PicardReport(
         window_count=len(iterations),
         iterations=iterations,

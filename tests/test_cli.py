@@ -147,6 +147,15 @@ def test_picard_manifest_roundtrip(tmp_path):
     ).read_bytes()
 
 
+def test_picard_simulate_honours_snapshot_stride(tmp_path):
+    cfg = write_cfg(tmp_path, SMALL, "time.horizon = 0.064\ntime.snapshot_stride = 8\n")
+    for scheme, dt in (("picard", "auto"), ("implicit", "0.001")):
+        out = tmp_path / scheme
+        args = ["--set", f"time.scheme={scheme}", "--set", f"time.dt={dt}", "--out", str(out)]
+        assert main(["simulate", "--config", cfg, *args]) == 0
+        assert len(list(out.glob("snapshot_*.csv"))) == 9, scheme
+
+
 def test_restart_from_snapshot(tmp_path):
     cfg = write_cfg(tmp_path, SMALL, f"output.dir = {tmp_path}/a\n")
     assert main(["simulate", "--config", cfg]) == 0

@@ -309,3 +309,16 @@ def test_evolve_dispatches_picard(grid50, triangle_kernel, constants):
     with pytest.raises(ValueError):
         evolve(heat, StateField(heat.grid, np.zeros(heat.grid.size)),
                StepScheme(kind="picard"), 0.1)
+
+
+def test_picard_snapshot_stride_matches_implicit(grid50, gen50):
+    w0 = StateField(grid50, np.where(grid50.positions <= 0, 1.0, 0.0))
+    horizon = 0.064  # two auto windows of 32 sub-steps
+    traj, _ = picard_window_solve(gen50, w0, StepScheme(kind="picard"), horizon, 8)
+    mono = evolve(gen50, w0, StepScheme(dt=traj.dt), horizon, 8)
+    assert len(traj.snapshots) == len(mono.snapshots) == 9
+    for (tp, wp), (tm, wm) in zip(traj.snapshots, mono.snapshots):
+        assert tp == pytest.approx(tm, rel=1e-12, abs=1e-15)
+        assert weighted_norm(grid50, wp.values - wm.values) <= 1e-6
+    via_evolve = evolve(gen50, w0, StepScheme(kind="picard"), horizon, 8)
+    assert [t for t, _ in via_evolve.snapshots] == [t for t, _ in traj.snapshots]
