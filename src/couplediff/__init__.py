@@ -48,7 +48,6 @@ from .evolution import (
     cfl_limit,
     contraction_factor,
     evolve,
-    picard_window_solve,
     step_explicit,
     step_implicit,
 )

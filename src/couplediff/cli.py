@@ -27,7 +27,7 @@ from .config import (
 )
 from .discretization import assemble_generator, assemble_heat_generator
 from .energy_spectrum import estimate_beta1, estimate_energy_control_k
-from .evolution import cfl_limit, evolve, picard_window_solve
+from .evolution import cfl_limit, evolve
 from .kernels import coupling_constants
 from .output import atomic_write_text, svg_line_plot, write_csv
 
@@ -90,16 +90,11 @@ def run_simulate(cfg: SimConfig, svg: bool = False) -> list:
             window = scheme.window_for(generator.constants)
         except ValueError as exc:
             raise ConfigError(f"picard.window: {exc}") from exc
-        try:  # fails here, not after stepping the windows that fit the horizon
+        try:
             scheme.picard_steps(generator.constants, cfg.time_horizon)
         except ValueError as exc:
             raise ConfigError(f"time.dt / time.horizon: {exc}") from exc
-        traj, report = picard_window_solve(
-            generator, w0, scheme, cfg.time_horizon, cfg.time_snapshot_stride
-        )
-    else:
-        report = None
-        traj = evolve(generator, w0, scheme, cfg.time_horizon, cfg.time_snapshot_stride)
+    traj = evolve(generator, w0, scheme, cfg.time_horizon, cfg.time_snapshot_stride)
 
     out = Path(cfg.output_dir)
     artifacts = []
@@ -112,17 +107,16 @@ def run_simulate(cfg: SimConfig, svg: bool = False) -> list:
         artifacts.append(snap)
 
     resolved = replace(cfg, time_dt=traj.dt)
+    header = "# manifest: resolved parameters; re-parses as a config\n"
+    report = traj.picard
     if report is not None:
         resolved = replace(resolved, picard_window=window)
-    manifest = out / "manifest.cfg"
-    header = "# manifest: resolved parameters; re-parses as a config\n"
-    extra = ""
-    if report is not None:
-        extra = (
+        header += (
             f"# picard.windows = {report.window_count}; "
             f"iterations = {report.iterations}; kappa = {report.kappa:.6g}\n"
         )
-    atomic_write_text(manifest, header + extra + config_to_text(resolved))
+    manifest = out / "manifest.cfg"
+    atomic_write_text(manifest, header + config_to_text(resolved))
     artifacts.append(manifest)
 
     spectral = estimate_beta1(generator)

@@ -5,11 +5,14 @@ Three schemes: explicit Euler (monotone under the CFL bound), implicit Euler
 window-alternating fixed-point construction that mirrors how the continuum
 solution is built: freeze the interface trace, solve the jump subsystem over
 a short window, feed the result back into the local heat subsystem, and
-iterate to a fixed point before moving to the next window.
+iterate to a fixed point before moving to the next window.  All three go
+through evolve: _States yields the state at t = k dt, from single steps or
+from the window iteration, and evolve records and snapshots it.  The picard
+iteration's report is Trajectory.picard.
 
 L = -W^-1 A with A symmetric positive semidefinite, so every implicit solve
 (I - dt L) x = b is the SPD system (W + dt A) x = W b: band-Cholesky factored
-once per step size (the window solver factors its two sub-blocks the same
+once per step size (the window iteration factors its two sub-blocks the same
 way) and polished with iterative refinement so the per-step residual stays
 near machine precision; that keeps the mass drift below 1e-11 over ten
 thousand steps.  See _ImplicitStepper.
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -58,16 +62,46 @@ class StepScheme:
         return tw
 
     def picard_steps(self, constants: CouplingConstants, horizon: float) -> tuple:
-        """(window, dt, n_steps): the window, the sub-step ('auto' takes 1/32
-        of the window), which must divide both the window and the horizon, and
-        the sub-steps to the horizon."""
+        """(window, dt, window_steps, n_steps): the window, the sub-step
+        ('auto' takes 1/32 of the window), which must divide both the window
+        and the horizon, and the sub-steps per window and to the horizon."""
         window = self.window_for(constants)
         dt = window / 32.0 if self.dt == "auto" else float(self.dt)
+        counts = []
         for name, span in (("picard window", window), ("horizon", horizon)):
             n_steps = round(span / dt)
             if n_steps < 1 or abs(n_steps * dt - span) > 1e-9 * span:
                 raise ValueError(f"sub-step dt = {dt:.6g} must divide the {name} {span:.6g}")
-        return window, dt, n_steps
+            counts.append(n_steps)
+        return window, dt, *counts
+
+
+@dataclass
+class PicardReport:
+    """The picard window iteration: its contraction bound kappa, its
+    tolerance, and per window the update norm of every iteration."""
+
+    kappa: float
+    tol: float
+    update_norms: list
+
+    @property
+    def window_count(self) -> int:
+        return len(self.update_norms)
+
+    @property
+    def iterations(self) -> list:
+        return [len(norms) for norms in self.update_norms]
+
+    @property
+    def final_update_norms(self) -> list:
+        return [norms[-1] for norms in self.update_norms]
+
+    @property
+    def contraction_ratios(self) -> list:
+        """Successive update ratios, while the update is above 10 tol."""
+        return [b / a for norms in self.update_norms
+                for a, b in zip(norms[:-1], norms[1:]) if a > 10.0 * self.tol]
 
 
 @dataclass
@@ -83,16 +117,7 @@ class Trajectory:
     snapshots: list = field(default_factory=list)
     final_state: StateField | None = None
     dt: float = 0.0
-
-
-@dataclass
-class PicardReport:
-    window_count: int
-    iterations: list
-    final_update_norms: list
-    update_norms: list
-    contraction_ratios: list
-    kappa: float
+    picard: PicardReport | None = None
 
 
 def contraction_factor(constants: CouplingConstants, window: float) -> float:
@@ -209,110 +234,25 @@ class _Recorder:
         self.rows[self.k] = (t, m, loc, nl, cp, dist)
         self.k += 1
 
-    def build(self, grid, snapshots, final_state, dt) -> Trajectory:
+    def build(self, grid, snapshots, final_state, dt, picard) -> Trajectory:
         t, m, loc, nl, cp, dist = self.rows[: self.k].T.copy()
-        return Trajectory(grid, t, m, loc, nl, cp, loc + nl + cp, dist, snapshots, final_state, dt)
+        return Trajectory(grid, t, m, loc, nl, cp, loc + nl + cp, dist, snapshots, final_state,
+                          dt, picard)
 
 
-class _States:
-    """The states of w' = L w at t = k dt, k = 0..n_steps, one per iteration.
-
-    Resolves dt and the step count from the scheme and the horizon (dt is
-    nudged so that n_steps dt = horizon), then takes explicit or implicit
-    steps from a private copy of w0, aborting on a non-finite state.
-    """
-
-    def __init__(self, generator: GeneratorMatrix, w0: StateField, scheme: StepScheme,
-                 horizon: float):
-        if not horizon > 0.0:
-            raise ValueError(f"horizon must be positive, got {horizon}")
-        if scheme.dt != "auto":
-            dt = float(scheme.dt)
-        else:
-            dt = cfl_limit(generator) if scheme.kind == "explicit" else horizon / 1000.0
-        n_steps = max(1, round(horizon / dt))
-        if abs(n_steps * dt - horizon) > 1e-9 * horizon:
-            n_steps = int(np.ceil(horizon / dt - 1e-12))
-        self.dt = dt = horizon / n_steps
-        self.n_steps = n_steps
-        self.w0 = w0
-        if scheme.kind == "explicit":
-            self.step = _explicit_step(generator, dt)
-        else:
-            self.step = _ImplicitStepper(generator, dt).step
-
-    def __iter__(self):
-        values = self.w0.values.copy()
-        zeros = np.zeros_like(values)  # 0 . w is 0 for finite w and NaN otherwise
-        yield 0.0, values
-        for k in range(1, self.n_steps + 1):
-            values = self.step(values)
-            t = k * self.dt
-            if not math.isfinite(zeros @ values):
-                raise RuntimeError(f"non-finite state detected at t = {t:.6g}; aborting")
-            yield t, values
-
-
-def _snapshot_due(k: int, n_steps: int, stride: int) -> bool:
-    """Whether step k of n_steps is a snapshot besides the final state: the
-    initial state and, for stride > 0, every stride-th step before the last."""
-    return k == 0 or (stride > 0 and k % stride == 0 and k != n_steps)
-
-
-def evolve(
-    generator: GeneratorMatrix,
-    w0: StateField,
-    scheme: StepScheme,
-    horizon: float,
-    snapshot_stride: int = 0,
-):
-    """Advance w' = L w to t = horizon, recording diagnostics every step.
-
-    For the picard scheme this delegates to picard_window_solve on the same
-    generator and returns its trajectory (the report is discarded here; call
-    the window solver directly when the iteration diagnostics are wanted).
-    """
-    if scheme.kind == "picard":
-        return picard_window_solve(generator, w0, scheme, horizon, snapshot_stride)[0]
-
-    states = _States(generator, w0, scheme, horizon)
-    n_steps = states.n_steps
-    rec = _Recorder(generator, n_steps + 1)
-    snapshots = []
-    for k, (t, values) in enumerate(states):
-        rec.record(t, values)
-        if _snapshot_due(k, n_steps, snapshot_stride):
-            snapshots.append((t, StateField(w0.grid, values.copy())))
-    final = StateField(w0.grid, values.copy())
-    snapshots.append((n_steps * states.dt, final))
-    return rec.build(w0.grid, snapshots, final, states.dt)
-
-
-def picard_window_solve(
-    generator: GeneratorMatrix,
-    w0: StateField,
-    scheme: StepScheme,
-    horizon: float,
-    snapshot_stride: int = 0,
-):
+def _picard_states(generator: GeneratorMatrix, values: np.ndarray, scheme: StepScheme,
+                   dt: float, window_steps: int, n_steps: int, report: PicardReport):
     """Window-alternating fixed point: jump solve given the trace, then heat
-    solve given the jump field, iterated to convergence window by window.
+    solve given the jump field, iterated to convergence window by window;
+    yields the state after each of the n_steps sub-steps.
 
     Both subsystem solves use implicit sub-steps and exchange full histories
     at sub-step resolution, evaluating the frozen data at the new time level;
     the fixed point therefore coincides with the monolithic implicit solution
     at the same step size.  Convergence is measured in the sup-over-window
-    discrete L2(-1, 0) norm of the trace-side iterate.  Snapshots follow
-    evolve's rule, counting sub-steps across windows.
+    discrete L2(-1, 0) norm of the trace-side iterate; each window's update
+    norms are appended to the report.
     """
-    if not horizon > 0.0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
-    constants = generator.constants
-    if constants is None:
-        raise ValueError("picard scheme needs the coupled generator")
-    window, dt, total_steps = scheme.picard_steps(constants, horizon)
-    kappa = contraction_factor(constants, window)
-
     grid = generator.grid
     nl0 = grid.interface_index + 1
     iface = grid.interface_index
@@ -329,27 +269,12 @@ def picard_window_solve(
     chol_u = _cholesky(generator.band[b - 1 :, :nl0], w_local, dt)
     chol_v = _cholesky(generator.band[:, nl0:], w_nonlocal, dt)
 
-    rec = _Recorder(generator, total_steps + 1)
-    values = w0.values.copy()
-    rec.record(0.0, values)
-    snapshots = [(0.0, w0.copy())]
-
-    iterations: list[int] = []
-    final_norms: list[float] = []
-    all_norms: list[list[float]] = []
-    ratios: list[float] = []
-
-    t0 = 0.0
-    while t0 < horizon - 1e-9 * max(horizon, 1.0):
-        win_len = min(window, horizon - t0)
-        m = round(win_len / dt)
-        u_start = values[:nl0].copy()
-        v_start = values[nl0:].copy()
-
+    u_start, v_start = values[:nl0], values[nl0:]
+    for start in range(0, n_steps, window_steps):
+        m = min(window_steps, n_steps - start)
         u_hist = np.tile(u_start, (m + 1, 1))
         v_hist = np.empty((m + 1, grid.n_nonlocal))
         norms: list[float] = []
-        converged = False
         for _ in range(scheme.picard_max_iters):
             trace = u_hist[:, iface]
             v_hist[0] = v_start
@@ -369,38 +294,106 @@ def picard_window_solve(
             norms.append(delta)
             u_hist = u_new
             if delta <= scheme.picard_tol:
-                converged = True
                 break
-        if not converged:
+        else:
             raise RuntimeError(
-                f"picard iteration did not converge in window starting at t = {t0:.6g}: "
+                f"picard iteration did not converge in window starting at t = {start * dt:.6g}: "
                 f"last update {norms[-1]:.3e}, tolerance {scheme.picard_tol:.1e}, "
-                f"kappa = {kappa:.3f}"
+                f"kappa = {report.kappa:.3f}"
             )
-        iterations.append(len(norms))
-        final_norms.append(norms[-1])
-        all_norms.append(norms)
-        for a, b in zip(norms[:-1], norms[1:]):
-            if a > 10.0 * scheme.picard_tol:
-                ratios.append(b / a)
-
-        values = np.concatenate([u_hist[m], v_hist[m]])
+        report.update_norms.append(norms)
         for k in range(1, m + 1):
-            t, state = t0 + k * dt, np.concatenate([u_hist[k], v_hist[k]])
-            if _snapshot_due(rec.k, total_steps, snapshot_stride):  # rec.k: step index
-                snapshots.append((t, StateField(grid, state)))
-            rec.record(t, state)
-        t0 += win_len
+            yield np.concatenate([u_hist[k], v_hist[k]])
+        u_start, v_start = u_hist[m], v_hist[m]
 
-    final = StateField(grid, values.copy())
-    snapshots.append((rec.rows[rec.k - 1, 0], final))
-    traj = rec.build(grid, snapshots, final, dt)
-    report = PicardReport(
-        window_count=len(iterations),
-        iterations=iterations,
-        final_update_norms=final_norms,
-        update_norms=all_norms,
-        contraction_ratios=ratios,
-        kappa=kappa,
-    )
-    return traj, report
+
+class _States:
+    """The states of w' = L w at t = k dt, k = 0..n_steps, one per iteration.
+
+    Resolves dt and the step count from the scheme and the horizon.  Explicit
+    and implicit steps (self.step) start from a private copy of w0, with dt
+    nudged so that n_steps dt = horizon; an explicit nudge that would cross
+    the CFL limit takes one more step instead.  The picard scheme takes its
+    sub-step from scheme.picard_steps and its states from the window
+    iteration, whose report is self.picard.  Every scheme aborts on a
+    non-finite state.
+    """
+
+    def __init__(self, generator: GeneratorMatrix, w0: StateField, scheme: StepScheme,
+                 horizon: float):
+        if not horizon > 0.0:
+            raise ValueError(f"horizon must be positive, got {horizon}")
+        self.w0 = w0
+        self.picard = None
+        if scheme.kind == "picard":
+            constants = generator.constants
+            if constants is None:
+                raise ValueError("picard scheme needs the coupled generator")
+            window, self.dt, window_steps, self.n_steps = scheme.picard_steps(constants, horizon)
+            kappa = contraction_factor(constants, window)
+            self.picard = PicardReport(kappa, scheme.picard_tol, [])
+            self._windows = partial(_picard_states, generator, scheme=scheme, dt=self.dt,
+                                    window_steps=window_steps, n_steps=self.n_steps,
+                                    report=self.picard)
+            return
+        cfl = cfl_limit(generator) if scheme.kind == "explicit" else math.inf
+        if scheme.dt != "auto":
+            dt = float(scheme.dt)
+        else:
+            dt = cfl if scheme.kind == "explicit" else horizon / 1000.0
+        n_steps = max(1, round(horizon / dt))
+        if abs(n_steps * dt - horizon) > 1e-9 * horizon:
+            n_steps = int(np.ceil(horizon / dt - 1e-12))
+        if dt <= cfl * (1.0 + 1e-12) < horizon / n_steps:
+            n_steps += 1  # the nudge would push a dt that _explicit_step allows over its bound
+        self.dt = dt = horizon / n_steps
+        self.n_steps = n_steps
+        if scheme.kind == "explicit":
+            self.step = _explicit_step(generator, dt)
+        else:
+            self.step = _ImplicitStepper(generator, dt).step
+
+    def _stepped(self, values):
+        for _ in range(self.n_steps):
+            values = self.step(values)
+            yield values
+
+    def __iter__(self):
+        values = self.w0.values.copy()
+        zeros = np.zeros_like(values)  # 0 . w is 0 for finite w and NaN otherwise
+        yield 0.0, values
+        # no step source is stored on self: a bound method there would make a
+        # reference cycle and keep the factor alive until the cyclic collector runs
+        source = self._stepped(values) if self.picard is None else self._windows(values)
+        for k, values in enumerate(source, start=1):
+            t = k * self.dt
+            if not math.isfinite(zeros @ values):
+                raise RuntimeError(f"non-finite state detected at t = {t:.6g}; aborting")
+            yield t, values
+
+
+def evolve(
+    generator: GeneratorMatrix,
+    w0: StateField,
+    scheme: StepScheme,
+    horizon: float,
+    snapshot_stride: int = 0,
+):
+    """Advance w' = L w to t = horizon with any of the three schemes,
+    recording diagnostics at every step (sub-step for picard) at t = k dt.
+
+    Snapshots are the initial state, for snapshot_stride > 0 every stride-th
+    step before the last, and the final state.  For the picard scheme the
+    window iteration's report is Trajectory.picard.
+    """
+    states = _States(generator, w0, scheme, horizon)
+    n_steps = states.n_steps
+    rec = _Recorder(generator, n_steps + 1)
+    snapshots = []
+    for k, (t, values) in enumerate(states):
+        rec.record(t, values)
+        if k == 0 or (snapshot_stride > 0 and k % snapshot_stride == 0 and k != n_steps):
+            snapshots.append((t, StateField(w0.grid, values.copy())))
+    final = StateField(w0.grid, values.copy())
+    snapshots.append((n_steps * states.dt, final))
+    return rec.build(w0.grid, snapshots, final, states.dt, states.picard)

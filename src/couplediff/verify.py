@@ -23,7 +23,6 @@ from .evolution import (
     StepScheme,
     cfl_limit,
     evolve,
-    picard_window_solve,
     step_explicit,
     step_implicit,
 )
@@ -138,7 +137,8 @@ def check_picard_oracle(cfg, transform=None):
     w0 = StateField(grid, np.where(grid.positions <= 0.0, 1.0, 0.0))
     scheme = StepScheme(kind="picard", picard_tol=1e-10)
     horizon = 10 * scheme.window_for(gen.constants)
-    traj, report = picard_window_solve(gen, w0, scheme, horizon)
+    traj = evolve(gen, w0, scheme, horizon)
+    report = traj.picard
     mono = evolve(gen, w0, StepScheme(kind="implicit", dt=traj.dt), horizon)
     diff = traj.final_state.values - mono.final_state.values
     dist = float(np.sqrt(np.sum(grid.weights * diff * diff)))

@@ -30,7 +30,6 @@ from couplediff import (
     estimate_energy_control_k,
     evolve,
     make_kernel,
-    picard_window_solve,
     step_explicit,
     step_implicit,
     supersolution_check,
@@ -193,7 +192,8 @@ def test_criterion_08_picard_fidelity():
     scheme = StepScheme(kind="picard", picard_window=window, picard_tol=1e-10)
     w0 = StateField(grid, np.where(grid.positions <= 0.0, 1.0, 0.0))
     generator = assemble_generator(grid, kernel, constants)
-    traj, rep = picard_window_solve(generator, w0, scheme, 0.5)
+    traj = evolve(generator, w0, scheme, 0.5)
+    rep = traj.picard
     mono = evolve(generator, w0, StepScheme(kind="implicit", dt=traj.dt), 0.5)
     gap = weighted_norm(grid, traj.final_state.values - mono.final_state.values)
     converged = all(n <= scheme.picard_tol for n in rep.final_update_norms)

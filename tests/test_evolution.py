@@ -1,5 +1,10 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from couplediff import (
     GeneratorMatrix,
@@ -14,14 +19,18 @@ from couplediff import (
     evolve,
     make_kernel,
     mass,
-    picard_window_solve,
     step_explicit,
     step_implicit,
 )
 from couplediff.config import SimConfig, initial_state
 from couplediff.energy_spectrum import _semigroup_oracle
-from couplediff.evolution import _ImplicitStepper, _States
+from couplediff.evolution import SCHEME_KINDS, _ImplicitStepper, _States
 from conftest import weighted_norm
+
+
+@pytest.fixture(scope="module")
+def gen20(triangle_kernel, constants):
+    return assemble_generator(build_grid(20, 20), triangle_kernel, constants)
 
 
 def test_cfl_pure_heat_value():
@@ -67,6 +76,15 @@ def test_step_explicit_monotone(gen50, grid50):
         a = step_explicit(gen50, a, dt)
         b = step_explicit(gen50, b, dt)
         assert np.all(b.values - a.values >= -1e-12)
+
+
+def test_explicit_auto_dt_nudge_stays_within_cfl(gen20):
+    """The auto dt is the CFL limit; nudging it to divide the horizon must not
+    push it over the limit, so the run takes one more step instead."""
+    horizon = 10 * cfl_limit(gen20) * (1 + 5e-10)
+    traj = evolve(gen20, constant_state(gen20.grid, 1.0), StepScheme(kind="explicit"), horizon)
+    assert len(traj.times) == 12
+    assert traj.dt <= cfl_limit(gen20)
 
 
 def test_explicit_sup_norm_contraction(triangle_kernel, constants):
@@ -224,6 +242,24 @@ def test_states_abort_on_injected_non_finite(gen50, grid50, bad, position):
     assert seen == pytest.approx([0.0, 0.1, 0.2])
 
 
+@pytest.mark.parametrize("kind", SCHEME_KINDS)
+def test_states_freed_without_the_cycle_collector(gen50, grid50, kind):
+    """A consumed _States is freed, with its Cholesky factor, as soon as it is
+    dropped: no reference cycle waits for the collector (it would raise the
+    peak memory of the eigensolve that follows a simulate)."""
+    dt = {"explicit": cfl_limit(gen50), "implicit": 0.1, "picard": "auto"}[kind]
+    states = _States(gen50, constant_state(grid50, 1.0), StepScheme(kind=kind, dt=dt), 0.032)
+    for _ in states:
+        pass
+    ref = weakref.ref(states)
+    gc.disable()
+    try:
+        del states
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_scheme_agreement_first_order(triangle_kernel, constants):
     """Explicit and implicit steps differ at O(dt): halving dt at fixed
     horizon halves the gap within [1.5, 2.5]."""
@@ -265,13 +301,14 @@ def test_picard_window_validation(constants):
     gen = assemble_generator(grid, kernel, constants)
     w0 = constant_state(grid, 1.0)
     with pytest.raises(ValueError, match="divide"):
-        picard_window_solve(gen, w0, scheme, 0.5)
+        evolve(gen, w0, scheme, 0.5)
 
 
 def test_picard_constant_state(grid50, gen50, constants):
     scheme = StepScheme(kind="picard")
     window = scheme.window_for(constants)
-    traj, report = picard_window_solve(gen50, constant_state(grid50, 3.0), scheme, 3 * window)
+    traj = evolve(gen50, constant_state(grid50, 3.0), scheme, 3 * window)
+    report = traj.picard
     assert report.iterations == [1, 1, 1]
     assert np.max(traj.dist_to_mean) <= 1e-12
     assert report.kappa == pytest.approx(contraction_factor(constants, window))
@@ -282,8 +319,10 @@ def test_picard_matches_monolithic(grid100, gen100):
     w0 = StateField(grid100, np.where(grid100.positions <= 0, 1.0, 0.0))
     scheme = StepScheme(kind="picard", picard_tol=1e-10)
     horizon = 0.25
-    traj, report = picard_window_solve(gen100, w0, scheme, horizon)
+    traj = evolve(gen100, w0, scheme, horizon)
+    report = traj.picard
     mono = evolve(gen100, w0, StepScheme(dt=traj.dt), horizon)
+    assert np.array_equal(traj.times, mono.times)
     gap = weighted_norm(grid100, traj.final_state.values - mono.final_state.values)
     assert gap <= 1e-6
     assert all(n <= scheme.picard_tol for n in report.final_update_norms)
@@ -297,7 +336,7 @@ def test_picard_nonconvergence_reported(grid50, gen50):
     w0 = StateField(grid50, np.where(grid50.positions <= 0, 1.0, 0.0))
     scheme = StepScheme(kind="picard", picard_tol=1e-14, picard_max_iters=1)
     with pytest.raises(RuntimeError, match="did not converge"):
-        picard_window_solve(gen50, w0, scheme, 0.1)
+        evolve(gen50, w0, scheme, 0.1)
 
 
 def test_evolve_dispatches_picard(grid50, triangle_kernel, constants):
@@ -314,11 +353,27 @@ def test_evolve_dispatches_picard(grid50, triangle_kernel, constants):
 def test_picard_snapshot_stride_matches_implicit(grid50, gen50):
     w0 = StateField(grid50, np.where(grid50.positions <= 0, 1.0, 0.0))
     horizon = 0.064  # two auto windows of 32 sub-steps
-    traj, _ = picard_window_solve(gen50, w0, StepScheme(kind="picard"), horizon, 8)
+    traj = evolve(gen50, w0, StepScheme(kind="picard"), horizon, 8)
     mono = evolve(gen50, w0, StepScheme(dt=traj.dt), horizon, 8)
+    assert np.array_equal(traj.times, mono.times)
     assert len(traj.snapshots) == len(mono.snapshots) == 9
     for (tp, wp), (tm, wm) in zip(traj.snapshots, mono.snapshots):
         assert tp == pytest.approx(tm, rel=1e-12, abs=1e-15)
         assert weighted_norm(grid50, wp.values - wm.values) <= 1e-6
-    via_evolve = evolve(gen50, w0, StepScheme(kind="picard"), horizon, 8)
-    assert [t for t, _ in via_evolve.snapshots] == [t for t, _ in traj.snapshots]
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(kind=st.sampled_from(SCHEME_KINDS), n_steps=st.integers(1, 64), data=st.data())
+def test_one_clock_and_snapshot_rule(gen20, constants, kind, n_steps, data):
+    """Every scheme records n_steps + 1 states at t = k dt, and snapshots the
+    initial state, every stride-th step before the last, and the final state."""
+    stride = data.draw(st.integers(0, n_steps + 2), label="stride")
+    dt = {"explicit": cfl_limit(gen20), "implicit": 1e-3,
+          "picard": StepScheme().window_for(constants) / 32}[kind]
+    w0 = StateField(gen20.grid, np.where(gen20.grid.positions <= 0, 1.0, 0.0))
+    traj = evolve(gen20, w0, StepScheme(kind=kind, dt=dt), n_steps * dt, stride)
+    assert len(traj.times) == n_steps + 1
+    assert all(traj.times[k] == k * traj.dt for k in range(n_steps + 1))
+    steps = range(stride, n_steps, stride) if stride > 0 else []
+    expected = [0.0] + [k * traj.dt for k in steps] + [n_steps * traj.dt]
+    assert [t for t, _ in traj.snapshots] == expected
