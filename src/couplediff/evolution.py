@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -240,11 +239,12 @@ class _Recorder:
                           dt, picard)
 
 
-def _picard_states(generator: GeneratorMatrix, values: np.ndarray, scheme: StepScheme,
-                   dt: float, window_steps: int, n_steps: int, report: PicardReport):
+def _picard_states(generator: GeneratorMatrix, scheme: StepScheme, dt: float,
+                   window_steps: int, n_steps: int, report: PicardReport):
     """Window-alternating fixed point: jump solve given the trace, then heat
-    solve given the jump field, iterated to convergence window by window;
-    yields the state after each of the n_steps sub-steps.
+    solve given the jump field, iterated to convergence window by window.
+    Factors the two sub-blocks now and returns states(values), a generator of
+    the state after each of the n_steps sub-steps from values.
 
     Both subsystem solves use implicit sub-steps and exchange full histories
     at sub-step resolution, evaluating the frozen data at the new time level;
@@ -269,42 +269,47 @@ def _picard_states(generator: GeneratorMatrix, values: np.ndarray, scheme: StepS
     chol_u = _cholesky(generator.band[b - 1 :, :nl0], w_local, dt)
     chol_v = _cholesky(generator.band[:, nl0:], w_nonlocal, dt)
 
-    u_start, v_start = values[:nl0], values[nl0:]
-    for start in range(0, n_steps, window_steps):
-        m = min(window_steps, n_steps - start)
-        u_hist = np.tile(u_start, (m + 1, 1))
-        v_hist = np.empty((m + 1, grid.n_nonlocal))
-        norms: list[float] = []
-        for _ in range(scheme.picard_max_iters):
-            trace = u_hist[:, iface]
-            v_hist[0] = v_start
-            for k in range(1, m + 1):
-                rhs = v_hist[k - 1] + dt * trace_coeff * trace[k]
-                v_hist[k] = dpbtrs(chol_v, w_nonlocal * rhs, overwrite_b=1)[0]
+    def states(values):
+        u_start, v_start = values[:nl0], values[nl0:]
+        for start in range(0, n_steps, window_steps):
+            m = min(window_steps, n_steps - start)
+            u_hist = np.tile(u_start, (m + 1, 1))
+            v_hist = np.empty((m + 1, grid.n_nonlocal))
+            norms: list[float] = []
+            for _ in range(scheme.picard_max_iters):
+                trace = u_hist[:, iface]
+                v_hist[0] = v_start
+                for k in range(1, m + 1):
+                    rhs = v_hist[k - 1] + dt * trace_coeff * trace[k]
+                    v_hist[k] = dpbtrs(chol_v, w_nonlocal * rhs, overwrite_b=1)[0]
 
-            u_new = np.empty_like(u_hist)
-            u_new[0] = u_start
-            for k in range(1, m + 1):
-                rhs = w_local * u_new[k - 1]
-                rhs[iface] += w_local[iface] * dt * float(robin_coeff @ v_hist[k])
-                u_new[k] = dpbtrs(chol_u, rhs, overwrite_b=1)[0]
+                u_new = np.empty_like(u_hist)
+                u_new[0] = u_start
+                for k in range(1, m + 1):
+                    rhs = w_local * u_new[k - 1]
+                    rhs[iface] += w_local[iface] * dt * float(robin_coeff @ v_hist[k])
+                    u_new[k] = dpbtrs(chol_u, rhs, overwrite_b=1)[0]
 
-            diff = u_new - u_hist
-            delta = float(np.sqrt(np.max(np.sum(w_local * diff * diff, axis=1))))
-            norms.append(delta)
-            u_hist = u_new
-            if delta <= scheme.picard_tol:
-                break
-        else:
-            raise RuntimeError(
-                f"picard iteration did not converge in window starting at t = {start * dt:.6g}: "
-                f"last update {norms[-1]:.3e}, tolerance {scheme.picard_tol:.1e}, "
-                f"kappa = {report.kappa:.3f}"
-            )
-        report.update_norms.append(norms)
-        for k in range(1, m + 1):
-            yield np.concatenate([u_hist[k], v_hist[k]])
-        u_start, v_start = u_hist[m], v_hist[m]
+                diff = u_new - u_hist
+                delta = float(np.sqrt(np.max(np.sum(w_local * diff * diff, axis=1))))
+                norms.append(delta)
+                u_hist = u_new
+                if delta <= scheme.picard_tol:
+                    break
+            else:
+                raise RuntimeError(
+                    "picard iteration did not converge in window starting at "
+                    f"t = {start * dt:.6g}: "
+                    f"last update {norms[-1]:.3e}, tolerance {scheme.picard_tol:.1e}, "
+                    f"kappa = {report.kappa:.3f}"
+                )
+            report.update_norms.append(norms)
+            for k in range(1, m + 1):
+                yield np.concatenate([u_hist[k], v_hist[k]])
+            # copies: views would keep this window's histories alive through the next
+            u_start, v_start = u_hist[m].copy(), v_hist[m].copy()
+
+    return states
 
 
 class _States:
@@ -332,9 +337,8 @@ class _States:
             window, self.dt, window_steps, self.n_steps = scheme.picard_steps(constants, horizon)
             kappa = contraction_factor(constants, window)
             self.picard = PicardReport(kappa, scheme.picard_tol, [])
-            self._windows = partial(_picard_states, generator, scheme=scheme, dt=self.dt,
-                                    window_steps=window_steps, n_steps=self.n_steps,
-                                    report=self.picard)
+            self._windows = _picard_states(generator, scheme, self.dt, window_steps,
+                                           self.n_steps, self.picard)
             return
         cfl = cfl_limit(generator) if scheme.kind == "explicit" else math.inf
         if scheme.dt != "auto":
