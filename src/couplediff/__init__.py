@@ -36,6 +36,7 @@ from .energy_spectrum import (
     SpectralReport,
     edge_energy,
     energy,
+    energy_form,
     estimate_beta1,
     estimate_energy_control_k,
     nonlocal_energy_full,

@@ -191,8 +191,9 @@ def run_sweep(cfg: SimConfig, eps_list, svg: bool = False) -> list:
     path = Path(cfg.output_dir) / "sweep.csv"
     write_csv(
         path,
-        ("epsilon", "n_nonlocal", "dt", "sup_error_l2", "beta1_eps"),
-        [(r.epsilon, r.n_nonlocal, r.dt, r.sup_error_l2, r.beta1_eps) for r in rows],
+        ("epsilon", "n_nonlocal", "dt", "sup_error_l2", "beta1_eps", "interface_jump"),
+        [(r.epsilon, r.n_nonlocal, r.dt, r.sup_error_l2, r.beta1_eps, r.interface_jump)
+         for r in rows],
     )
     artifacts = [path]
     if svg:

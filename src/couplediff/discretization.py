@@ -15,10 +15,11 @@ consequences of that single construction.
 A is thus a weighted graph Laplacian, banded (the kernel reaches R eps) and
 stored as W and A's upper band only; GeneratorMatrix.dense() rebuilds L for
 small reference computations.  generator_edges reads the edges (i, j, c),
-c = -A_ij, off the band as local, nonlocal or coupling; every energy and
-interface flux is a sum over those edges.  The GeneratorMatrix also carries
-its grid, kernel and constants: every routine after assembly takes it, and
-none assembles again.
+c = -A_ij, off the band as local, nonlocal or coupling; the interface
+fluxes and the local and coupling energies are sums over those edges, while
+the nonlocal energy is read from the band (energy_spectrum.energy_form).
+The GeneratorMatrix also carries its grid, kernel and constants: every
+routine after assembly takes it, and none assembles again.
 """
 from __future__ import annotations
 

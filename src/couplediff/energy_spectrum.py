@@ -10,6 +10,10 @@ the negative weighted gradient of this energy, so
 holds to roundoff, and the smallest nonzero eigenvalue lambda2 of -L in the
 weighted inner product equals twice the gap constant beta1 that controls the
 exponential decay of ||w - mean||.
+
+energy_form evaluates the three terms: the local and coupling ones (O(n)
+edges) as edge sums, the nonlocal one as one band mat-vec, since its O(n b)
+edges (n^2 / 2 at epsilon = 1) are too many to gather at every step.
 """
 from __future__ import annotations
 
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lapack import eigh
+from ._lapack import dsbmv, eigh
 from .discretization import (
     GeneratorMatrix,
     Grid,
@@ -47,12 +51,47 @@ def edge_energy(edges, values) -> tuple:
     local    = 1/2 sum_i (u_{i+1} - u_i)^2 / h
     nonlocal = (c1/4) sum_jk K_jk (v_k - v_j)^2 h^2
     coupling = (c2/2) sum_j q_j (v_j - u_I)^2 h
+    energy_form reads the nonlocal term from the band instead; this form
+    is its test oracle.
     """
     return tuple(0.5 * float(c @ np.square(values[j] - values[i])) for i, j, c in edges)
 
 
+def energy_form(generator: GeneratorMatrix):
+    """terms(values) -> (local, nonlocal, coupling), built once per generator.
+
+    Local and coupling terms: edge_energy over their generator_edges groups.
+    Nonlocal term: 1/2 (y^T A_vv y - sum_j c_j y_j^2) with y = v - s, A_vv =
+    band[:, nl0:] (its coupling entries lie in the triangle sbmv does not
+    read) and c_j the coupling conductances.  A_vv is the nonlocal edges'
+    Laplacian plus diag(c), so this is the edge sum for any shift s.  s, the
+    value of v nearest its mean, keeps the roundoff relative to the energy
+    and gives exactly 0 on constants (a float mean need not be the constant).
+    IntervalGrid generators have no nonlocal block: term 0.
+    """
+    local, _, coupling = generator_edges(generator)
+    grid = generator.grid
+    if not isinstance(grid, Grid):
+        return lambda values: (edge_energy((local,), values)[0], 0.0, 0.0)
+
+    nl0 = grid.interface_index + 1
+    b = generator.half_bandwidth
+    a_vv = generator.band[:, nl0:]
+    cells, cond = coupling[1] - nl0, coupling[2]
+
+    def terms(values):
+        loc, cp = edge_energy((local, coupling), values)
+        v = values[nl0:]
+        y = v - v[np.argmin(np.abs(v - v.sum() / v.size))]
+        yc = y[cells]
+        nl = 0.5 * (float(y @ dsbmv(b, 1.0, a_vv, y)) - float(cond @ (yc * yc)))
+        return loc, nl, cp
+
+    return terms
+
+
 def energy(generator: GeneratorMatrix, w: StateField) -> EnergyBreakdown:
-    return EnergyBreakdown(*edge_energy(generator_edges(generator), w.values))
+    return EnergyBreakdown(*energy_form(generator)(w.values))
 
 
 def _full_pair_weights(grid: Grid, kernel: Kernel):
@@ -164,7 +203,7 @@ def estimate_energy_control_k(generator: GeneratorMatrix, n_samples: int, seed: 
     if n_samples < 10:
         raise ValueError("need at least 10 samples")
     grid = generator.grid
-    edges = generator_edges(generator)
+    terms = energy_form(generator)
     pairs = (_full_pair_weights(grid, generator.kernel),)
     ww = grid.weights
 
@@ -176,7 +215,7 @@ def estimate_energy_control_k(generator: GeneratorMatrix, n_samples: int, seed: 
         nlf = edge_energy(pairs, z)[0]
         if nlf < 1e-14:
             continue
-        total = sum(edge_energy(edges, z))
+        total = sum(terms(z))
         best = min(best, total / nlf)
     if not np.isfinite(best):
         raise RuntimeError("all random samples had degenerate nonlocal energy")

@@ -26,7 +26,7 @@ import numpy as np
 
 from ._lapack import dpbtrf, dpbtrs, dsbmv
 from .discretization import GeneratorMatrix, StateField, generator_edges
-from .energy_spectrum import edge_energy
+from .energy_spectrum import energy_form
 from .kernels import CouplingConstants
 
 SCHEME_KINDS = ("explicit", "implicit", "picard")
@@ -218,16 +218,21 @@ def step_implicit(generator: GeneratorMatrix, w: StateField, dt: float) -> State
 
 
 class _Recorder:
+    """The diagnostics of every recorded state: t, mass, the three energy
+    terms and the weighted distance to the mean, one row each.  The energy
+    evaluator is built once per run (energy_form); the nonlocal term costs
+    one band mat-vec, not a gather over the O(n b) nonlocal edges."""
+
     def __init__(self, generator: GeneratorMatrix, n_records: int):
         self.weights = generator.weights
         self.measure = float(np.sum(self.weights))
-        self.edges = generator_edges(generator)
+        self.energy = energy_form(generator)
         self.rows = np.empty((n_records, 6))  # t, mass, three energy terms, dist
         self.k = 0
 
     def record(self, t: float, values: np.ndarray):
         m = float(self.weights @ values)
-        loc, nl, cp = edge_energy(self.edges, values)
+        loc, nl, cp = self.energy(values)
         d = values - m / self.measure
         dist = float(np.sqrt(np.sum(self.weights * d * d)))
         self.rows[self.k] = (t, m, loc, nl, cp, dist)

@@ -282,7 +282,8 @@ def test_sweep_artifacts(tmp_path):
     )
     assert main(["sweep-epsilon", "--config", cfg, "--eps", "0.4,0.2,0.1", "--svg"]) == 0
     header, rows = read_csv(tmp_path / "out" / "sweep.csv")
-    assert header == ["epsilon", "n_nonlocal", "dt", "sup_error_l2", "beta1_eps"]
+    assert header == ["epsilon", "n_nonlocal", "dt", "sup_error_l2", "beta1_eps",
+                      "interface_jump"]
     errs = [float(r[3]) for r in rows]
     assert errs[0] > errs[1] > errs[2]
     assert (tmp_path / "out" / "sweep.svg").exists()

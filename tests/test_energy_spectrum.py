@@ -9,9 +9,13 @@ from couplediff import (
     assemble_heat_generator,
     build_grid,
     constant_state,
+    coupling_constants,
+    edge_energy,
     energy,
+    energy_form,
     estimate_beta1,
     estimate_energy_control_k,
+    generator_edges,
     make_kernel,
     mass,
     nonlocal_energy_full,
@@ -19,6 +23,7 @@ from couplediff import (
     supersolution_check,
     weighted_inner,
 )
+from couplediff.kernels import FAMILIES
 from conftest import transmission_beta1
 
 PI2_OVER_8 = np.pi**2 / 8.0
@@ -84,6 +89,70 @@ def test_energy_generator_identity(grid50, gen50):
         )
         total = energy(gen50, w).total
         assert total == pytest.approx(quad_form, rel=1e-10)
+
+
+def _coupled_generator(family, n_local, n_nonlocal, eps):
+    kernel = make_kernel(family, 1.0, eps)
+    return assemble_generator(build_grid(n_local, n_nonlocal), kernel, coupling_constants(kernel))
+
+
+def _first_cosine_mode(grid):
+    return np.cos(0.5 * np.pi * (grid.positions + 1.0))
+
+
+# eps = 0.05 needs h_nl <= eps / 4, so it is run on 200x207 only.
+@pytest.mark.parametrize(
+    "n_local, n_nonlocal, eps",
+    [(50, 57, 1.0), (50, 57, 0.25), (200, 207, 1.0), (200, 207, 0.25), (200, 207, 0.05)],
+)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_energy_form_matches_edge_oracle(family, n_local, n_nonlocal, eps):
+    """The band form of the nonlocal term against the difference form over
+    its edges; the local and coupling terms are the same edge sums."""
+    gen = _coupled_generator(family, n_local, n_nonlocal, eps)
+    terms = energy_form(gen)
+    edges = generator_edges(gen)
+    z = np.random.default_rng(21).standard_normal(gen.size)
+    for values in (z, _first_cosine_mode(gen.grid)):
+        loc, nl, cp = terms(values)
+        oracle = edge_energy(edges, values)
+        assert (loc, cp) == (oracle[0], oracle[2])
+        assert abs(nl - oracle[1]) <= 1e-13 * oracle[1]
+
+
+def test_energy_form_zero_for_constants():
+    """A constant state has zero energy exactly, also where the mean of its
+    values is not the constant (0.1 summed 207 times is not 20.7)."""
+    gens = [_coupled_generator(f, 200, 207, 0.05) for f in FAMILIES]
+    gens.append(_coupled_generator("triangle", 50, 57, 1.0))
+    gens.append(assemble_heat_generator(100))
+    rng = np.random.default_rng(22)
+    for gen in gens:
+        terms = energy_form(gen)
+        for value in (0.1, 1.0 / 3.0, -7.1, 5.0, *rng.standard_normal(5)):
+            assert terms(np.full(gen.size, value)) == (0.0, 0.0, 0.0)
+
+
+def test_energy_form_heat_generator_has_no_nonlocal_term():
+    gen = assemble_heat_generator(100)
+    z = np.random.default_rng(23).standard_normal(gen.size)
+    loc, nl, cp = energy_form(gen)(z)
+    assert (nl, cp) == (0.0, 0.0)
+    assert loc == edge_energy(generator_edges(gen), z)[0] > 0.0
+
+
+def test_energy_form_smooth_state_small_eps():
+    """A smooth state at eps = 0.005 with h_nl = eps / 10: y^T A_vv y cancels
+    against the coupling diagonal down to the small nonlocal energy, the
+    hardest case for the band form.  It is held to the tolerance that
+    test_energy_generator_identity grants E = 1/2 <w, -L w>_W."""
+    gen = _coupled_generator("triangle", 200, 2000, 0.005)
+    values = _first_cosine_mode(gen.grid)
+    nl = energy_form(gen)(values)[1]
+    oracle = edge_energy(generator_edges(gen), values)[1]
+    rel = abs(nl - oracle) / oracle
+    print(f"eps = 0.005, n_nonlocal = 2000: band vs edge nonlocal energy, relative {rel:.2e}")
+    assert rel <= 1e-10
 
 
 def test_nonlocal_energy_full_constant(grid50, triangle_kernel):
