@@ -11,9 +11,12 @@ holds to roundoff, and the smallest nonzero eigenvalue lambda2 of -L in the
 weighted inner product equals twice the gap constant beta1 that controls the
 exponential decay of ||w - mean||.
 
-energy_form evaluates the three terms: the local and coupling ones (O(n)
-edges) as edge sums, the nonlocal one as one band mat-vec, since its O(n b)
-edges (n^2 / 2 at epsilon = 1) are too many to gather at every step.
+energy_form(generator) evaluates the three terms of a generator's energy.
+The local and coupling terms have O(n) edges and are edge sums in
+difference form (edge_energy over their generator_edges groups).  The
+nonlocal term has O(n b) edges, about n^2 / 2 at epsilon = 1, so it is read
+from A's band instead: one symmetric band mat-vec of the nonlocal block
+A_vv, whose rows sum to the coupling conductances.
 """
 from __future__ import annotations
 
@@ -51,23 +54,31 @@ def edge_energy(edges, values) -> tuple:
     local    = 1/2 sum_i (u_{i+1} - u_i)^2 / h
     nonlocal = (c1/4) sum_jk K_jk (v_k - v_j)^2 h^2
     coupling = (c2/2) sum_j q_j (v_j - u_I)^2 h
-    energy_form reads the nonlocal term from the band instead; this form
-    is its test oracle.
+    energy_form sums the local and coupling groups this way; the nonlocal
+    group, all pairs within the kernel's reach, it reads from the band, and
+    this sum over its edges is the oracle the tests hold it to.
     """
     return tuple(0.5 * float(c @ np.square(values[j] - values[i])) for i, j, c in edges)
 
 
 def energy_form(generator: GeneratorMatrix):
-    """terms(values) -> (local, nonlocal, coupling), built once per generator.
+    """terms(values) -> (local, nonlocal, coupling), the generator's energy.
 
-    Local and coupling terms: edge_energy over their generator_edges groups.
-    Nonlocal term: 1/2 (y^T A_vv y - sum_j c_j y_j^2) with y = v - s, A_vv =
-    band[:, nl0:] (its coupling entries lie in the triangle sbmv does not
-    read) and c_j the coupling conductances.  A_vv is the nonlocal edges'
-    Laplacian plus diag(c), so this is the edge sum for any shift s.  s, the
-    value of v nearest its mean, keeps the roundoff relative to the energy
-    and gives exactly 0 on constants (a float mean need not be the constant).
-    IntervalGrid generators have no nonlocal block: term 0.
+    Built once per generator.  The local and coupling terms are edge_energy
+    over their generator_edges groups.  The nonlocal term is
+
+        1/2 (y^T A_vv y - sum_j c_j y_j^2),   y = v - s,
+
+    with A_vv = band[:, nl0:] the nonlocal block of A in band storage (its
+    coupling entries fall in the triangle sbmv does not read) and c_j the
+    coupling conductances.  A_vv is the Laplacian of the nonlocal edges plus
+    diag(c), and a Laplacian's rows sum to 0, so this equals
+    1/2 sum c (v_k - v_j)^2 over the nonlocal edges for any shift s.  The
+    shift s, the value of v nearest its mean, keeps the roundoff relative
+    to the energy, is exact by Sterbenz for values within a factor 2 of it,
+    and makes a constant v give exactly 0 (its mean in floating point need
+    not be the constant).  A generator without a nonlocal block
+    (IntervalGrid) has nonlocal term 0.
     """
     local, _, coupling = generator_edges(generator)
     grid = generator.grid

@@ -142,9 +142,9 @@ def test_energy_form_heat_generator_has_no_nonlocal_term():
 
 
 def test_energy_form_smooth_state_small_eps():
-    """A smooth state at eps = 0.005 with h_nl = eps / 10: y^T A_vv y cancels
-    against the coupling diagonal down to the small nonlocal energy, the
-    hardest case for the band form.  It is held to the tolerance that
+    """A smooth state at eps = 0.005 with h_nl = eps / 10: each row of
+    A_vv y cancels down to a small second difference of y, so the band form
+    loses the most digits here.  It is held to the tolerance that
     test_energy_generator_identity grants E = 1/2 <w, -L w>_W."""
     gen = _coupled_generator("triangle", 200, 2000, 0.005)
     values = _first_cosine_mode(gen.grid)
