@@ -11,6 +11,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import verify as verify_mod
 from .analysis import DecayFitError, decay_report, epsilon_sweep
 from .config import (
@@ -29,7 +31,7 @@ from .discretization import assemble_generator, assemble_heat_generator
 from .energy_spectrum import estimate_beta1, estimate_energy_control_k
 from .evolution import cfl_limit, evolve
 from .kernels import coupling_constants
-from .output import atomic_write_text, svg_line_plot, write_csv
+from .output import atomic_write_text, svg_line_plot, write_csv, write_float_csv
 
 TIMESERIES_COLUMNS = (
     "t",
@@ -52,7 +54,7 @@ def _setup(cfg: SimConfig):
 
 
 def _write_timeseries(path, traj):
-    rows = zip(
+    table = np.column_stack((
         traj.times,
         traj.mass,
         traj.energy_total,
@@ -60,8 +62,8 @@ def _write_timeseries(path, traj):
         traj.energy_nonlocal,
         traj.energy_coupling,
         traj.dist_to_mean,
-    )
-    write_csv(path, TIMESERIES_COLUMNS, ([float(v) for v in row] for row in rows))
+    ))
+    write_float_csv(path, TIMESERIES_COLUMNS, table)
 
 
 def _write_snapshot(path, state):

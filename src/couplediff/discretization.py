@@ -14,7 +14,10 @@ consequences of that single construction.
 
 A is thus a weighted graph Laplacian, banded (the kernel reaches R eps) and
 stored as W and A's upper band only; GeneratorMatrix.dense() rebuilds L for
-small reference computations.  generator_edges reads the edges (i, j, c),
+small reference computations.  The local nodes form a tridiagonal chain that
+meets the rest only at the interface node, so A x and the implicit solves
+read the band split there (BandSplit), never the zeros of the band over the
+local nodes.  generator_edges reads the edges (i, j, c),
 c = -A_ij, off the band as local, nonlocal or coupling; the interface
 fluxes and the local and coupling energies are sums over those edges, while
 the nonlocal energy is read from the band (energy_spectrum.energy_form).
@@ -24,6 +27,7 @@ routine after assembly takes it, and none assembles again.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -165,6 +169,46 @@ def _add_path_stiffness(band: np.ndarray, n_edges: int, h: float):
     band[b, 1 : n_edges + 1] += 1.0 / h
 
 
+class BandSplit:
+    """A's band split at the interface node p: the chain and the block.
+
+    p is the chain length, the longest leading run of nodes that link only to
+    their neighbours (A[i, j] = 0 for i < p and j > i + 1), so that they reach
+    the rest only through node p.  That is grid.interface_index for every
+    assembled generator and n - 1 for the heat generator; a band with a far
+    link from node 0 has p = 0, and the block is then the whole band.
+
+    chain holds A on nodes 0..p in (2, p + 1) upper band storage with its
+    (p, p) entry zero; block = band[:, p:] is A[p:, p:] in place, an
+    F-contiguous view whose entries that link to the chain lie in the
+    storage triangle BLAS and LAPACK do not read.  A x = chain x + block x
+    then costs O(p + (n - p) b), not O(n b).  The chain is a copy: a band
+    changed after its split is made no longer matches the split.
+    """
+
+    def __init__(self, band: np.ndarray):
+        b = band.shape[0] - 1
+        n = band.shape[1]
+        rows, j = np.nonzero(band[: max(b - 1, 0)])  # offsets b..2
+        far = j - (b - rows)  # the first node of each far link
+        p = int(far.min()) if far.size else n - 1
+        chain = np.zeros((2, p + 1), order="F")
+        if b > 0:
+            chain[0, 1:] = band[b - 1, 1 : p + 1]
+        chain[1, :p] = band[b, :p]
+        self.p = p
+        self.half_bandwidth = b
+        self.chain = chain
+        self.block = band[:, p:]
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """A x: the chain's sbmv, then the block's added into the same y."""
+        y = np.zeros(x.shape[0])  # beta = 1 below reads y
+        dsbmv(1, 1.0, self.chain, x, y=y, overwrite_y=1)
+        return dsbmv(self.half_bandwidth, 1.0, self.block, x, offx=self.p, beta=1.0, y=y,
+                     offy=self.p, overwrite_y=1)
+
+
 @dataclass
 class GeneratorMatrix:
     """The generator L = -W^-1 A of w' = L w, kept as W and A's upper band.
@@ -192,9 +236,14 @@ class GeneratorMatrix:
     def half_bandwidth(self) -> int:
         return self.band.shape[0] - 1
 
+    @cached_property
+    def split(self) -> BandSplit:
+        """The band split at the interface node, made on first use."""
+        return BandSplit(self.band)
+
     def apply(self, x: np.ndarray) -> np.ndarray:
         """L x = -(A x) / W."""
-        return dsbmv(self.half_bandwidth, -1.0, self.band, x) / self.weights
+        return np.negative(self.split(x)) / self.weights
 
     def dense(self) -> np.ndarray:
         """L as an n x n array; a reference for small sizes and oracles."""

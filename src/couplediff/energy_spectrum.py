@@ -11,12 +11,13 @@ holds to roundoff, and the smallest nonzero eigenvalue lambda2 of -L in the
 weighted inner product equals twice the gap constant beta1 that controls the
 exponential decay of ||w - mean||.
 
-energy_form(generator) evaluates the three terms of a generator's energy.
-The local and coupling terms have O(n) edges and are edge sums in
-difference form (edge_energy over their generator_edges groups).  The
-nonlocal term has O(n b) edges, about n^2 / 2 at epsilon = 1, so it is read
-from A's band instead: one symmetric band mat-vec of the nonlocal block
-A_vv, whose rows sum to the coupling conductances.
+energy_form(generator) evaluates the three terms of a generator's energy,
+for one state or a block of states.  The local and coupling terms have O(n)
+edges and are edge sums in difference form (edge_energy over their
+generator_edges groups).  The nonlocal term has O(n b) edges, about n^2 / 2
+at epsilon = 1, so it is read from A's band instead: one symmetric band
+mat-vec of the nonlocal block A_vv per state, whose rows sum to the coupling
+conductances.
 """
 from __future__ import annotations
 
@@ -56,46 +57,61 @@ def edge_energy(edges, values) -> tuple:
     coupling = (c2/2) sum_j q_j (v_j - u_I)^2 h
     energy_form sums the local and coupling groups this way; the nonlocal
     group, all pairs within the kernel's reach, it reads from the band, and
-    this sum over its edges is the oracle the tests hold it to.
+    this sum over its edges is the oracle the tests hold it to.  values is
+    one state, or a 2-D block of states with one energy per row.
     """
-    return tuple(0.5 * float(c @ np.square(values[j] - values[i])) for i, j, c in edges)
+    return tuple(0.5 * (np.square(values[..., j] - values[..., i]) @ c) for i, j, c in edges)
 
 
 def energy_form(generator: GeneratorMatrix):
     """terms(values) -> (local, nonlocal, coupling), the generator's energy.
 
-    Built once per generator.  The local and coupling terms are edge_energy
-    over their generator_edges groups.  The nonlocal term is
+    Built once per generator.  values is one state, giving three floats, or
+    a 2-D block of states, giving three arrays with one entry per row.  The
+    local and coupling terms are edge_energy over their generator_edges
+    groups.  The nonlocal term is
 
         1/2 (y^T A_vv y - sum_j c_j y_j^2),   y = v - s,
 
     with A_vv = band[:, nl0:] the nonlocal block of A in band storage (its
     coupling entries fall in the triangle sbmv does not read) and c_j the
-    coupling conductances.  A_vv is the Laplacian of the nonlocal edges plus
-    diag(c), and a Laplacian's rows sum to 0, so this equals
-    1/2 sum c (v_k - v_j)^2 over the nonlocal edges for any shift s.  The
-    shift s, the value of v nearest its mean, keeps the roundoff relative
-    to the energy, is exact by Sterbenz for values within a factor 2 of it,
-    and makes a constant v give exactly 0 (its mean in floating point need
-    not be the constant).  A generator without a nonlocal block
-    (IntervalGrid) has nonlocal term 0.
+    coupling conductances: one sbmv per state, one row-wise dot per block.
+    A_vv is the Laplacian of the nonlocal edges plus diag(c), and a
+    Laplacian's rows sum to 0, so this equals 1/2 sum c (v_k - v_j)^2 over
+    the nonlocal edges for any shift s.  The shift s, the value of the
+    state's v nearest its mean, keeps the roundoff relative to the energy,
+    is exact by Sterbenz for values within a factor 2 of it, and makes a
+    constant v give exactly 0 (its mean in floating point need not be the
+    constant).  A generator without a nonlocal block (IntervalGrid) has
+    nonlocal and coupling terms 0.
     """
     local, _, coupling = generator_edges(generator)
     grid = generator.grid
-    if not isinstance(grid, Grid):
-        return lambda values: (edge_energy((local,), values)[0], 0.0, 0.0)
+    if isinstance(grid, Grid):
+        nl0 = grid.interface_index + 1
+        b = generator.half_bandwidth
+        a_vv = generator.band[:, nl0:]
+        cells, cond = coupling[1] - nl0, coupling[2]
 
-    nl0 = grid.interface_index + 1
-    b = generator.half_bandwidth
-    a_vv = generator.band[:, nl0:]
-    cells, cond = coupling[1] - nl0, coupling[2]
+        def nonlocal_term(values):
+            v = np.atleast_2d(values[..., nl0:])
+            mean = v.sum(axis=1, keepdims=True) / v.shape[1]
+            nearest = np.abs(v - mean).argmin(axis=1)
+            y = v - v[np.arange(len(v)), nearest][:, None]
+            ay = np.empty_like(y)
+            for row, out in zip(y, ay):
+                dsbmv(b, 1.0, a_vv, row, y=out, overwrite_y=1)
+            yc = y[:, cells]
+            return 0.5 * (np.einsum("ij,ij->i", y, ay) - (yc * yc) @ cond)
+    else:
+        def nonlocal_term(values):
+            return np.zeros(len(np.atleast_2d(values)))
 
     def terms(values):
         loc, cp = edge_energy((local, coupling), values)
-        v = values[nl0:]
-        y = v - v[np.argmin(np.abs(v - v.sum() / v.size))]
-        yc = y[cells]
-        nl = 0.5 * (float(y @ dsbmv(b, 1.0, a_vv, y)) - float(cond @ (yc * yc)))
+        nl = nonlocal_term(values)
+        if np.ndim(values) == 1:
+            return float(loc), float(nl[0]), float(cp)
         return loc, nl, cp
 
     return terms

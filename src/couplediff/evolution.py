@@ -12,10 +12,17 @@ iteration's report is Trajectory.picard.
 
 L = -W^-1 A with A symmetric positive semidefinite, so every implicit solve
 (I - dt L) x = b is the SPD system (W + dt A) x = W b: band-Cholesky factored
-once per step size (the window iteration factors its two sub-blocks the same
-way) and polished with iterative refinement so the per-step residual stays
-near machine precision; that keeps the mass drift below 1e-11 over ten
-thousand steps.  See _ImplicitStepper.
+once per step size and polished with iterative refinement so the per-step
+residual stays near machine precision; that keeps the mass drift below 1e-11
+over ten thousand steps.  The factor is split at the interface node like
+A's band (discretization.BandSplit): a tridiagonal factor over the local
+chain and a band factor of the block behind it, so neither a solve nor A x
+reads the band's zeros over the local nodes.  See _ImplicitStepper.  The
+window iteration factors its two sub-blocks the same way.
+
+The per-state diagnostics (mass, energy terms, distance to the mean) are
+evaluated on blocks of BLOCK_STATES states (_StateBlocks), not state by
+state; the non-finite check and the snapshots stay per state.
 """
 from __future__ import annotations
 
@@ -24,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._lapack import dpbtrf, dpbtrs, dsbmv
+from ._lapack import dpbtrf, dpbtrs
 from .discretization import GeneratorMatrix, StateField, generator_edges
 from .energy_spectrum import energy_form
 from .kernels import CouplingConstants
@@ -152,24 +159,33 @@ def step_explicit(generator: GeneratorMatrix, w: StateField, dt: float) -> State
     return StateField(w.grid, _explicit_step(generator, dt)(w.values))
 
 
-def _cholesky(band: np.ndarray, weights: np.ndarray, dt: float) -> np.ndarray:
-    """Band Cholesky factor of W + dt A, A in LAPACK upper band storage."""
+def _cholesky(band: np.ndarray, diagonal: np.ndarray, dt: float, first: int = 0) -> np.ndarray:
+    """Band Cholesky factor of dt A + diag(diagonal), A in LAPACK upper band
+    storage whose first column is node `first` of the generator."""
     factor = np.multiply(band, dt, order="F")
-    factor[-1] += weights
+    factor[-1] += diagonal
     factor, info = dpbtrf(factor, overwrite_ab=1)
     if info != 0:
-        raise RuntimeError(f"Cholesky factorization of W + dt A failed: pbtrf info = {info}")
+        raise RuntimeError(
+            f"Cholesky factorization of W + dt A failed: pbtrf info = {first + info}")
     return factor
 
 
 class _ImplicitStepper:
     """Solve of (I - dt L) x = b as (W + dt A) x = W b, iteratively refined.
 
-    The generator's band of A (b + 1 rows) is used in place, not copied:
-    W + dt A is factored from it by pbtrf and solved by pbtrs, and dt L x is
-    applied as -dt (A x) / W through sbmv.  The factor takes (b + 1) n
-    entries more: n^2 / 2 at epsilon = 1 on a square grid (b = n/2), O(n b)
-    at small epsilon.
+    W + dt A is factored in two parts along the generator's BandSplit at the
+    interface node p: M_c = W_c + dt A_c on the chain of nodes 0..p-1 and the
+    block on nodes p..n-1, which meet in the one entry m = dt A[p-1, p].  This
+    is the natural-order Cholesky factor that pbtrf computes on the whole
+    band, minus the band's zeros over the chain:
+    U_c = chol(M_c) (tridiagonal), sigma = (m / U_c[p-1, p-1])^2 and
+    U_R = chol(W_R + dt A_R - sigma e0 e0^T), the Schur complement.  A solve
+    is block elimination: y_c = M_c^-1 (W r)_c, then U_R's solve of
+    (W r)_R - m y_c[-1] e0, then y_c -= m x_R[0] z with z = M_c^-1 e_{p-1}.
+    dt L x is applied as -dt (A x) / W through the split.  The factor takes
+    (b + 1)(n - p) entries plus 3 p for the chain and z: about n^2 / 4 at
+    epsilon = 1 on a square grid (b = p = n/2), O(n b) at small epsilon.
 
     step() advances in increment form: solve (I - dt L) d = dt L w and return
     w + d.  The solve residual then scales with ||d|| rather than ||w||, so
@@ -178,19 +194,36 @@ class _ImplicitStepper:
     """
 
     def __init__(self, generator: GeneratorMatrix, dt: float):
-        self.weights = generator.weights
-        self.scale = -dt / generator.weights
-        self.band = generator.band
-        self.half_bandwidth = generator.half_bandwidth
-        self.factor = _cholesky(self.band, self.weights, dt)
+        split = generator.split
+        w = self.weights = generator.weights
+        self.scale = -dt / w
+        self.stiffness = split
+        self.half_bandwidth = split.half_bandwidth
+        p = self.p = split.p
+        self.chain_factor = _cholesky(split.chain[:, :p], w[:p], dt)
+        self.m = m = dt * split.chain[0, p]  # dt A[p-1, p]; 0 when p = 0
+        self.z = np.zeros(p)
+        diagonal = w[p:].copy()
+        if p:
+            self.z[-1] = 1.0
+            dpbtrs(self.chain_factor, self.z, overwrite_b=1)  # z = M_c^-1 e_{p-1}, in place
+            diagonal[0] -= (m / self.chain_factor[1, -1]) ** 2
+        self.block_factor = _cholesky(split.block, diagonal, dt, first=p)
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
         """dt L x = -dt (A x) / W."""
-        return dsbmv(self.half_bandwidth, 1.0, self.band, x) * self.scale
+        return self.stiffness(x) * self.scale
 
     def _solve(self, r: np.ndarray) -> np.ndarray:
-        """(I - dt L)^-1 r as (W + dt A)^-1 W r."""
-        return dpbtrs(self.factor, self.weights * r, overwrite_b=1)[0]
+        """(I - dt L)^-1 r as (W + dt A)^-1 W r, by block elimination in place."""
+        out = self.weights * r
+        p = self.p
+        dpbtrs(self.chain_factor, out[:p], overwrite_b=1)  # the solves write into out
+        if p:
+            out[p] -= self.m * out[p - 1]
+        dpbtrs(self.block_factor, out[p:], overwrite_b=1)
+        out[:p] -= (self.m * out[p]) * self.z
+        return out
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         x = self._solve(b)
@@ -217,28 +250,62 @@ def step_implicit(generator: GeneratorMatrix, w: StateField, dt: float) -> State
     return StateField(w.grid, stepper.step(w.values))
 
 
-class _Recorder:
+BLOCK_STATES = 64  # states per block of the per-state diagnostics
+
+
+class _StateBlocks:
+    """Collects states into blocks of BLOCK_STATES rows: push() copies one
+    state in, and each full block, then the last partial one at close(),
+    goes to flush(times, block).  Per-state diagnostics evaluated on a block
+    pay numpy's per-call cost once per BLOCK_STATES states."""
+
+    def __init__(self, size: int):
+        self.times = np.empty(BLOCK_STATES)
+        self.block = np.empty((BLOCK_STATES, size))
+        self.fill = 0
+
+    def push(self, t: float, values: np.ndarray):
+        self.times[self.fill] = t
+        self.block[self.fill] = values
+        self.fill += 1
+        if self.fill == BLOCK_STATES:
+            self.close()
+
+    def close(self):
+        if self.fill:
+            self.flush(self.times[: self.fill], self.block[: self.fill])
+            self.fill = 0
+
+    def flush(self, times: np.ndarray, block: np.ndarray):
+        raise NotImplementedError
+
+
+class _Recorder(_StateBlocks):
     """The diagnostics of every recorded state: t, mass, the three energy
-    terms and the weighted distance to the mean, one row each.  The energy
-    evaluator is built once per run (energy_form); the nonlocal term costs
-    one band mat-vec, not a gather over the O(n b) nonlocal edges."""
+    terms and the weighted distance to the mean, one row each.  They are
+    evaluated a block of states at a time: the mass is one matrix-vector
+    product, the energy terms one energy_form call (built once per run), the
+    distance to the mean one more product."""
 
     def __init__(self, generator: GeneratorMatrix, n_records: int):
+        super().__init__(generator.size)
         self.weights = generator.weights
         self.measure = float(np.sum(self.weights))
         self.energy = energy_form(generator)
         self.rows = np.empty((n_records, 6))  # t, mass, three energy terms, dist
         self.k = 0
 
-    def record(self, t: float, values: np.ndarray):
-        m = float(self.weights @ values)
-        loc, nl, cp = self.energy(values)
-        d = values - m / self.measure
-        dist = float(np.sqrt(np.sum(self.weights * d * d)))
-        self.rows[self.k] = (t, m, loc, nl, cp, dist)
-        self.k += 1
+    def flush(self, times, block):
+        m = block @ self.weights
+        loc, nl, cp = self.energy(block)
+        d = block - (m / self.measure)[:, None]
+        dist = np.sqrt(np.square(d, out=d) @ self.weights)
+        k = self.k + len(times)
+        self.rows[self.k : k] = np.column_stack((times, m, loc, nl, cp, dist))
+        self.k = k
 
     def build(self, grid, snapshots, final_state, dt, picard) -> Trajectory:
+        self.close()
         t, m, loc, nl, cp, dist = self.rows[: self.k].T.copy()
         return Trajectory(grid, t, m, loc, nl, cp, loc + nl + cp, dist, snapshots, final_state,
                           dt, picard)
@@ -400,7 +467,7 @@ def evolve(
     rec = _Recorder(generator, n_steps + 1)
     snapshots = []
     for k, (t, values) in enumerate(states):
-        rec.record(t, values)
+        rec.push(t, values)
         if k == 0 or (snapshot_stride > 0 and k % snapshot_stride == 0 and k != n_steps):
             snapshots.append((t, StateField(w0.grid, values.copy())))
     final = StateField(w0.grid, values.copy())

@@ -16,15 +16,19 @@ def fmt_number(value) -> str:
     return str(value)
 
 
-def atomic_write_text(path, text: str):
+def atomic_write_text(path, text):
     """Write via a sibling temp file and rename, so readers never see a
-    half-written artifact and parallel runs into distinct dirs cannot clash."""
+    half-written artifact and parallel runs into distinct dirs cannot clash.
+    text is a str or an iterable of str chunks, written in order."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            if isinstance(text, str):
+                handle.write(text)
+            else:
+                handle.writelines(text)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -39,6 +43,23 @@ def write_csv(path, header, rows):
     for row in rows:
         lines.append(",".join(fmt_number(v) for v in row))
     atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+CSV_CHUNK_ROWS = 512
+
+
+def write_float_csv(path, header, table):
+    """write_csv of a 2-D float array, the same text streamed to the file:
+    each chunk of CSV_CHUNK_ROWS rows is one %-format of its values."""
+    row = ",".join(["%.17g"] * len(header)) + "\n"
+
+    def chunks():
+        yield ",".join(header) + "\n"
+        for start in range(0, len(table), CSV_CHUNK_ROWS):
+            part = table[start : start + CSV_CHUNK_ROWS]
+            yield (row * len(part)) % tuple(part.ravel().tolist())
+
+    atomic_write_text(path, chunks())
 
 
 def _scale(values, log: bool, span: tuple, pixel: tuple):

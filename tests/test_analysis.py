@@ -21,7 +21,9 @@ from couplediff import (
 )
 from couplediff.analysis import _HeatReference
 from couplediff.energy_spectrum import _semigroup_oracle
-from couplediff.config import SimConfig
+from couplediff.config import SimConfig, initial_state
+from couplediff.evolution import _States
+from couplediff.kernels import coupling_constants, make_kernel
 from conftest import weighted_norm
 
 
@@ -120,6 +122,34 @@ def test_epsilon_sweep_monotone():
     jumps = [r.interface_jump for r in rows]
     assert all(a >= b - 1e-12 for a, b in zip(jumps, jumps[1:]))
     assert rows[-1].n_nonlocal >= int(np.ceil(4 / 0.05))
+
+
+def test_epsilon_sweep_error_matches_per_state_loop():
+    """The sweep's sup error, taken over blocks of states against the heat
+    reference at an array of times, equals the per-state loop to 1e-13
+    relative; 130 steps make two full blocks and a partial one."""
+    cfg = _sweep_config()
+    rows = epsilon_sweep(cfg, [0.4, 0.2], horizon=0.13)
+    constants = coupling_constants(make_kernel("triangle", 1.0, 1.0))
+    for row in rows:
+        grid = build_grid(cfg.grid_n_local, row.n_nonlocal)
+        gen = assemble_generator(grid, make_kernel("triangle", 1.0, row.epsilon), constants)
+        w0 = initial_state(cfg, grid)
+        ref = _HeatReference(w0, 256)
+        states = _States(gen, w0, StepScheme(dt=cfg.time_dt), 0.13)
+        sup = max(weighted_norm(grid, values - ref.at(t)) for t, values in states)
+        assert states.n_steps == 130
+        assert abs(row.sup_error_l2 - sup) <= 1e-13 * sup
+
+
+def test_heat_reference_at_array_of_times(grid100):
+    w0 = StateField(grid100, np.exp(-((grid100.positions + 0.5) ** 2) / (2 * 0.15**2)))
+    ref = _HeatReference(w0, 256)
+    times = np.array([0.0, 1e-3, 0.05, 1.0, 400.0])
+    block = ref.at(times)
+    assert block.shape == (times.size, grid100.size)
+    for t, row in zip(times, block):
+        np.testing.assert_allclose(row, ref.at(t), rtol=1e-13, atol=1e-15)
 
 
 def test_epsilon_sweep_constant_data_exact():

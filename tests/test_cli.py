@@ -11,6 +11,7 @@ from couplediff.config import (
     parse_config_text,
 )
 from couplediff.discretization import build_grid
+from couplediff.output import write_csv, write_float_csv
 
 SMALL = """
 kernel.family = triangle
@@ -349,3 +350,19 @@ def test_verify_clean_passes(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.count("PASS") == 7
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("n_rows", (6, 1100))
+def test_float_csv_matches_write_csv(tmp_path, n_rows):
+    """The streamed float writer gives write_csv's text byte for byte: for
+    nan, the infinities, -0.0, the smallest subnormal, 1/3 and 1e22, and for
+    a row count that crosses the chunk boundaries (CSV_CHUNK_ROWS = 512)."""
+    special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.0 / 3.0, 1e22]
+    rng = np.random.default_rng(35)
+    table = rng.standard_normal((n_rows, 3)) * 10.0 ** rng.integers(-300, 300, (n_rows, 3))
+    table.flat[: len(special)] = special
+    header = ("a", "b", "c")
+    write_csv(tmp_path / "ref.csv", header, ([float(v) for v in row] for row in table))
+    write_float_csv(tmp_path / "out.csv", header, table)
+    assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert len((tmp_path / "out.csv").read_text().splitlines()) == n_rows + 1

@@ -318,3 +318,41 @@ def test_generator_band_properties(gen):
     assert np.max(np.abs(rebuilt - L)) <= 1e-14 * np.max(np.abs(L))
     i, j = np.nonzero(L)
     assert gen.half_bandwidth == np.max(np.abs(i - j))
+
+
+def _split_cases():
+    """Every family at eps in {1, 0.25, 0.05} on 20 and 200 local cells; the
+    nonlocal side has as many cells, or the sweep's 4 / eps where eps = 0.05
+    needs more to resolve the kernel."""
+    return [(family, eps, n) for family in FAMILIES for eps in (1.0, 0.25, 0.05)
+            for n in (20, 200)]
+
+
+def _split_generator(family, eps, n):
+    kernel = make_kernel(family, 1.0, eps)
+    grid = build_grid(n, max(n, int(np.ceil(4.0 / eps))))
+    return assemble_generator(grid, kernel, coupling_constants(kernel))
+
+
+@pytest.mark.parametrize("family, eps, n", _split_cases())
+def test_band_split_at_interface_matches_dense(family, eps, n):
+    """The chain ends at the interface node, and A x read from the chain and
+    the block is the dense L x to 1e-12 relative to |L| |x|, the roundoff
+    scale of a product that cancels (a smooth x makes L x a second
+    difference)."""
+    gen = _split_generator(family, eps, n)
+    assert gen.split.p == gen.grid.interface_index
+    L = gen.dense()
+    for x in (np.random.default_rng(31).standard_normal(gen.size),
+              np.cos(np.pi * (gen.grid.positions + 1.0))):
+        scale = np.max(np.abs(L) @ np.abs(x))
+        assert np.max(np.abs(gen.apply(x) - L @ x)) <= 1e-12 * scale
+
+
+def test_band_split_heat_generator_is_all_chain():
+    gen = assemble_heat_generator(200)
+    assert gen.split.p == gen.size - 1
+    assert gen.split.block.shape == (2, 1)
+    x = np.random.default_rng(32).standard_normal(gen.size)
+    L = gen.dense()
+    assert np.max(np.abs(gen.apply(x) - L @ x)) <= 1e-12 * np.max(np.abs(L) @ np.abs(x))

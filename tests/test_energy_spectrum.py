@@ -133,6 +133,29 @@ def test_energy_form_zero_for_constants():
             assert terms(np.full(gen.size, value)) == (0.0, 0.0, 0.0)
 
 
+def test_energy_form_block_matches_rows():
+    """A 2-D block of states gives each row's energy terms to 1e-13
+    relative, and exactly 0.0 on its constant rows."""
+    gens = [_coupled_generator(f, 50, 57, 1.0) for f in FAMILIES]
+    gens.append(_coupled_generator("triangle", 200, 207, 0.05))
+    gens.append(assemble_heat_generator(100))
+    rng = np.random.default_rng(24)
+    for gen in gens:
+        terms = energy_form(gen)
+        block = np.vstack([
+            rng.standard_normal((5, gen.size)),
+            _first_cosine_mode(gen.grid),
+            np.full(gen.size, 0.1),
+            np.full(gen.size, -7.1),
+        ])
+        got = terms(block)
+        for k, row in enumerate(block):
+            for column, ref in zip(got, terms(row)):
+                assert abs(column[k] - ref) <= 1e-13 * abs(ref)
+        for column in got:
+            assert column[-2] == column[-1] == 0.0
+
+
 def test_energy_form_heat_generator_has_no_nonlocal_term():
     gen = assemble_heat_generator(100)
     z = np.random.default_rng(23).standard_normal(gen.size)

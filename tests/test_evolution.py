@@ -16,6 +16,8 @@ from couplediff import (
     cfl_limit,
     constant_state,
     contraction_factor,
+    coupling_constants,
+    energy_form,
     evolve,
     make_kernel,
     mass,
@@ -137,6 +139,61 @@ def test_stepper_layouts_match_dense_solve(constants, eps, half_bandwidth):
         assert np.max(np.abs(w - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("family", ("uniform", "triangle", "epanechnikov"))
+@pytest.mark.parametrize("eps", (1.0, 0.25, 0.05))
+@pytest.mark.parametrize("n", (20, 200))
+def test_split_solve_matches_dense_solve(family, eps, n):
+    """The split factorization's solve, before and after refinement, against
+    numpy.linalg.solve of I - dt L to 1e-12 relative; eps = 0.05 takes the
+    sweep's 4 / eps nonlocal cells where n is too coarse for its kernel."""
+    kernel = make_kernel(family, 1.0, eps)
+    grid = build_grid(n, max(n, int(np.ceil(4.0 / eps))))
+    gen = assemble_generator(grid, kernel, coupling_constants(kernel))
+    dt = 5e-4
+    stepper = _ImplicitStepper(gen, dt)
+    assert stepper.p == grid.interface_index
+    M = np.eye(grid.size) - dt * gen.dense()
+    r = np.random.default_rng(33).standard_normal(grid.size)
+    ref = np.linalg.solve(M, r)
+    for x in (stepper._solve(r), stepper.solve(r)):
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_split_solve_heat_generator():
+    gen = assemble_heat_generator(200)
+    dt = 5e-4
+    stepper = _ImplicitStepper(gen, dt)
+    assert stepper.p == gen.size - 1
+    r = np.random.default_rng(34).standard_normal(gen.size)
+    ref = np.linalg.solve(np.eye(gen.size) - dt * gen.dense(), r)
+    assert np.max(np.abs(stepper.solve(r) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_far_link_from_node_zero_leaves_no_chain(gen20):
+    """A hand-built generator whose node 0 links to node n - 1 has chain
+    length p = 0: the block is the whole band, and 200 steps match the dense
+    solve of the increment step."""
+    grid = gen20.grid
+    n = grid.size
+    W = grid.weights
+    L = gen20.dense()
+    c = 0.7  # conductance of the far edge, (W L)[0, n - 1]
+    L[0, n - 1], L[n - 1, 0] = c / W[0], c / W[n - 1]
+    L[0, 0] -= c / W[0]
+    L[n - 1, n - 1] -= c / W[n - 1]
+    gen = GeneratorMatrix.from_dense(grid, L)
+    assert gen.half_bandwidth == n - 1
+    assert gen.split.p == 0
+    dt = 5e-4
+    stepper = _ImplicitStepper(gen, dt)
+    M = np.eye(n) - dt * L
+    w = ref = np.exp(-((grid.positions + 0.5) ** 2) / (2 * 0.15**2))
+    for _ in range(200):
+        w = stepper.step(w)
+        ref = ref + np.linalg.solve(M, dt * (L @ ref))
+        assert np.max(np.abs(w - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_band_layout_conserves_mass_and_dissipates(constants):
     """Criteria 01/02's bounds on a narrow band (eps = 0.05) over 2,000 steps."""
     grid = build_grid(200, 200)
@@ -182,6 +239,31 @@ def test_small_eps_fine_grid_implicit_run(constants):
     drift = max(abs(float(grid.weights @ values) - m0) for _, values in states)
     assert states.n_steps == 12
     assert drift <= 1e-11 * abs(m0)
+
+
+@pytest.mark.parametrize("n_steps", (1, 62, 63, 64, 65, 200))
+def test_block_diagnostics_match_per_state(gen20, n_steps):
+    """The recorder evaluates its diagnostics a block of 64 states at a time
+    (the initial state makes n_steps + 1 rows); every column equals the
+    per-state evaluation of the same states to 1e-13."""
+    grid = gen20.grid
+    W = grid.weights
+    w0 = StateField(grid, np.where(grid.positions <= 0, 1.0, 0.0))
+    scheme = StepScheme(dt=1e-3)
+    traj = evolve(gen20, w0, scheme, n_steps * 1e-3)
+    terms = energy_form(gen20)
+    rows = []
+    for t, values in _States(gen20, w0, scheme, n_steps * 1e-3):
+        m = float(W @ values)
+        d = values - m / np.sum(W)
+        loc, nl, cp = terms(values)
+        rows.append((t, m, loc, nl, cp, loc + nl + cp, np.sqrt(np.sum(W * d * d))))
+    expected = np.array(rows).T
+    got = (traj.times, traj.mass, traj.energy_local, traj.energy_nonlocal,
+           traj.energy_coupling, traj.energy_total, traj.dist_to_mean)
+    assert len(traj.times) == n_steps + 1
+    for column, ref in zip(got, expected):
+        np.testing.assert_allclose(column, ref, rtol=1e-13, atol=1e-13 * np.max(np.abs(ref)))
 
 
 def test_evolve_constant_state(gen50, grid50):
