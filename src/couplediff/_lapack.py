@@ -1,14 +1,14 @@
 """scipy's compiled BLAS/LAPACK wrappers, without importing scipy.linalg.
 
-couplediff calls five routines of scipy's f2py extensions ``_fblas`` and
-``_flapack``: sbmv, pbtrf, pbtrs, syevr and syevr's work-size query.
+couplediff calls six routines of scipy's f2py extensions ``_fblas`` and
+``_flapack``: sbmv, symv, pbtrf, pbtrs, syevr and syevr's work-size query.
 Importing them through ``scipy.linalg`` costs about 0.3 s and 24 MB per
 process (it pulls in ``scipy._lib._array_api``, ``array_api_compat`` and
 ``numpy.f2py``), about a third of a whole epsilon sweep.  The two
 extensions are loaded straight from the scipy package directory and
 registered in ``sys.modules`` under their own names, so a later
-``import scipy.linalg`` reuses them: dsbmv, dpbtrf and dpbtrs here are the
-objects ``scipy.linalg.blas`` and ``scipy.linalg.lapack`` export.
+``import scipy.linalg`` reuses them: dsbmv, dsymv, dpbtrf and dpbtrs here
+are the objects ``scipy.linalg.blas`` and ``scipy.linalg.lapack`` export.
 """
 from __future__ import annotations
 
@@ -41,7 +41,8 @@ def _extension(name: str):
     return module
 
 
-dsbmv = _extension("_fblas").dsbmv
+_fblas = _extension("_fblas")
+dsbmv, dsymv = _fblas.dsbmv, _fblas.dsymv
 _flapack = _extension("_flapack")
 dpbtrf, dpbtrs = _flapack.dpbtrf, _flapack.dpbtrs
 

@@ -7,6 +7,7 @@ SVG plots are opt-in and purely decorative.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -53,6 +54,24 @@ def _setup(cfg: SimConfig):
         raise ConfigError(f"grid.n_nonlocal / kernel.epsilon: {exc}") from exc
 
 
+def _check_record_table(cfg: SimConfig):
+    """Refuse, before assembly, a given time.dt whose (n_steps + 1) x 6
+    float64 table of recorded diagnostics exceeds physical memory.  The step
+    count is horizon / dt, which every scheme rounds (or nudges by one step),
+    kept as a float because it need not fit an integer."""
+    if cfg.time_dt == "auto":
+        return
+    n_steps = cfg.time_horizon / float(cfg.time_dt)
+    table = (n_steps + 1.0) * 6 * 8
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if table > memory:
+        raise ConfigError(
+            f"time.dt: {cfg.time_dt} over time.horizon = {cfg.time_horizon} takes "
+            f"{n_steps:.3g} steps, whose table of diagnostics ({table / 2**30:.3g} GiB) "
+            f"exceeds physical memory ({memory / 2**30:.3g} GiB)"
+        )
+
+
 def _write_timeseries(path, traj):
     table = np.column_stack((
         traj.times,
@@ -77,6 +96,7 @@ def _write_snapshot(path, state):
 
 
 def run_simulate(cfg: SimConfig, svg: bool = False) -> list:
+    _check_record_table(cfg)
     generator = _setup(cfg)
     scheme = scheme_from(cfg)
     if scheme.kind == "explicit" and scheme.dt != "auto":

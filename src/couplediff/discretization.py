@@ -17,10 +17,14 @@ stored as W and A's upper band only; GeneratorMatrix.dense() rebuilds L for
 small reference computations.  The local nodes form a tridiagonal chain that
 meets the rest only at the interface node, so A x and the implicit solves
 read the band split there (BandSplit), never the zeros of the band over the
-local nodes.  generator_edges reads the edges (i, j, c),
+local nodes.  The block behind the chain is read as a band, or, when the
+kernel reaches across the whole nonlocal region and the band holds no zeros
+there, as one dense symmetric copy (symv for A x, one GEMM for a block of
+rows).  generator_edges reads the edges (i, j, c),
 c = -A_ij, off the band as local, nonlocal or coupling; the interface
 fluxes and the local and coupling energies are sums over those edges, while
-the nonlocal energy is read from the band (energy_spectrum.energy_form).
+the nonlocal energy is read from the split's block
+(energy_spectrum.energy_form).
 The GeneratorMatrix also carries its grid, kernel and constants: every
 routine after assembly takes it, and none assembles again.
 """
@@ -31,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._lapack import dsbmv
+from ._lapack import dsbmv, dsymv
 from .kernels import CouplingConstants, Kernel, coupling_profile_analytic
 
 
@@ -169,29 +173,46 @@ def _add_path_stiffness(band: np.ndarray, n_edges: int, h: float):
     band[b, 1 : n_edges + 1] += 1.0 / h
 
 
+def _symmetric(band: np.ndarray) -> np.ndarray:
+    """The symmetric n x n matrix held in (b + 1, n) upper band storage."""
+    b, n = band.shape[0] - 1, band.shape[1]
+    a = np.zeros((n, n))
+    for k in range(b + 1):
+        i = np.arange(n - k)
+        a[i, i + k] = a[i + k, i] = band[b - k, k:]
+    return a
+
+
 class BandSplit:
     """A's band split at the interface node p: the chain and the block.
 
     p is the chain length, the longest leading run of nodes that link only to
     their neighbours (A[i, j] = 0 for i < p and j > i + 1), so that they reach
-    the rest only through node p.  That is grid.interface_index for every
-    assembled generator and n - 1 for the heat generator; a band with a far
-    link from node 0 has p = 0, and the block is then the whole band.
+    the rest only through node p, and at most last.  That is
+    grid.interface_index for every assembled generator and n - 1 for the heat
+    generator; a band with a far link from node 0 has p = 0, and the block is
+    then the whole band.
 
     chain holds A on nodes 0..p in (2, p + 1) upper band storage with its
     (p, p) entry zero; block = band[:, p:] is A[p:, p:] in place, an
     F-contiguous view whose entries that link to the chain lie in the
     storage triangle BLAS and LAPACK do not read.  A x = chain x + block x
-    then costs O(p + (n - p) b), not O(n b).  The chain is a copy: a band
-    changed after its split is made no longer matches the split.
+    then costs O(p + (n - p) b), not O(n b).  When the band is full over
+    the block (b = n - p - 1: the kernel reaches across the whole nonlocal
+    region), band kernels would read a band without zeros at about twice
+    the cost of dense ones, so dense holds A[p:, p:] as a dense symmetric
+    copy and the block is applied by symv, or by one GEMM for many rows;
+    otherwise dense is None and sbmv reads the band.  The chain and dense
+    are copies: a band changed after its split is made no longer matches
+    the split.
     """
 
-    def __init__(self, band: np.ndarray):
+    def __init__(self, band: np.ndarray, last: int):
         b = band.shape[0] - 1
         n = band.shape[1]
         rows, j = np.nonzero(band[: max(b - 1, 0)])  # offsets b..2
         far = j - (b - rows)  # the first node of each far link
-        p = int(far.min()) if far.size else n - 1
+        p = int(np.min(far, initial=last))
         chain = np.zeros((2, p + 1), order="F")
         if b > 0:
             chain[0, 1:] = band[b - 1, 1 : p + 1]
@@ -200,13 +221,31 @@ class BandSplit:
         self.half_bandwidth = b
         self.chain = chain
         self.block = band[:, p:]
+        # .T: the transpose of a symmetric C-order array is the same matrix in
+        # Fortran order, which BLAS reads without a copy
+        self.dense = _symmetric(self.block).T if b == n - p - 1 else None
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        """A x: the chain's sbmv, then the block's added into the same y."""
-        y = np.zeros(x.shape[0])  # beta = 1 below reads y
+    def __call__(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """A x, into out when given: the chain's sbmv, then the block's
+        product added into the same y."""
+        y = np.empty(x.shape[0]) if out is None else out
+        y.fill(0.0)  # beta = 1 below reads y
         dsbmv(1, 1.0, self.chain, x, y=y, overwrite_y=1)
-        return dsbmv(self.half_bandwidth, 1.0, self.block, x, offx=self.p, beta=1.0, y=y,
-                     offy=self.p, overwrite_y=1)
+        p = self.p
+        if self.dense is not None:
+            return dsymv(1.0, self.dense, x, offx=p, beta=1.0, y=y, offy=p, overwrite_y=1)
+        return dsbmv(self.half_bandwidth, 1.0, self.block, x, offx=p, beta=1.0, y=y,
+                     offy=p, overwrite_y=1)
+
+    def block_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Each row of the (k, n - p) array rows times A[p:, p:]: one GEMM
+        when dense, one sbmv per row otherwise."""
+        if self.dense is not None:
+            return rows @ self.dense
+        out = np.empty_like(rows)
+        for row, y in zip(rows, out):
+            dsbmv(self.half_bandwidth, 1.0, self.block, row, y=y, overwrite_y=1)
+        return out
 
 
 @dataclass
@@ -238,8 +277,11 @@ class GeneratorMatrix:
 
     @cached_property
     def split(self) -> BandSplit:
-        """The band split at the interface node, made on first use."""
-        return BandSplit(self.band)
+        """The band split at the interface node, made on first use.  On a
+        two-subdomain grid the chain ends at the interface node at the
+        latest, so the nonlocal block always lies in the split's block."""
+        last = self.grid.interface_index if isinstance(self.grid, Grid) else self.size - 1
+        return BandSplit(self.band, last)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """L x = -(A x) / W."""
@@ -247,11 +289,7 @@ class GeneratorMatrix:
 
     def dense(self) -> np.ndarray:
         """L as an n x n array; a reference for small sizes and oracles."""
-        n, b = self.size, self.half_bandwidth
-        L = np.zeros((n, n))
-        for k in range(b + 1):
-            i = np.arange(n - k)
-            L[i, i + k] = L[i + k, i] = self.band[b - k, k:]
+        L = _symmetric(self.band)
         L /= -self.weights[:, None]
         return L
 

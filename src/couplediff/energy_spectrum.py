@@ -15,9 +15,10 @@ energy_form(generator) evaluates the three terms of a generator's energy,
 for one state or a block of states.  The local and coupling terms have O(n)
 edges and are edge sums in difference form (edge_energy over their
 generator_edges groups).  The nonlocal term has O(n b) edges, about n^2 / 2
-at epsilon = 1, so it is read from A's band instead: one symmetric band
-mat-vec of the nonlocal block A_vv per state, whose rows sum to the coupling
-conductances.
+at epsilon = 1, so it is read from the block of A's band split
+(discretization.BandSplit) instead, applied to a block of states at once:
+one GEMM per block when the kernel reaches across the whole nonlocal region,
+one symmetric band mat-vec per state otherwise.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lapack import dsbmv, eigh
+from ._lapack import eigh
 from .discretization import (
     GeneratorMatrix,
     Grid,
@@ -73,9 +74,13 @@ def energy_form(generator: GeneratorMatrix):
 
         1/2 (y^T A_vv y - sum_j c_j y_j^2),   y = v - s,
 
-    with A_vv = band[:, nl0:] the nonlocal block of A in band storage (its
-    coupling entries fall in the triangle sbmv does not read) and c_j the
-    coupling conductances: one sbmv per state, one row-wise dot per block.
+    with A_vv the nonlocal block of A and c_j the coupling conductances.
+    A_vv y is read from the block A_R = A[p:, p:] of the generator's band
+    split, whose chain ends at the interface node p = nl0 - 1 (for an
+    assembled generator; at most that on any two-subdomain grid): the rows
+    [0; y], zero on nodes p..nl0-1, go through BandSplit.block_rows, and
+    A_R [0; y] = [c^T y; A_vv y].  That is one GEMM per block when the block
+    is dense, one sbmv per state otherwise, then one row-wise dot per block.
     A_vv is the Laplacian of the nonlocal edges plus diag(c), and a
     Laplacian's rows sum to 0, so this equals 1/2 sum c (v_k - v_j)^2 over
     the nonlocal edges for any shift s.  The shift s, the value of the
@@ -89,18 +94,18 @@ def energy_form(generator: GeneratorMatrix):
     grid = generator.grid
     if isinstance(grid, Grid):
         nl0 = grid.interface_index + 1
-        b = generator.half_bandwidth
-        a_vv = generator.band[:, nl0:]
+        split = generator.split
+        pad = nl0 - split.p  # leading zeros of each row: nodes p..nl0-1
         cells, cond = coupling[1] - nl0, coupling[2]
 
         def nonlocal_term(values):
             v = np.atleast_2d(values[..., nl0:])
             mean = v.sum(axis=1, keepdims=True) / v.shape[1]
             nearest = np.abs(v - mean).argmin(axis=1)
-            y = v - v[np.arange(len(v)), nearest][:, None]
-            ay = np.empty_like(y)
-            for row, out in zip(y, ay):
-                dsbmv(b, 1.0, a_vv, row, y=out, overwrite_y=1)
+            rows = np.zeros((len(v), pad + v.shape[1]))
+            y = rows[:, pad:]
+            np.subtract(v, v[np.arange(len(v)), nearest][:, None], out=y)
+            ay = split.block_rows(rows)[:, pad:]
             yc = y[:, cells]
             return 0.5 * (np.einsum("ij,ij->i", y, ay) - (yc * yc) @ cond)
     else:
@@ -223,9 +228,11 @@ def estimate_energy_control_k(generator: GeneratorMatrix, n_samples: int, seed: 
     """Randomized lower estimate of the constant dominating the full nonlocal energy.
 
     Draws mean-zero standard normal states sequentially from one seeded
-    stream and returns the minimum over samples of
-    energy(w).total / nonlocal_energy_full(w).  Samples whose full nonlocal
-    energy is below 1e-14 are discarded.
+    stream, as the rows of one block, and returns the minimum over samples
+    of energy(w).total / nonlocal_energy_full(w): the energies come from one
+    energy_form call on the block, the full nonlocal energy sample by
+    sample.  Samples whose full nonlocal energy is below 1e-14 are
+    discarded.
     """
     if n_samples < 10:
         raise ValueError("need at least 10 samples")
@@ -235,15 +242,12 @@ def estimate_energy_control_k(generator: GeneratorMatrix, n_samples: int, seed: 
     ww = grid.weights
 
     rng = np.random.default_rng(seed)
-    best = np.inf
-    for _ in range(n_samples):
-        z = rng.standard_normal(grid.size)
-        z -= 0.5 * float(ww @ z)
-        nlf = edge_energy(pairs, z)[0]
-        if nlf < 1e-14:
-            continue
-        total = sum(terms(z))
-        best = min(best, total / nlf)
+    z = rng.standard_normal((n_samples, grid.size))  # row k: the k-th draw of the stream
+    z -= 0.5 * (z @ ww)[:, None]
+    nlf = np.array([edge_energy(pairs, row)[0] for row in z])
+    loc, nl, cp = terms(z)
+    kept = nlf >= 1e-14
+    best = np.min((loc + nl + cp)[kept] / nlf[kept], initial=np.inf)
     if not np.isfinite(best):
         raise RuntimeError("all random samples had degenerate nonlocal energy")
-    return best
+    return float(best)

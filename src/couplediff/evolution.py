@@ -17,12 +17,17 @@ residual stays near machine precision; that keeps the mass drift below 1e-11
 over ten thousand steps.  The factor is split at the interface node like
 A's band (discretization.BandSplit): a tridiagonal factor over the local
 chain and a band factor of the block behind it, so neither a solve nor A x
-reads the band's zeros over the local nodes.  See _ImplicitStepper.  The
-window iteration factors its two sub-blocks the same way.
+reads the band's zeros over the local nodes.  A x reads the block as a band,
+or as a dense copy (symv) when the kernel reaches across the whole nonlocal
+region; the solves read the band factors either way.  A step writes dt L w,
+dt L x and the solve residual into buffers of its stepper.  See
+_ImplicitStepper.  The window iteration factors its two sub-blocks the same
+way.
 
 The per-state diagnostics (mass, energy terms, distance to the mean) are
 evaluated on blocks of BLOCK_STATES states (_StateBlocks), not state by
-state; the non-finite check and the snapshots stay per state.
+state: the energy terms of a block take one GEMM when the block is dense.
+The non-finite check and the snapshots stay per state.
 """
 from __future__ import annotations
 
@@ -188,9 +193,10 @@ class _ImplicitStepper:
     epsilon = 1 on a square grid (b = p = n/2), O(n b) at small epsilon.
 
     step() advances in increment form: solve (I - dt L) d = dt L w and return
-    w + d.  The solve residual then scales with ||d|| rather than ||w||, so
-    per-step conservation errors shrink as the state relaxes; that is what
-    keeps the mass drift at the 1e-12 level over ten thousand steps.
+    w + d, in the array the solve made for d.  The solve residual then scales
+    with ||d|| rather than ||w||, so per-step conservation errors shrink as
+    the state relaxes; that is what keeps the mass drift at the 1e-12 level
+    over ten thousand steps.
     """
 
     def __init__(self, generator: GeneratorMatrix, dt: float):
@@ -209,14 +215,18 @@ class _ImplicitStepper:
             dpbtrs(self.chain_factor, self.z, overwrite_b=1)  # z = M_c^-1 e_{p-1}, in place
             diagonal[0] -= (m / self.chain_factor[1, -1]) ** 2
         self.block_factor = _cholesky(split.block, diagonal, dt, first=p)
+        # dt L w, dt L x and the residual of a step: the step allocates only
+        # the state it returns
+        self.lw, self.lx, self.residual = (np.empty(generator.size) for _ in range(3))
 
-    def _apply(self, x: np.ndarray) -> np.ndarray:
-        """dt L x = -dt (A x) / W."""
-        return self.stiffness(x) * self.scale
+    def _apply(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """dt L x = -dt (A x) / W, written into out."""
+        return np.multiply(self.stiffness(x, out), self.scale, out=out)
 
-    def _solve(self, r: np.ndarray) -> np.ndarray:
-        """(I - dt L)^-1 r as (W + dt A)^-1 W r, by block elimination in place."""
-        out = self.weights * r
+    def _solve(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """(I - dt L)^-1 r as (W + dt A)^-1 W r, by block elimination in out
+        (a new array when not given; out may be r)."""
+        out = np.multiply(self.weights, r, out=out)
         p = self.p
         dpbtrs(self.chain_factor, out[:p], overwrite_b=1)  # the solves write into out
         if p:
@@ -225,22 +235,28 @@ class _ImplicitStepper:
         out[:p] -= (self.m * out[p]) * self.z
         return out
 
+    def _residual(self, b: np.ndarray, x: np.ndarray) -> float:
+        """||r|| for r = (b - x) + dt L x, left in the residual buffer."""
+        r = np.subtract(b, x, out=self.residual)
+        r += self._apply(x, self.lx)
+        return math.sqrt(r @ r)
+
     def solve(self, b: np.ndarray) -> np.ndarray:
         x = self._solve(b)
         norm_b = math.sqrt(b @ b) or 1.0
         for _ in range(3):
-            r = (b - x) + self._apply(x)
-            if math.sqrt(r @ r) <= 1e-14 * norm_b:
+            if self._residual(b, x) <= 1e-14 * norm_b:
                 return x
-            x = x + self._solve(r)
-        r = (b - x) + self._apply(x)
-        norm_r = math.sqrt(r @ r)
+            x += self._solve(self.residual, out=self.residual)
+        norm_r = self._residual(b, x)
         if norm_r > 1e-12 * norm_b:
             raise RuntimeError(f"implicit solve residual {norm_r:.3e} above 1e-12 * ||b||")
         return x
 
     def step(self, w: np.ndarray) -> np.ndarray:
-        return w + self.solve(self._apply(w))
+        x = self.solve(self._apply(w, self.lw))
+        x += w
+        return x
 
 
 def step_implicit(generator: GeneratorMatrix, w: StateField, dt: float) -> StateField:

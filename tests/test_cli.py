@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from couplediff import verify
+from couplediff import cli, verify
 from couplediff.cli import main
 from couplediff.config import (
     ConfigError,
@@ -240,6 +240,21 @@ def test_bad_input_exits_2_naming_key(tmp_path, capsys, key, overrides):
         args += ["--set", item]
     assert main(args) == 2
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dt", ["1e-300", "1e-12"])
+def test_step_count_beyond_memory_exits_2_before_assembly(tmp_path, capsys, monkeypatch, dt):
+    """A time.dt whose (n_steps + 1) x 6 table of diagnostics exceeds
+    physical memory is refused, naming the key, before any assembly."""
+
+    def unreachable(*args):
+        raise AssertionError("a refused run assembled its generator")
+
+    monkeypatch.setattr(cli, "assemble_generator", unreachable)
+    cfg = write_cfg(tmp_path, SMALL, f"output.dir = {tmp_path}/out\n")
+    assert main(["simulate", "--config", cfg, "--set", f"time.dt={dt}"]) == 2
+    assert "time.dt" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "timeseries.csv").exists()
 
 
 def test_runtime_failure_exits_3(tmp_path):

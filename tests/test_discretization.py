@@ -356,3 +356,44 @@ def test_band_split_heat_generator_is_all_chain():
     x = np.random.default_rng(32).standard_normal(gen.size)
     L = gen.dense()
     assert np.max(np.abs(gen.apply(x) - L @ x)) <= 1e-12 * np.max(np.abs(L) @ np.abs(x))
+
+
+def _layout_generator(family, eps, n_local, n_nonlocal):
+    kernel = make_kernel(family, 1.0, eps)
+    return assemble_generator(build_grid(n_local, n_nonlocal), kernel, coupling_constants(kernel))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("n_local, n_nonlocal", [(50, 57), (200, 207)])
+@pytest.mark.parametrize("eps, dense", [(1.0, True), (0.9, False)])
+def test_block_layouts_match_dense(family, n_local, n_nonlocal, eps, dense):
+    """Both layouts of the split's block: eps = 1 fills the band over the
+    nonlocal block (dense copy, symv and GEMM), eps = 0.9 does not (band,
+    sbmv).  A x and the block product on rows match the dense reference to
+    1e-13 relative to the roundoff scale |M| |x| of each product."""
+    gen = _layout_generator(family, eps, n_local, n_nonlocal)
+    split = gen.split
+    assert (split.dense is not None) == dense
+    L = gen.dense()
+    rng = np.random.default_rng(41)
+    x = rng.standard_normal(gen.size)
+    assert np.max(np.abs(gen.apply(x) - L @ x)) <= 1e-13 * np.max(np.abs(L) @ np.abs(x))
+    a_block = -(gen.weights[:, None] * L)[split.p :, split.p :]
+    rows = rng.standard_normal((5, gen.size - split.p))
+    scale = np.max(np.abs(rows) @ np.abs(a_block))
+    assert np.max(np.abs(split.block_rows(rows) - rows @ a_block)) <= 1e-13 * scale
+
+
+def test_split_is_dense_exactly_when_band_is_full():
+    """The block is held dense exactly when b = n - p - 1, the kernel
+    reaching across the whole nonlocal region; both outcomes occur."""
+    seen = set()
+    for family in FAMILIES:
+        for eps in (0.9, 0.95, 0.99, 1.0, 1.5):
+            for n_local, n_nonlocal in ((50, 57), (200, 207)):
+                gen = _layout_generator(family, eps, n_local, n_nonlocal)
+                split = gen.split
+                full = gen.half_bandwidth == gen.size - split.p - 1
+                assert (split.dense is not None) == full, (family, eps, n_nonlocal)
+                seen.add(full)
+    assert seen == {True, False}

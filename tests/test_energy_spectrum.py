@@ -156,6 +156,26 @@ def test_energy_form_block_matches_rows():
             assert column[-2] == column[-1] == 0.0
 
 
+def test_energy_form_chain_through_the_nonlocal_cells(grid50):
+    """A hand-built generator on the coupled grid with no far link, a path
+    through every node: the band's chain would run past the interface node,
+    but the split stops it there, so the nonlocal term is still read from the
+    block and equals its edge sum."""
+    n = grid50.size
+    A = np.zeros((n, n))
+    i = np.arange(n - 1)
+    A[i, i + 1] = A[i + 1, i] = -1.0
+    A[np.diag_indices(n)] = -A.sum(axis=1)
+    gen = GeneratorMatrix.from_dense(grid50, -A / grid50.weights[:, None])
+    assert gen.half_bandwidth == 1
+    assert gen.split.p == grid50.interface_index
+    z = np.random.default_rng(25).standard_normal(n)
+    oracle = edge_energy(generator_edges(gen), z)
+    loc, nl, cp = energy_form(gen)(z)
+    assert (loc, cp) == (oracle[0], oracle[2])
+    assert abs(nl - oracle[1]) <= 1e-13 * oracle[1]
+
+
 def test_energy_form_heat_generator_has_no_nonlocal_term():
     gen = assemble_heat_generator(100)
     z = np.random.default_rng(23).standard_normal(gen.size)
@@ -267,6 +287,22 @@ def test_energy_control_estimate_contract(gen100):
     assert k2 <= k1  # minimum over a superset of the same sample stream
     with pytest.raises(ValueError):
         estimate_energy_control_k(gen100, 5, seed=1)
+
+
+@pytest.mark.parametrize("eps", [1.0, 0.25])
+def test_energy_control_estimate_matches_sample_loop(eps):
+    """The block evaluation against one state at a time from the same stream,
+    on a dense (eps = 1) and a banded (eps = 0.25) block, to 1e-13 relative."""
+    gen = _coupled_generator("triangle", 100, 100, eps)
+    grid = gen.grid
+    rng = np.random.default_rng(78)
+    ratios = []
+    for _ in range(60):
+        z = rng.standard_normal(grid.size)
+        z -= 0.5 * float(grid.weights @ z)
+        w = StateField(grid, z)
+        ratios.append(energy(gen, w).total / nonlocal_energy_full(grid, gen.kernel, w))
+    assert estimate_energy_control_k(gen, 60, seed=78) == pytest.approx(min(ratios), rel=1e-13)
 
 
 def test_routines_read_the_given_generator(grid50, gen50):

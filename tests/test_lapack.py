@@ -56,7 +56,8 @@ def test_cli_runs_leave_scipy_linalg_out(tmp_path):
         "    return wrapped\n"
         "import couplediff.discretization as d, couplediff.evolution as e, "
         "couplediff.energy_spectrum as s\n"
-        "for mod, names in ((d, ['dsbmv']), (e, ['dsbmv', 'dpbtrf', 'dpbtrs']), (s, ['eigh'])):\n"
+        "for mod, names in ((d, ['dsbmv', 'dsymv']), (e, ['dsbmv', 'dpbtrf', 'dpbtrs']),\n"
+        "                   (s, ['eigh'])):\n"
         "    for name in names:\n"
         "        setattr(mod, name, count(name))\n"
         "cfg, out = sys.argv[1], sys.argv[2]\n"
@@ -66,7 +67,7 @@ def test_cli_runs_leave_scipy_linalg_out(tmp_path):
         str(cfg),
         str(tmp_path),
     )
-    assert out.splitlines()[-1] == "['dpbtrf', 'dpbtrs', 'dsbmv', 'eigh'] False"
+    assert out.splitlines()[-1] == "['dpbtrf', 'dpbtrs', 'dsbmv', 'dsymv', 'eigh'] False"
 
 
 EQUIVALENCE = """
@@ -77,6 +78,7 @@ from couplediff import _lapack, assemble_generator, build_grid, coupling_constan
 import scipy.linalg, scipy.linalg.blas, scipy.linalg.lapack
 
 assert _lapack.dsbmv is scipy.linalg.blas.dsbmv
+assert _lapack.dsymv is scipy.linalg.blas.dsymv
 assert _lapack.dpbtrf is scipy.linalg.lapack.dpbtrf
 assert _lapack.dpbtrs is scipy.linalg.lapack.dpbtrs
 
