@@ -1,7 +1,8 @@
 """scipy's compiled BLAS/LAPACK wrappers, without importing scipy.linalg.
 
 couplediff calls six routines of scipy's f2py extensions ``_fblas`` and
-``_flapack``: sbmv, symv, pbtrf, pbtrs, syevr and syevr's work-size query.
+``_flapack``: sbmv, symv, pbtrf, pbtrs, syevr and syevr's work-size query
+(syevr only through eigh, the dense oracle of the tests and of verify).
 Importing them through ``scipy.linalg`` costs about 0.3 s and 24 MB per
 process (it pulls in ``scipy._lib._array_api``, ``array_api_compat`` and
 ``numpy.f2py``), about a third of a whole epsilon sweep.  The two

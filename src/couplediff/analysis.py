@@ -143,7 +143,9 @@ def epsilon_sweep(
 
     The nonlocal resolution is auto-adjusted per member
     (n_nonlocal = max(base, ceil(4 / (eps R)))), the implicit scheme is
-    forced, and every member starts from the same initial profile.
+    forced, and every member starts from the same initial profile.  The
+    heat reference is built once per grid: consecutive members with the same
+    n_nonlocal share it.
     """
     eps = [float(e) for e in eps_list]
     if not eps or any(e <= 0.0 for e in eps):
@@ -155,7 +157,15 @@ def epsilon_sweep(
     constants = coupling_constants(base_kernel)
 
     scheme = StepScheme(kind="implicit", dt=base_config.time_dt)
-    return [_sweep_member(base_config, e, constants, scheme, horizon, n_modes) for e in eps]
+    rows, ref = [], None
+    for e in eps:
+        n_nl = max(base_config.grid_n_nonlocal,
+                   int(np.ceil(4.0 / (e * base_config.kernel_radius))))
+        if ref is None or ref.grid.n_nonlocal != n_nl:  # members on one grid share it
+            w0 = initial_state(base_config, build_grid(base_config.grid_n_local, n_nl))
+            ref = _HeatReference(w0, n_modes)
+        rows.append(_sweep_member(base_config, e, constants, scheme, horizon, w0, ref))
+    return rows
 
 
 class _SupError(_StateBlocks):
@@ -174,24 +184,23 @@ class _SupError(_StateBlocks):
         self.sup = max(self.sup, float(err.max()))
 
 
-def _sweep_member(base_config, e, constants, scheme, horizon, n_modes) -> SweepRow:
-    """One sweep row, stepping the member once.  The generator and the
-    stepper live in this frame only, so they are freed before the next
-    member is assembled; the eigensolve runs before the stepper exists."""
-    n_nl = max(base_config.grid_n_nonlocal, int(np.ceil(4.0 / (e * base_config.kernel_radius))))
-    grid = build_grid(base_config.grid_n_local, n_nl)
+def _sweep_member(base_config, e, constants, scheme, horizon, w0, ref) -> SweepRow:
+    """One sweep row from w0 and the heat reference ref on the member's grid,
+    stepping the member once.  The generator and the stepper live in this
+    frame only, so they are freed before the next member is assembled; the
+    eigensolve runs before the stepper exists."""
+    grid = w0.grid
     kernel = make_kernel(base_config.kernel_family, base_config.kernel_radius, e)
     generator = assemble_generator(grid, kernel, constants)
     spectral = estimate_beta1(generator)
-    w0 = initial_state(base_config, grid)
-    errors = _SupError(_HeatReference(w0, n_modes))
+    errors = _SupError(ref)
     states = _States(generator, w0, scheme, horizon)
     for t, values in states:
         errors.push(t, values)
     errors.close()
     return SweepRow(
         epsilon=e,
-        n_nonlocal=n_nl,
+        n_nonlocal=grid.n_nonlocal,
         dt=states.dt,
         sup_error_l2=errors.sup,
         beta1_eps=spectral.beta1,

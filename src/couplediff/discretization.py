@@ -20,7 +20,11 @@ read the band split there (BandSplit), never the zeros of the band over the
 local nodes.  The block behind the chain is read as a band, or, when the
 kernel reaches across the whole nonlocal region and the band holds no zeros
 there, as one dense symmetric copy (symv for A x, one GEMM for a block of
-rows).  generator_edges reads the edges (i, j, c),
+rows).  The split also owns the Cholesky factor of W + dt A
+(BandSplit.factor, SplitFactor): a tridiagonal factor over the chain and a
+band factor of the block, whose solve takes one right-hand side or a block
+of them; the implicit stepper and the eigensolver both solve with it.
+generator_edges reads the edges (i, j, c),
 c = -A_ij, off the band as local, nonlocal or coupling; the interface
 fluxes and the local and coupling energies are sums over those edges, while
 the nonlocal energy is read from the split's block
@@ -35,7 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._lapack import dsbmv, dsymv
+from ._lapack import dpbtrf, dpbtrs, dsbmv, dsymv
 from .kernels import CouplingConstants, Kernel, coupling_profile_analytic
 
 
@@ -245,6 +249,75 @@ class BandSplit:
         out = np.empty_like(rows)
         for row, y in zip(rows, out):
             dsbmv(self.half_bandwidth, 1.0, self.block, row, y=y, overwrite_y=1)
+        return out
+
+    def factor(self, weights: np.ndarray, dt: float) -> "SplitFactor":
+        """The Cholesky factor of W + dt A along this split."""
+        return SplitFactor(self, weights, dt)
+
+
+def _cholesky(band: np.ndarray, diagonal: np.ndarray, dt: float, first: int = 0) -> np.ndarray:
+    """Band Cholesky factor of dt A + diag(diagonal), A in LAPACK upper band
+    storage whose first column is node `first` of the generator."""
+    factor = np.multiply(band, dt, order="F")
+    factor[-1] += diagonal
+    factor, info = dpbtrf(factor, overwrite_ab=1)
+    if info != 0:
+        raise RuntimeError(
+            f"Cholesky factorization of W + dt A failed: pbtrf info = {first + info}")
+    return factor
+
+
+def _pbtrs_into(factor: np.ndarray, b: np.ndarray):
+    """pbtrs of b, written into b: in place when b is one contiguous vector,
+    copied back when pbtrs had to copy it (a slice of rows of a 2-D b)."""
+    x = dpbtrs(factor, b, overwrite_b=1)[0]
+    if x is not b:
+        b[...] = x
+
+
+class SplitFactor:
+    """W + dt A factored in two parts along a BandSplit at the interface node p.
+
+    M_c = W_c + dt A_c on the chain of nodes 0..p-1 and the block on nodes
+    p..n-1 meet in the one entry m = dt A[p-1, p].  This is the natural-order
+    Cholesky factor that pbtrf computes on the whole band, minus the band's
+    zeros over the chain: chain = chol(M_c) (tridiagonal),
+    sigma = (m / chain[p-1, p-1])^2 and block = chol(W_R + dt A_R - sigma
+    e0 e0^T), the Schur complement.  solve() is block elimination:
+    y_c = M_c^-1 r_c, then the block's solve of r_R - m y_c[-1] e0, then
+    y_c -= m x_R[0] z with z = M_c^-1 e_{p-1}.  The factor takes
+    (b + 1)(n - p) entries plus 3 p for the chain and z: about n^2 / 4 at
+    epsilon = 1 on a square grid (b = p = n/2), O(n b) at small epsilon.
+    """
+
+    def __init__(self, split: BandSplit, weights: np.ndarray, dt: float):
+        p = self.p = split.p
+        self.chain = _cholesky(split.chain[:, :p], weights[:p], dt)
+        self.m = m = dt * split.chain[0, p]  # dt A[p-1, p]; 0 when p = 0
+        self.z = np.zeros(p)
+        diagonal = weights[p:].copy()
+        if p:
+            self.z[-1] = 1.0
+            _pbtrs_into(self.chain, self.z)  # z = M_c^-1 e_{p-1}
+            diagonal[0] -= (m / self.chain[1, -1]) ** 2
+        self.block = _cholesky(split.block, diagonal, dt, first=p)
+
+    def solve(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """(W + dt A)^-1 r for r of shape (n,) or (n, k), by block elimination
+        in out (a copy of r when not given; out may be r)."""
+        if out is None:
+            out = r.copy()
+        elif out is not r:
+            out[...] = r
+        p = self.p
+        if p:  # LAPACK refuses an empty 2-D right-hand side (ldb = 0)
+            _pbtrs_into(self.chain, out[:p])
+            out[p] -= self.m * out[p - 1]
+        _pbtrs_into(self.block, out[p:])
+        if p:
+            z = self.z if out.ndim == 1 else self.z[:, None]
+            out[:p] -= (self.m * out[p]) * z
         return out
 
 

@@ -19,6 +19,13 @@ at epsilon = 1, so it is read from the block of A's band split
 (discretization.BandSplit) instead, applied to a block of states at once:
 one GEMM per block when the kernel reaches across the whole nonlocal region,
 one symmetric band mat-vec per state otherwise.
+
+estimate_beta1 finds lambda2 by block inverse iteration on the Cholesky
+factor of W + A split at the interface node (discretization.SplitFactor,
+the stepper's factor at dt = 1), with Rayleigh-Ritz on four columns: it
+never forms an n x n array.  The dense eigh of the symmetrized generator
+(_symmetrized_eigh) remains only as an oracle, for tests and for verify's
+semigroup check.
 """
 from __future__ import annotations
 
@@ -155,10 +162,12 @@ class SpectralReport:
     lambda2: float
     eigvec: StateField
     residual: float
+    iterations: int
 
 
 def _symmetrized_eigh(generator: GeneratorMatrix, subset_by_index=None):
-    """Eigenpairs of D A D with A = -W L symmetrized and D = W^-1/2.
+    """Eigenpairs of D A D with A = -W L symmetrized and D = W^-1/2, from the
+    dense L: an oracle for small sizes (estimate_beta1 never builds it).
 
     Returns the ascending eigenvalues, the orthonormal eigenvectors and the
     diagonal d of D; d * vecs[:, k] is the W-orthonormal eigenfunction of -L.
@@ -181,22 +190,69 @@ def _semigroup_oracle(generator: GeneratorMatrix, values, times) -> np.ndarray:
     return (decay * coeff) @ vecs.T * d
 
 
+EIGEN_COLUMNS = 4  # columns of the block inverse iteration
+EIGEN_MAX_ITERATIONS = 100
+
+
 def estimate_beta1(generator: GeneratorMatrix) -> SpectralReport:
     """Smallest nonzero eigenvalue of -L in the weighted inner product.
 
-    Solves the W-symmetric eigenproblem A x = lambda W x with A = -W L for
-    its two lowest eigenpairs only, deflates the constant (zero) mode, and
-    returns lambda2 together with beta1 = lambda2 / 2 and the mass-zero
-    eigenfunction.
+    Solves A x = lambda W x (A = -W L) by block inverse iteration with
+    Rayleigh-Ritz on the split band: the iteration operator is
+    (W + A)^-1 W, the Cholesky factor of W + dt A at dt = 1 that the
+    stepper builds (BandSplit.factor), whose eigenvalues 1 / (1 + lambda)
+    are largest for the smallest lambda.  It iterates on EIGEN_COLUMNS
+    W-orthonormal columns started from the cosines
+    cos(j pi (x - x_0) / (x_end - x_0)), j = 1..4, with the constant (zero)
+    mode projected out every iteration; A X comes from the split, and the
+    4 x 4 matrix X^T A X gives the Ritz pairs (numpy.linalg.eigh).  It stops
+    when the W-norm Ritz residual of lambda2 is at most 1e-10 lambda2, or
+    below 1e-9 lambda2 and no longer halving (the roundoff floor), and
+    raises after EIGEN_MAX_ITERATIONS.  Nothing n x n is formed: the factor
+    of the block and a few (n, 4) arrays.
+
+    Returns lambda2 together with beta1 = lambda2 / 2, the mass-zero
+    eigenfunction (W-normalized, its largest entry positive), the residual
+    of -L x = lambda2 x through generator.apply, and the iteration count.
+    The constant must be in the kernel: its Rayleigh quotient
+    1^T A 1 / 1^T W 1 must be at most 1e-8 max(lambda2, 1).
     """
     W = generator.weights
-    vals, vecs, d = _symmetrized_eigh(generator, subset_by_index=[0, 1])
-    if vals[0] > 1e-8 * max(vals[1], 1.0):
+    split = generator.split
+    ones = np.ones(generator.size)
+    measure = float(np.sum(W))
+    constant = float(ones @ split(ones)) / measure
+    factor = split.factor(W, 1.0)
+    root_w = np.sqrt(W)[:, None]
+    x = generator.grid.positions
+    j = np.arange(1, EIGEN_COLUMNS + 1)
+    X = np.cos(np.pi * np.multiply.outer((x - x[0]) / (x[-1] - x[0]), j))
+    previous = np.inf
+    for iterations in range(1, EIGEN_MAX_ITERATIONS + 1):
+        X = factor.solve(W[:, None] * X)
+        X -= (W @ X) / measure  # the constant mode, W-orthogonally
+        X = np.linalg.qr(root_w * X)[0] / root_w
+        AX = np.column_stack([split(column) for column in X.T])
+        ritz, V = np.linalg.eigh(X.T @ AX)
+        X, AX = X @ V, AX @ V
+        lam = float(ritz[0])
+        r = AX[:, 0] / W - lam * X[:, 0]
+        ritz_residual = float(np.sqrt(r @ (W * r)))
+        converged = (ritz_residual <= 1e-10 * lam
+                     or 1e-9 * lam >= ritz_residual > 0.5 * previous)
+        if converged:
+            break
+        previous = ritz_residual
+    if constant > 1e-8 * max(lam, 1.0):
         raise RuntimeError(
-            f"constant mode not found in the spectrum (lowest eigenvalue {vals[0]:.3e})"
+            f"constant mode not found in the spectrum (lowest eigenvalue {constant:.3e})"
         )
-    lam = float(vals[1])
-    x = d * vecs[:, 1]
+    if not converged:
+        raise RuntimeError(
+            f"eigensolver did not converge in {EIGEN_MAX_ITERATIONS} iterations: Ritz residual "
+            f"{ritz_residual:.3e} of lambda2 = {lam:.6g} above 1e-10 * lambda2"
+        )
+    x = X[:, 0].copy()
     x /= np.sqrt(np.sum(W * x * x))
     x *= np.sign(x[np.argmax(np.abs(x))]) or 1.0
     r = -generator.apply(x) - lam * x
@@ -210,6 +266,7 @@ def estimate_beta1(generator: GeneratorMatrix) -> SpectralReport:
         lambda2=lam,
         eigvec=StateField(generator.grid, x),
         residual=residual,
+        iterations=iterations,
     )
 
 

@@ -15,11 +15,14 @@ L = -W^-1 A with A symmetric positive semidefinite, so every implicit solve
 once per step size and polished with iterative refinement so the per-step
 residual stays near machine precision; that keeps the mass drift below 1e-11
 over ten thousand steps.  The factor is split at the interface node like
-A's band (discretization.BandSplit): a tridiagonal factor over the local
-chain and a band factor of the block behind it, so neither a solve nor A x
-reads the band's zeros over the local nodes.  A x reads the block as a band,
-or as a dense copy (symv) when the kernel reaches across the whole nonlocal
-region; the solves read the band factors either way.  A step writes dt L w,
+A's band (discretization.SplitFactor, made by BandSplit.factor): a
+tridiagonal factor over the local chain and a band factor of the block
+behind it, so neither a solve nor A x reads the band's zeros over the local
+nodes; the stepper keeps only the refinement and its buffers.  A x reads the
+block as a band, or as a dense copy (symv) when the kernel reaches across
+the whole nonlocal region; the solves read the band factors either way.  The
+eigensolver (energy_spectrum.estimate_beta1) solves with the same factor at
+dt = 1.  A step writes dt L w,
 dt L x and the solve residual into buffers of its stepper.  See
 _ImplicitStepper.  The window iteration factors its two sub-blocks the same
 way.
@@ -36,8 +39,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._lapack import dpbtrf, dpbtrs
-from .discretization import GeneratorMatrix, StateField, generator_edges
+from ._lapack import dpbtrs
+from .discretization import GeneratorMatrix, StateField, _cholesky, generator_edges
 from .energy_spectrum import energy_form
 from .kernels import CouplingConstants
 
@@ -164,33 +167,12 @@ def step_explicit(generator: GeneratorMatrix, w: StateField, dt: float) -> State
     return StateField(w.grid, _explicit_step(generator, dt)(w.values))
 
 
-def _cholesky(band: np.ndarray, diagonal: np.ndarray, dt: float, first: int = 0) -> np.ndarray:
-    """Band Cholesky factor of dt A + diag(diagonal), A in LAPACK upper band
-    storage whose first column is node `first` of the generator."""
-    factor = np.multiply(band, dt, order="F")
-    factor[-1] += diagonal
-    factor, info = dpbtrf(factor, overwrite_ab=1)
-    if info != 0:
-        raise RuntimeError(
-            f"Cholesky factorization of W + dt A failed: pbtrf info = {first + info}")
-    return factor
-
-
 class _ImplicitStepper:
     """Solve of (I - dt L) x = b as (W + dt A) x = W b, iteratively refined.
 
-    W + dt A is factored in two parts along the generator's BandSplit at the
-    interface node p: M_c = W_c + dt A_c on the chain of nodes 0..p-1 and the
-    block on nodes p..n-1, which meet in the one entry m = dt A[p-1, p].  This
-    is the natural-order Cholesky factor that pbtrf computes on the whole
-    band, minus the band's zeros over the chain:
-    U_c = chol(M_c) (tridiagonal), sigma = (m / U_c[p-1, p-1])^2 and
-    U_R = chol(W_R + dt A_R - sigma e0 e0^T), the Schur complement.  A solve
-    is block elimination: y_c = M_c^-1 (W r)_c, then U_R's solve of
-    (W r)_R - m y_c[-1] e0, then y_c -= m x_R[0] z with z = M_c^-1 e_{p-1}.
-    dt L x is applied as -dt (A x) / W through the split.  The factor takes
-    (b + 1)(n - p) entries plus 3 p for the chain and z: about n^2 / 4 at
-    epsilon = 1 on a square grid (b = p = n/2), O(n b) at small epsilon.
+    W + dt A is factored along the generator's BandSplit at the interface
+    node (discretization.SplitFactor), and dt L x is applied as
+    -dt (A x) / W through the split.
 
     step() advances in increment form: solve (I - dt L) d = dt L w and return
     w + d, in the array the solve made for d.  The solve residual then scales
@@ -200,21 +182,10 @@ class _ImplicitStepper:
     """
 
     def __init__(self, generator: GeneratorMatrix, dt: float):
-        split = generator.split
-        w = self.weights = generator.weights
-        self.scale = -dt / w
-        self.stiffness = split
-        self.half_bandwidth = split.half_bandwidth
-        p = self.p = split.p
-        self.chain_factor = _cholesky(split.chain[:, :p], w[:p], dt)
-        self.m = m = dt * split.chain[0, p]  # dt A[p-1, p]; 0 when p = 0
-        self.z = np.zeros(p)
-        diagonal = w[p:].copy()
-        if p:
-            self.z[-1] = 1.0
-            dpbtrs(self.chain_factor, self.z, overwrite_b=1)  # z = M_c^-1 e_{p-1}, in place
-            diagonal[0] -= (m / self.chain_factor[1, -1]) ** 2
-        self.block_factor = _cholesky(split.block, diagonal, dt, first=p)
+        self.weights = generator.weights
+        self.scale = -dt / self.weights
+        self.stiffness = generator.split
+        self.factor = self.stiffness.factor(self.weights, dt)
         # dt L w, dt L x and the residual of a step: the step allocates only
         # the state it returns
         self.lw, self.lx, self.residual = (np.empty(generator.size) for _ in range(3))
@@ -224,16 +195,10 @@ class _ImplicitStepper:
         return np.multiply(self.stiffness(x, out), self.scale, out=out)
 
     def _solve(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """(I - dt L)^-1 r as (W + dt A)^-1 W r, by block elimination in out
-        (a new array when not given; out may be r)."""
+        """(I - dt L)^-1 r as (W + dt A)^-1 W r, in out (a new array when not
+        given; out may be r)."""
         out = np.multiply(self.weights, r, out=out)
-        p = self.p
-        dpbtrs(self.chain_factor, out[:p], overwrite_b=1)  # the solves write into out
-        if p:
-            out[p] -= self.m * out[p - 1]
-        dpbtrs(self.block_factor, out[p:], overwrite_b=1)
-        out[:p] -= (self.m * out[p]) * self.z
-        return out
+        return self.factor.solve(out, out=out)
 
     def _residual(self, b: np.ndarray, x: np.ndarray) -> float:
         """||r|| for r = (b - x) + dt L x, left in the residual buffer."""

@@ -3,6 +3,7 @@ import pytest
 from scipy.optimize import brentq
 
 from couplediff import (
+    GeneratorMatrix,
     assemble_generator,
     build_grid,
     coupling_constants,
@@ -56,3 +57,15 @@ def transmission_beta1(eps, half_moment):
     g = half_moment / eps
     mu = brentq(lambda m: m * np.tan(m) - 2.0 * g, 1e-9, np.pi / 2 - 1e-12)
     return 0.5 * mu * mu
+
+
+def with_edges(gen, edges):
+    """gen with each (i, j, c) of edges adding conductance c between nodes i
+    and j (c < 0 weakens an edge), rebuilt through from_dense."""
+    L, W = gen.dense(), gen.weights
+    for i, j, c in edges:
+        L[i, j] += c / W[i]
+        L[j, i] += c / W[j]
+        L[i, i] -= c / W[i]
+        L[j, j] -= c / W[j]
+    return GeneratorMatrix.from_dense(gen.grid, L)

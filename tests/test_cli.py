@@ -10,7 +10,7 @@ from couplediff.config import (
     initial_state,
     parse_config_text,
 )
-from couplediff.discretization import build_grid
+from couplediff.discretization import GeneratorMatrix, build_grid
 from couplediff.output import write_csv, write_float_csv
 
 SMALL = """
@@ -315,6 +315,23 @@ def test_sweep_constant_init_near_zero_error(tmp_path):
     assert main(["sweep-epsilon", "--config", cfg, "--eps", "0.4,0.1"]) == 0
     _, rows = read_csv(tmp_path / "out" / "sweep.csv")
     assert all(float(r[3]) <= 1e-10 for r in rows)
+
+
+def test_cli_runs_never_build_the_dense_generator(tmp_path, monkeypatch):
+    """simulate, spectrum and sweep-epsilon read only the band: with
+    GeneratorMatrix.dense raising, all three runs still succeed."""
+    def refuse(self):
+        raise AssertionError("GeneratorMatrix.dense called")
+
+    monkeypatch.setattr(GeneratorMatrix, "dense", refuse)
+    cfg = write_cfg(tmp_path, SMALL, "init.kind = gaussian\n")
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim")]) == 0
+    assert (tmp_path / "sim" / "decay.csv").exists()
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "spec")]) == 0
+    assert main(["spectrum", "--config", cfg, "--pure-heat", "--out",
+                 str(tmp_path / "heat")]) == 0
+    assert main(["sweep-epsilon", "--config", cfg, "--eps", "0.4,0.1", "--out",
+                 str(tmp_path / "sweep")]) == 0
 
 
 def test_init_file_roundtrip(tmp_path):

@@ -21,7 +21,7 @@ from couplediff import (
 from couplediff.energy_spectrum import _symmetrized_eigh
 from couplediff.kernels import FAMILIES
 from couplediff.verify import _structure_defects
-from conftest import weighted_norm
+from conftest import weighted_norm, with_edges
 
 
 def test_build_grid_layout():
@@ -397,3 +397,29 @@ def test_split_is_dense_exactly_when_band_is_full():
                 assert (split.dense is not None) == full, (family, eps, n_nonlocal)
                 seen.add(full)
     assert seen == {True, False}
+
+
+@pytest.mark.parametrize("case", ["dense block", "band block", "heat", "no chain"])
+def test_split_factor_solves_blocks_of_columns(case):
+    """SplitFactor.solve of an (n, 3) right-hand side is W + dt A's dense
+    solve, column by column equal to the (n,) solve, for a chain at the
+    interface node over a dense and a banded block, the heat generator's
+    chain over every node, and a far link from node 0 (p = 0)."""
+    if case == "heat":
+        gen = assemble_heat_generator(60)
+    else:
+        gen = _layout_generator("triangle", 1.0 if case != "band block" else 0.3, 20, 23)
+    if case == "no chain":
+        gen = with_edges(gen, [(0, gen.size - 1, 0.7)])
+        assert gen.split.p == 0
+    dt = 0.3
+    factor = gen.split.factor(gen.weights, dt)
+    M = np.diag(gen.weights) - dt * (gen.weights[:, None] * gen.dense())
+    R = np.random.default_rng(43).standard_normal((gen.size, 3))
+    X = factor.solve(R)
+    assert np.max(np.abs(X - np.linalg.solve(M, R))) <= 1e-12 * np.max(np.abs(X))
+    for k in range(3):
+        assert np.array_equal(factor.solve(R[:, k].copy()), X[:, k])
+    out = R.copy()
+    assert factor.solve(out, out=out) is out
+    assert np.array_equal(out, X)

@@ -23,8 +23,10 @@ from couplediff import (
     supersolution_check,
     weighted_inner,
 )
+from couplediff import energy_spectrum
+from couplediff.energy_spectrum import EIGEN_MAX_ITERATIONS, _symmetrized_eigh
 from couplediff.kernels import FAMILIES
-from conftest import transmission_beta1
+from conftest import transmission_beta1, with_edges
 
 PI2_OVER_8 = np.pi**2 / 8.0
 
@@ -243,6 +245,96 @@ def test_beta1_coupled_positive(gen100, grid100):
     assert rep.lambda2 == pytest.approx(2 * rep.beta1, rel=1e-14)
     assert abs(mass(grid100, rep.eigvec)) <= 1e-10
     assert weighted_inner(grid100, rep.eigvec, rep.eigvec) == pytest.approx(1.0)
+
+
+def _far_linked_generator():
+    """The 20 x 20 triangle generator plus an edge from node 0 to node n - 1:
+    its chain length is p = 0, so the split's block is the whole band."""
+    kernel = make_kernel("triangle", 1.0, 1.0)
+    base = assemble_generator(build_grid(20, 20), kernel, coupling_constants(kernel))
+    gen = with_edges(base, [(0, base.size - 1, 0.7)])
+    assert gen.split.p == 0
+    return gen
+
+
+def _assert_matches_dense_eigh(gen):
+    """lambda2 to 1e-9 relative and the eigenfunction, up to sign, to 1e-7 in
+    the W-norm, against the dense eigh of the symmetrized generator; the
+    eigenfunction is W-normalized and has mass at most 1e-10."""
+    rep = estimate_beta1(gen)
+    vals, vecs, d = _symmetrized_eigh(gen, subset_by_index=[0, 1])
+    assert abs(rep.lambda2 / vals[1] - 1.0) <= 1e-9
+    assert rep.beta1 == 0.5 * rep.lambda2
+    x, W = rep.eigvec.values, gen.weights
+    assert abs(W @ x) <= 1e-10
+    assert W @ (x * x) == pytest.approx(1.0, rel=1e-12)
+    y = d * vecs[:, 1]
+    y /= np.sqrt(W @ (y * y))
+    assert min(np.sqrt(W @ (x - y) ** 2), np.sqrt(W @ (x + y) ** 2)) <= 1e-7
+    return rep
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("eps", (1.0, 0.4, 0.1, 0.05))
+@pytest.mark.parametrize("n_local, n_nonlocal", [(50, 57), (200, 200)])
+def test_band_eigensolve_matches_dense_eigh(family, eps, n_local, n_nonlocal):
+    """Block inverse iteration on the split band against the dense eigh;
+    eps = 0.05 takes the sweep's 4 / eps nonlocal cells where 57 is too
+    coarse for its kernel."""
+    kernel = make_kernel(family, 1.0, eps)
+    grid = build_grid(n_local, max(n_nonlocal, int(np.ceil(4.0 / eps))))
+    _assert_matches_dense_eigh(assemble_generator(grid, kernel, coupling_constants(kernel)))
+
+
+def test_band_eigensolve_heat_and_far_linked_generators():
+    """The pure-heat generator (chain p = n - 1, whose cosine start vectors
+    are its eigenvectors: one iteration) and a generator with no chain."""
+    assert _assert_matches_dense_eigh(assemble_heat_generator(400)).iterations == 1
+    _assert_matches_dense_eigh(_far_linked_generator())
+
+
+def test_band_eigensolve_finds_a_mode_the_first_start_column_misses():
+    """The heat generator on 40 intervals with its edges at x = -0.5 and
+    x = 0.5 weakened to conductance 0.5 and a link of conductance 0.4 from
+    x = -1 to x = 1: a reflection-symmetric generator whose lambda2 mode is
+    even (1.747; the lowest odd one is 2.337).  The first start column
+    cos(pi (x + 1) / 2) is odd, so it has no component along that mode:
+    only the Rayleigh-Ritz step over the whole block finds lambda2."""
+    heat = assemble_heat_generator(40)
+    gen = with_edges(heat, [(9, 10, 0.5 - 20.0), (30, 31, 0.5 - 20.0), (0, heat.size - 1, 0.4)])
+    rep = _assert_matches_dense_eigh(gen)
+    x = rep.eigvec.values
+    assert np.max(np.abs(x - x[::-1])) <= 1e-8  # the even mode
+    assert rep.lambda2 == pytest.approx(1.747, abs=1e-3)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_eigensolve_converges_well_inside_the_cap(family, constants):
+    """Criteria 03/04 (triangle, eps = 1, 200 x 200 and 400 x 400), 05 (the
+    heat generator on 400 intervals) and eps = 1 for every family stop in at
+    most a quarter of the iteration cap."""
+    kernel = make_kernel(family, 1.0, 1.0)
+    gens = [assemble_generator(build_grid(200, 200), kernel, coupling_constants(kernel))]
+    if family == "triangle":
+        gens += [assemble_generator(build_grid(400, 400), kernel, constants),
+                 assemble_heat_generator(400)]
+    for gen in gens:
+        rep = estimate_beta1(gen)
+        assert 1 <= rep.iterations <= EIGEN_MAX_ITERATIONS // 4, (family, gen.size)
+        assert rep.residual <= 1e-8 * rep.lambda2
+
+
+def test_eigensolve_cap_names_the_residual(gen50, monkeypatch):
+    monkeypatch.setattr(energy_spectrum, "EIGEN_MAX_ITERATIONS", 2)
+    with pytest.raises(RuntimeError, match=r"did not converge in 2 iterations: Ritz residual"):
+        estimate_beta1(gen50)
+
+
+def test_eigensolve_needs_the_constant_mode(grid50):
+    """L = -I has no constant mode: 1^T A 1 / 1^T W 1 = 1."""
+    gen = GeneratorMatrix.from_dense(grid50, -np.eye(grid50.size))
+    with pytest.raises(RuntimeError, match="constant mode not found"):
+        estimate_beta1(gen)
 
 
 def test_beta1_small_eps_transmission_oracle(constants):

@@ -129,7 +129,7 @@ def test_stepper_layouts_match_dense_solve(constants, eps, half_bandwidth):
     gen = assemble_generator(grid, make_kernel("triangle", 1.0, eps), constants)
     dt = 5e-4
     stepper = _ImplicitStepper(gen, dt)
-    assert stepper.half_bandwidth == half_bandwidth
+    assert stepper.stiffness.half_bandwidth == half_bandwidth
     L = gen.dense()
     M = np.eye(grid.size) - dt * L
     w = ref = np.exp(-((grid.positions + 0.5) ** 2) / (2 * 0.15**2))
@@ -151,7 +151,7 @@ def test_split_solve_matches_dense_solve(family, eps, n):
     gen = assemble_generator(grid, kernel, coupling_constants(kernel))
     dt = 5e-4
     stepper = _ImplicitStepper(gen, dt)
-    assert stepper.p == grid.interface_index
+    assert stepper.factor.p == grid.interface_index
     M = np.eye(grid.size) - dt * gen.dense()
     r = np.random.default_rng(33).standard_normal(grid.size)
     ref = np.linalg.solve(M, r)
@@ -163,7 +163,7 @@ def test_split_solve_heat_generator():
     gen = assemble_heat_generator(200)
     dt = 5e-4
     stepper = _ImplicitStepper(gen, dt)
-    assert stepper.p == gen.size - 1
+    assert stepper.factor.p == gen.size - 1
     r = np.random.default_rng(34).standard_normal(gen.size)
     ref = np.linalg.solve(np.eye(gen.size) - dt * gen.dense(), r)
     assert np.max(np.abs(stepper.solve(r) - ref)) <= 1e-12 * np.max(np.abs(ref))
