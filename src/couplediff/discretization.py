@@ -13,8 +13,8 @@ off-diagonal entries and the exact mass identity  sum(W L w) = 0  are all
 consequences of that single construction.
 
 A is thus a weighted graph Laplacian, banded (the kernel reaches R eps) and
-stored as W and A's upper band only; GeneratorMatrix.dense() rebuilds L for
-small reference computations.  The local nodes form a tridiagonal chain that
+stored as W and A's upper band only; GeneratorMatrix.dense() rebuilds L as
+the tests' dense oracle.  The local nodes form a tridiagonal chain that
 meets the rest only at the interface node, so A x and the implicit solves
 read the band split there (BandSplit), never the zeros of the band over the
 local nodes.  The block behind the chain is read as a band, or, when the
@@ -361,7 +361,8 @@ class GeneratorMatrix:
         return np.negative(self.split(x)) / self.weights
 
     def dense(self) -> np.ndarray:
-        """L as an n x n array; a reference for small sizes and oracles."""
+        """L as an n x n array, the tests' dense oracle; nothing in the
+        package calls it (the eigen oracle reads A's band directly)."""
         L = _symmetric(self.band)
         L /= -self.weights[:, None]
         return L

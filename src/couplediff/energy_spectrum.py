@@ -23,9 +23,9 @@ one symmetric band mat-vec per state otherwise.
 estimate_beta1 finds lambda2 by block inverse iteration on the Cholesky
 factor of W + A split at the interface node (discretization.SplitFactor,
 the stepper's factor at dt = 1), with Rayleigh-Ritz on four columns: it
-never forms an n x n array.  The dense eigh of the symmetrized generator
-(_symmetrized_eigh) remains only as an oracle, for tests and for verify's
-semigroup check.
+never forms an n x n array.  The dense eigh of W^-1/2 A W^-1/2, A written
+out from its band (_symmetrized_eigh), remains only as an oracle, for tests
+and for verify's semigroup check.
 """
 from __future__ import annotations
 
@@ -38,6 +38,7 @@ from .discretization import (
     GeneratorMatrix,
     Grid,
     StateField,
+    _symmetric,
     generator_edges,
     mass,
     weighted_inner,
@@ -166,17 +167,16 @@ class SpectralReport:
 
 
 def _symmetrized_eigh(generator: GeneratorMatrix, subset_by_index=None):
-    """Eigenpairs of D A D with A = -W L symmetrized and D = W^-1/2, from the
-    dense L: an oracle for small sizes (estimate_beta1 never builds it).
+    """Eigenpairs of D A D with A = -W L and D = W^-1/2, from A's band
+    written out dense: an oracle for small sizes (estimate_beta1 never
+    builds it).
 
     Returns the ascending eigenvalues, the orthonormal eigenvectors and the
     diagonal d of D; d * vecs[:, k] is the W-orthonormal eigenfunction of -L.
     subset_by_index = [lo, hi] keeps only eigenpairs lo..hi (all by default).
     """
-    W = generator.weights
-    A = -(W[:, None] * generator.dense())
-    A = 0.5 * (A + A.T)
-    d = 1.0 / np.sqrt(W)
+    A = _symmetric(generator.band)
+    d = 1.0 / np.sqrt(generator.weights)
     vals, vecs = eigh(d[:, None] * A * d[None, :], subset_by_index=subset_by_index)
     return vals, vecs, d
 

@@ -318,8 +318,9 @@ def test_sweep_constant_init_near_zero_error(tmp_path):
 
 
 def test_cli_runs_never_build_the_dense_generator(tmp_path, monkeypatch):
-    """simulate, spectrum and sweep-epsilon read only the band: with
-    GeneratorMatrix.dense raising, all three runs still succeed."""
+    """simulate, spectrum and sweep-epsilon read only the band, and so does
+    verify's structure check: with GeneratorMatrix.dense raising, the runs
+    still succeed and the structure check passes."""
     def refuse(self):
         raise AssertionError("GeneratorMatrix.dense called")
 
@@ -332,6 +333,8 @@ def test_cli_runs_never_build_the_dense_generator(tmp_path, monkeypatch):
                  str(tmp_path / "heat")]) == 0
     assert main(["sweep-epsilon", "--config", cfg, "--eps", "0.4,0.1", "--out",
                  str(tmp_path / "sweep")]) == 0
+    ok, _ = verify.check_operator_structure(SimConfig())
+    assert ok
 
 
 def test_init_file_roundtrip(tmp_path):
@@ -361,19 +364,49 @@ def test_initial_profiles():
     assert np.all(const.values == -2.0)
 
 
-def test_verify_detects_corruption():
+def _zero_coupling_edge(gen):  # A[I, I + 1], the coupling edge to the first cell
+    gen.band[gen.half_bandwidth - 1, gen.grid.interface_index + 1] = 0.0
+
+
+def _flip_coupling_edge(gen):  # A[I, I + 1] > 0; both rows still sum to zero
+    b, i = gen.half_bandwidth, gen.grid.interface_index
+    c = -gen.band[b - 1, i + 1]
+    gen.band[b - 1, i + 1] = c
+    gen.band[b, i : i + 2] -= 2.0 * c
+
+
+def _scale_diagonal(gen):
+    gen.band[-1, 10] *= 1.0 + 1e-9
+
+
+def _negate_diagonal(gen):
+    gen.band[-1, 10] *= -1.0
+
+
+def _nan_coupling_edge(gen):
+    gen.band[gen.half_bandwidth - 1, gen.grid.interface_index + 1] = np.nan
+
+
+def _isolate_node(gen):  # node 10's two local edges and its diagonal
+    b = gen.half_bandwidth
+    gen.band[b - 1, 10] = gen.band[b - 1, 11] = gen.band[b, 10] = 0.0
+
+
+@pytest.mark.parametrize("corrupt", (
+    _zero_coupling_edge, _flip_coupling_edge, _scale_diagonal, _negate_diagonal,
+    _nan_coupling_edge, _isolate_node,
+), ids=lambda corrupt: corrupt.__name__.strip("_"))
+def test_verify_detects_corruption(corrupt):
+    """Each corruption of the band fails the structure check: a NaN entry and
+    an isolated node (whose own row reads 0 / 0) included."""
     cfg = SimConfig(grid_n_local=50, grid_n_nonlocal=50)
-
-    def corrupt(gen):  # zero A[I, I + 1], the coupling edge to the first cell
-        i = gen.grid.interface_index
-        gen.band[gen.half_bandwidth - 1, i + 1] = 0.0
-
-    ok, _ = verify.check_mass_conservation(cfg, transform=corrupt)
-    assert not ok
     ok, _ = verify.check_operator_structure(cfg, transform=corrupt)
     assert not ok
-    ok, _ = verify.check_mass_conservation(cfg, transform=None)
-    assert ok
+    if corrupt is _zero_coupling_edge:
+        ok, _ = verify.check_mass_conservation(cfg, transform=corrupt)
+        assert not ok
+        ok, _ = verify.check_mass_conservation(cfg, transform=None)
+        assert ok
 
 
 def test_verify_clean_passes(tmp_path, capsys):
