@@ -20,12 +20,18 @@ at epsilon = 1, so it is read from the block of A's band split
 one GEMM per block when the kernel reaches across the whole nonlocal region,
 one symmetric band mat-vec per state otherwise.
 
+nonlocal_energy_full is the jump energy of the kernel over the whole
+domain, local nodes included: not a term of the generator, it is summed
+one index offset at a time out to the kernel's reach, for one state or a
+block of states (estimate_energy_control_k reads it for all its samples
+at once).
+
 estimate_beta1 finds lambda2 by block inverse iteration on the Cholesky
 factor of W + A split at the interface node (discretization.SplitFactor,
 the stepper's factor at dt = 1), with Rayleigh-Ritz on four columns: it
-never forms an n x n array.  The dense eigh of W^-1/2 A W^-1/2, A written
-out from its band (_symmetrized_eigh), remains only as an oracle, for tests
-and for verify's semigroup check.
+never forms an n x n array.  numpy.linalg.eigh of W^-1/2 A W^-1/2, A
+written out dense from its band (_symmetrized_eigh), remains only as an
+oracle, for tests and for verify's semigroup check.
 """
 from __future__ import annotations
 
@@ -33,7 +39,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lapack import eigh
 from .discretization import (
     GeneratorMatrix,
     Grid,
@@ -134,18 +139,22 @@ def energy(generator: GeneratorMatrix, w: StateField) -> EnergyBreakdown:
     return EnergyBreakdown(*energy_form(generator)(w.values))
 
 
-def _full_pair_weights(grid: Grid, kernel: Kernel):
-    """Edges (i, j, c) of the full-domain nonlocal energy: every pair i < j
-    of degrees of freedom (positions sorted) within the kernel's reach, with
-    c = 4 w_i J_eps(x_i - x_j) w_j, so that edge_energy sums over ordered
-    pairs, each unordered pair twice.  The kernel decides every value."""
-    x = grid.positions
-    ww = grid.weights
+def _full_energy(grid: Grid, kernel: Kernel, values):
+    """Full-domain nonlocal energy of one state, or of each row of a block.
+
+    1/2 sum_d sum_i c_d,i (w_{i+d} - w_i)^2, one offset d at a time out to
+    the kernel's reach in index (positions sorted), with
+    c_d,i = 4 w_i J_eps(x_i - x_{i+d}) w_{i+d}: the d-th diagonal of the
+    full-domain form, each unordered pair counted twice.  The kernel decides
+    every value, and a constant state gives exactly 0.
+    """
+    x, ww = grid.positions, grid.weights
     reach = np.searchsorted(x, x + kernel.support_radius * (1.0 + 1e-9), side="right")
-    counts = reach - np.arange(x.size) - 1
-    i = np.repeat(np.arange(x.size), counts)
-    j = i + 1 + np.arange(i.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    return i, j, 4.0 * ww[i] * kernel(x[i] - x[j]) * ww[j]
+    total = np.zeros(np.shape(values)[:-1])
+    for d in range(1, int(np.max(reach - np.arange(x.size)))):
+        c = 4.0 * ww[:-d] * kernel(x[:-d] - x[d:]) * ww[d:]
+        total += np.square(values[..., d:] - values[..., :-d]) @ c
+    return 0.5 * total
 
 
 def nonlocal_energy_full(grid: Grid, kernel: Kernel, w: StateField) -> float:
@@ -154,7 +163,7 @@ def nonlocal_energy_full(grid: Grid, kernel: Kernel, w: StateField) -> float:
     Double quadrature over all degree-of-freedom pairs, local nodes and
     nonlocal centers alike, of J_eps(x - y) (w(y) - w(x))^2.
     """
-    return edge_energy((_full_pair_weights(grid, kernel),), w.values)[0]
+    return float(_full_energy(grid, kernel, w.values))
 
 
 @dataclass
@@ -166,18 +175,17 @@ class SpectralReport:
     iterations: int
 
 
-def _symmetrized_eigh(generator: GeneratorMatrix, subset_by_index=None):
+def _symmetrized_eigh(generator: GeneratorMatrix):
     """Eigenpairs of D A D with A = -W L and D = W^-1/2, from A's band
     written out dense: an oracle for small sizes (estimate_beta1 never
     builds it).
 
     Returns the ascending eigenvalues, the orthonormal eigenvectors and the
     diagonal d of D; d * vecs[:, k] is the W-orthonormal eigenfunction of -L.
-    subset_by_index = [lo, hi] keeps only eigenpairs lo..hi (all by default).
     """
     A = _symmetric(generator.band)
     d = 1.0 / np.sqrt(generator.weights)
-    vals, vecs = eigh(d[:, None] * A * d[None, :], subset_by_index=subset_by_index)
+    vals, vecs = np.linalg.eigh(d[:, None] * A * d[None, :])
     return vals, vecs, d
 
 
@@ -207,7 +215,9 @@ def estimate_beta1(generator: GeneratorMatrix) -> SpectralReport:
     mode projected out every iteration; A X comes from the split, and the
     4 x 4 matrix X^T A X gives the Ritz pairs (numpy.linalg.eigh).  It stops
     when the W-norm Ritz residual of lambda2 is at most 1e-10 lambda2, or
-    below 1e-9 lambda2 and no longer halving (the roundoff floor), and
+    no longer halving below the roundoff floor of A X in the W-norm,
+    8 u max_i sum_j |A_ij| / W_i = 16 u max_i A_ii / W_i (u the unit
+    roundoff; A is a Laplacian with nonpositive off-diagonal entries), and
     raises after EIGEN_MAX_ITERATIONS.  Nothing n x n is formed: the factor
     of the block and a few (n, 4) arrays.
 
@@ -223,6 +233,7 @@ def estimate_beta1(generator: GeneratorMatrix) -> SpectralReport:
     measure = float(np.sum(W))
     constant = float(ones @ split(ones)) / measure
     factor = split.factor(W, 1.0)
+    floor = 8.0 * np.finfo(float).eps * float(np.max(generator.band[-1] / W))  # eps = 2 u
     root_w = np.sqrt(W)[:, None]
     x = generator.grid.positions
     j = np.arange(1, EIGEN_COLUMNS + 1)
@@ -239,7 +250,7 @@ def estimate_beta1(generator: GeneratorMatrix) -> SpectralReport:
         r = AX[:, 0] / W - lam * X[:, 0]
         ritz_residual = float(np.sqrt(r @ (W * r)))
         converged = (ritz_residual <= 1e-10 * lam
-                     or 1e-9 * lam >= ritz_residual > 0.5 * previous)
+                     or floor >= ritz_residual > 0.5 * previous)
         if converged:
             break
         previous = ritz_residual
@@ -286,22 +297,21 @@ def estimate_energy_control_k(generator: GeneratorMatrix, n_samples: int, seed: 
 
     Draws mean-zero standard normal states sequentially from one seeded
     stream, as the rows of one block, and returns the minimum over samples
-    of energy(w).total / nonlocal_energy_full(w): the energies come from one
-    energy_form call on the block, the full nonlocal energy sample by
-    sample.  Samples whose full nonlocal energy is below 1e-14 are
-    discarded.
+    of energy(w).total / nonlocal_energy_full(w), both evaluated once on
+    the whole block (energy_form and the offset sum behind
+    nonlocal_energy_full).  Samples whose full nonlocal energy is below
+    1e-14 are discarded.
     """
     if n_samples < 10:
         raise ValueError("need at least 10 samples")
     grid = generator.grid
     terms = energy_form(generator)
-    pairs = (_full_pair_weights(grid, generator.kernel),)
     ww = grid.weights
 
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n_samples, grid.size))  # row k: the k-th draw of the stream
     z -= 0.5 * (z @ ww)[:, None]
-    nlf = np.array([edge_energy(pairs, row)[0] for row in z])
+    nlf = _full_energy(grid, generator.kernel, z)
     loc, nl, cp = terms(z)
     kept = nlf >= 1e-14
     best = np.min((loc + nl + cp)[kept] / nlf[kept], initial=np.inf)

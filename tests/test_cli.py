@@ -282,6 +282,20 @@ def test_spectrum_rows_and_determinism(tmp_path):
     ).read_bytes()
 
 
+def test_spectrum_eps_one_fine_grid(tmp_path):
+    """The triangle at eps = 1 on 1200 x 1200, where the eigensolver's Ritz
+    residual stalls at its roundoff floor: the run exits 0."""
+    cfg = write_cfg(
+        tmp_path,
+        "kernel.family = triangle\nkernel.epsilon = 1.0\n"
+        "grid.n_local = 1200\ngrid.n_nonlocal = 1200\n",
+        f"output.dir = {tmp_path}/out\n",
+    )
+    assert main(["spectrum", "--config", cfg]) == 0
+    _, rows = read_csv(tmp_path / "out" / "spectrum.csv")
+    assert float(rows[0][5]) <= 1e-8 * float(rows[0][4])
+
+
 def test_spectrum_pure_heat_flag(tmp_path):
     cfg = write_cfg(tmp_path, SMALL, f"output.dir = {tmp_path}/out\n")
     assert main(["spectrum", "--config", cfg, "--pure-heat"]) == 0

@@ -54,11 +54,9 @@ def test_cli_runs_leave_scipy_linalg_out(tmp_path):
         "        called.add(name)\n"
         "        return fn(*a, **k)\n"
         "    return wrapped\n"
-        "import couplediff.discretization as d, couplediff.evolution as e, "
-        "couplediff.energy_spectrum as s\n"
+        "import couplediff.discretization as d, couplediff.evolution as e\n"
         "for mod, names in ((d, ['dsbmv', 'dsymv', 'dpbtrf', 'dpbtrs']),\n"
-        "                   (e, ['dsbmv', 'dpbtrf', 'dpbtrs']),\n"
-        "                   (s, ['eigh'])):\n"
+        "                   (e, ['dsbmv', 'dpbtrf', 'dpbtrs'])):\n"
         "    for name in names:\n"
         "        setattr(mod, name, count(name))\n"
         "cfg, out = sys.argv[1], sys.argv[2]\n"
@@ -68,16 +66,13 @@ def test_cli_runs_leave_scipy_linalg_out(tmp_path):
         str(cfg),
         str(tmp_path),
     )
-    # eigh stays wrapped: the eigensolve reads the split band, and no CLI run
-    # reaches the dense eigh any more
     assert out.splitlines()[-1] == "['dpbtrf', 'dpbtrs', 'dsbmv', 'dsymv'] False"
 
 
 EQUIVALENCE = """
-import numpy as np
 if sys.argv[1] == "scipy-first":
     import scipy.linalg, scipy.linalg.blas, scipy.linalg.lapack
-from couplediff import _lapack, assemble_generator, build_grid, coupling_constants, make_kernel
+from couplediff import _lapack
 import scipy.linalg, scipy.linalg.blas, scipy.linalg.lapack
 
 assert _lapack.dsbmv is scipy.linalg.blas.dsbmv
@@ -85,34 +80,13 @@ assert _lapack.dsymv is scipy.linalg.blas.dsymv
 assert _lapack.dpbtrf is scipy.linalg.lapack.dpbtrf
 assert _lapack.dpbtrs is scipy.linalg.lapack.dpbtrs
 
-matrices = []
-for family, eps in (("triangle", 1.0), ("uniform", 0.25), ("epanechnikov", 0.5)):
-    kernel = make_kernel(family, 1.0, eps)
-    gen = assemble_generator(build_grid(30, 37), kernel, coupling_constants(kernel))
-    W = gen.weights
-    A = -(W[:, None] * gen.dense())
-    A = 0.5 * (A + A.T)
-    d = 1.0 / np.sqrt(W)
-    matrices.append(d[:, None] * A * d[None, :])
-rng = np.random.default_rng(11)
-for n in (2, 50, 401):
-    B = rng.standard_normal((n, n))
-    matrices.append(B + B.T)
-
-cases = 0
-for M in matrices:
-    for subset in (None, [0, 1]):
-        ours = _lapack.eigh(M, subset_by_index=subset)
-        theirs = scipy.linalg.eigh(M, subset_by_index=subset)
-        assert all(np.array_equal(a, b) for a, b in zip(ours, theirs)), (M.shape, subset)
-        cases += 1
-print(cases)
+print("same objects")
 """
 
 
 @pytest.mark.parametrize("order", ["couplediff-first", "scipy-first"])
 def test_lapack_matches_scipy_linalg(order):
-    assert run_fresh(EQUIVALENCE, order).strip() == "12"
+    assert run_fresh(EQUIVALENCE, order).strip() == "same objects"
 
 
 def test_missing_extension_names_the_path():
