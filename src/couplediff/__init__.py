@@ -28,7 +28,6 @@ from .discretization import (
     constant_state,
     generator_edges,
     mass,
-    state_from_function,
     weighted_inner,
 )
 from .energy_spectrum import (

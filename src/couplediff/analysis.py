@@ -21,7 +21,7 @@ from .discretization import (
     generator_edges,
 )
 from .energy_spectrum import SpectralReport, estimate_beta1
-from .evolution import StepScheme, Trajectory, _States, _StateBlocks
+from .evolution import StepScheme, Trajectory, _States
 from .kernels import coupling_constants, make_kernel
 
 _TINY = np.finfo(float).tiny
@@ -168,22 +168,6 @@ def epsilon_sweep(
     return rows
 
 
-class _SupError(_StateBlocks):
-    """The largest weighted L2 distance of the pushed states to the heat
-    reference at their times, evaluated a block of states at a time."""
-
-    def __init__(self, ref: _HeatReference):
-        super().__init__(ref.grid.size)
-        self.ref = ref
-        self.sup = 0.0
-
-    def flush(self, times, block):
-        diff = self.ref.at(times)
-        diff -= block
-        err = np.sqrt(np.square(diff, out=diff) @ self.ref.grid.weights)
-        self.sup = max(self.sup, float(err.max()))
-
-
 def _sweep_member(base_config, e, constants, scheme, horizon, w0, ref) -> SweepRow:
     """One sweep row from w0 and the heat reference ref on the member's grid,
     stepping the member once.  The generator and the stepper live in this
@@ -193,18 +177,20 @@ def _sweep_member(base_config, e, constants, scheme, horizon, w0, ref) -> SweepR
     kernel = make_kernel(base_config.kernel_family, base_config.kernel_radius, e)
     generator = assemble_generator(grid, kernel, constants)
     spectral = estimate_beta1(generator)
-    errors = _SupError(ref)
     states = _States(generator, w0, scheme, horizon)
-    for t, values in states:
-        errors.push(t, values)
-    errors.close()
+    sup = 0.0
+    for times, block in states.blocks():
+        diff = ref.at(times)
+        diff -= block
+        err = np.sqrt(np.square(diff, out=diff) @ grid.weights)
+        sup = max(sup, float(err.max()))
     return SweepRow(
         epsilon=e,
         n_nonlocal=grid.n_nonlocal,
         dt=states.dt,
-        sup_error_l2=errors.sup,
+        sup_error_l2=sup,
         beta1_eps=spectral.beta1,
-        interface_jump=interface_jump(StateField(grid, values)),
+        interface_jump=interface_jump(StateField(grid, block[-1])),
     )
 
 

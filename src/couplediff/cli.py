@@ -12,8 +12,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import verify as verify_mod
 from .analysis import DecayFitError, decay_report, epsilon_sweep
 from .config import (
@@ -30,19 +28,10 @@ from .config import (
 )
 from .discretization import assemble_generator, assemble_heat_generator
 from .energy_spectrum import estimate_beta1, estimate_energy_control_k
-from .evolution import cfl_limit, evolve
+from .evolution import TIMESERIES_COLUMNS, cfl_limit, evolve
 from .kernels import coupling_constants
 from .output import atomic_write_text, svg_line_plot, write_csv, write_float_csv
 
-TIMESERIES_COLUMNS = (
-    "t",
-    "mass",
-    "energy_total",
-    "energy_local",
-    "energy_nonlocal",
-    "energy_coupling",
-    "dist_to_mean",
-)
 SPECTRUM_SAMPLES = 200
 
 
@@ -54,35 +43,23 @@ def _setup(cfg: SimConfig):
         raise ConfigError(f"grid.n_nonlocal / kernel.epsilon: {exc}") from exc
 
 
-def _check_record_table(cfg: SimConfig):
-    """Refuse, before assembly, a given time.dt whose (n_steps + 1) x 6
-    float64 table of recorded diagnostics exceeds physical memory.  The step
-    count is horizon / dt, which every scheme rounds (or nudges by one step),
-    kept as a float because it need not fit an integer."""
-    if cfg.time_dt == "auto":
-        return
-    n_steps = cfg.time_horizon / float(cfg.time_dt)
-    table = (n_steps + 1.0) * 6 * 8
+def _check_record_table(cfg: SimConfig, dt: float):
+    """Refuse a step size dt whose table of recorded diagnostics, (n_steps + 1)
+    rows of len(TIMESERIES_COLUMNS) float64, exceeds physical memory, before
+    evolve allocates it.  The step count is horizon / dt, which every scheme
+    rounds (or nudges by one step), kept as a float because it need not fit
+    an integer.  run_simulate calls it as soon as dt is known: a given
+    time.dt and picard's sub-step before assembly, the explicit scheme's
+    auto step (its CFL limit) after."""
+    n_steps = cfg.time_horizon / dt
+    table = (n_steps + 1.0) * len(TIMESERIES_COLUMNS) * 8
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if table > memory:
         raise ConfigError(
-            f"time.dt: {cfg.time_dt} over time.horizon = {cfg.time_horizon} takes "
-            f"{n_steps:.3g} steps, whose table of diagnostics ({table / 2**30:.3g} GiB) "
-            f"exceeds physical memory ({memory / 2**30:.3g} GiB)"
+            f"time.horizon / time.dt: dt = {dt:.6g} over time.horizon = {cfg.time_horizon} "
+            f"takes {n_steps:.3g} steps, whose table of diagnostics "
+            f"({table / 2**30:.3g} GiB) exceeds physical memory ({memory / 2**30:.3g} GiB)"
         )
-
-
-def _write_timeseries(path, traj):
-    table = np.column_stack((
-        traj.times,
-        traj.mass,
-        traj.energy_total,
-        traj.energy_local,
-        traj.energy_nonlocal,
-        traj.energy_coupling,
-        traj.dist_to_mean,
-    ))
-    write_float_csv(path, TIMESERIES_COLUMNS, table)
 
 
 def _write_snapshot(path, state):
@@ -96,32 +73,36 @@ def _write_snapshot(path, state):
 
 
 def run_simulate(cfg: SimConfig, svg: bool = False) -> list:
-    _check_record_table(cfg)
-    generator = _setup(cfg)
     scheme = scheme_from(cfg)
-    if scheme.kind == "explicit" and scheme.dt != "auto":
+    if scheme.dt != "auto":
+        _check_record_table(cfg, float(scheme.dt))
+    if scheme.kind == "picard":
+        constants = coupling_constants(kernel_from(cfg))
+        try:
+            window = scheme.window_for(constants)
+        except ValueError as exc:
+            raise ConfigError(f"picard.window: {exc}") from exc
+        try:
+            dt = scheme.picard_steps(constants, cfg.time_horizon)[1]
+        except ValueError as exc:
+            raise ConfigError(f"time.dt / time.horizon: {exc}") from exc
+        _check_record_table(cfg, dt)
+    generator = _setup(cfg)
+    if scheme.kind == "explicit":
         limit = cfl_limit(generator)
-        if float(scheme.dt) > limit * (1.0 + 1e-12):
+        if scheme.dt == "auto":
+            _check_record_table(cfg, limit)
+        elif float(scheme.dt) > limit * (1.0 + 1e-12):
             raise ConfigError(
                 f"time.dt: {scheme.dt} exceeds the explicit CFL limit {limit:.6g}"
             )
     w0 = initial_state(cfg, generator.grid)
-
-    if scheme.kind == "picard":
-        try:
-            window = scheme.window_for(generator.constants)
-        except ValueError as exc:
-            raise ConfigError(f"picard.window: {exc}") from exc
-        try:
-            scheme.picard_steps(generator.constants, cfg.time_horizon)
-        except ValueError as exc:
-            raise ConfigError(f"time.dt / time.horizon: {exc}") from exc
     traj = evolve(generator, w0, scheme, cfg.time_horizon, cfg.time_snapshot_stride)
 
     out = Path(cfg.output_dir)
     artifacts = []
     ts = out / "timeseries.csv"
-    _write_timeseries(ts, traj)
+    write_float_csv(ts, TIMESERIES_COLUMNS, traj.table)
     artifacts.append(ts)
     for k, (_, state) in enumerate(traj.snapshots):
         snap = out / f"snapshot_{k:06d}.csv"

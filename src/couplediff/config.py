@@ -160,6 +160,8 @@ def validate(cfg: SimConfig):
         raise ConfigError("init.width: must be positive")
     if cfg.init_kind == "file" and not cfg.init_path:
         raise ConfigError("init.path: required when init.kind = file")
+    if cfg.seed < 0:
+        raise ConfigError("seed: must be nonnegative")
 
 
 def kernel_from(cfg: SimConfig) -> Kernel:

@@ -147,10 +147,6 @@ def constant_state(grid, value: float) -> StateField:
     return StateField(grid, np.full(grid.size, float(value)))
 
 
-def state_from_function(grid, fn) -> StateField:
-    return StateField(grid, np.asarray(fn(grid.positions), dtype=float))
-
-
 def mass(grid, w: StateField) -> float:
     """Weighted total, the discrete integral of w over (-1, 1)."""
     _check_grid(grid, w)

@@ -28,9 +28,10 @@ _ImplicitStepper.  The window iteration factors its two sub-blocks the same
 way.
 
 The per-state diagnostics (mass, energy terms, distance to the mean) are
-evaluated on blocks of BLOCK_STATES states (_StateBlocks), not state by
+evaluated on blocks of BLOCK_STATES states (_States.blocks), not state by
 state: the energy terms of a block take one GEMM when the block is dense.
-The non-finite check and the snapshots stay per state.
+They go into one table in timeseries.csv column order (TIMESERIES_COLUMNS),
+which Trajectory keeps.  The non-finite check stays per state.
 """
 from __future__ import annotations
 
@@ -118,20 +119,39 @@ class PicardReport:
                 for a, b in zip(norms[:-1], norms[1:]) if a > 10.0 * self.tol]
 
 
+# the columns of Trajectory.table, which timeseries.csv writes as they are
+TIMESERIES_COLUMNS = ("t", "mass", "energy_total", "energy_local", "energy_nonlocal",
+                      "energy_coupling", "dist_to_mean")
+
+
+def _column(name: str):
+    index = TIMESERIES_COLUMNS.index(name)
+    return property(lambda self: self.table[:, index])
+
+
 @dataclass
 class Trajectory:
+    """table holds one row per recorded state, in TIMESERIES_COLUMNS order;
+    it is read-only, and so are the column views times, mass, energy_* and
+    dist_to_mean."""
+
     grid: object
-    times: np.ndarray
-    mass: np.ndarray
-    energy_local: np.ndarray
-    energy_nonlocal: np.ndarray
-    energy_coupling: np.ndarray
-    energy_total: np.ndarray
-    dist_to_mean: np.ndarray
+    table: np.ndarray
     snapshots: list = field(default_factory=list)
     final_state: StateField | None = None
     dt: float = 0.0
     picard: PicardReport | None = None
+
+    def __post_init__(self):
+        self.table.flags.writeable = False
+
+    times = _column("t")
+    mass = _column("mass")
+    energy_total = _column("energy_total")
+    energy_local = _column("energy_local")
+    energy_nonlocal = _column("energy_nonlocal")
+    energy_coupling = _column("energy_coupling")
+    dist_to_mean = _column("dist_to_mean")
 
 
 def contraction_factor(constants: CouplingConstants, window: float) -> float:
@@ -232,64 +252,6 @@ def step_implicit(generator: GeneratorMatrix, w: StateField, dt: float) -> State
 
 
 BLOCK_STATES = 64  # states per block of the per-state diagnostics
-
-
-class _StateBlocks:
-    """Collects states into blocks of BLOCK_STATES rows: push() copies one
-    state in, and each full block, then the last partial one at close(),
-    goes to flush(times, block).  Per-state diagnostics evaluated on a block
-    pay numpy's per-call cost once per BLOCK_STATES states."""
-
-    def __init__(self, size: int):
-        self.times = np.empty(BLOCK_STATES)
-        self.block = np.empty((BLOCK_STATES, size))
-        self.fill = 0
-
-    def push(self, t: float, values: np.ndarray):
-        self.times[self.fill] = t
-        self.block[self.fill] = values
-        self.fill += 1
-        if self.fill == BLOCK_STATES:
-            self.close()
-
-    def close(self):
-        if self.fill:
-            self.flush(self.times[: self.fill], self.block[: self.fill])
-            self.fill = 0
-
-    def flush(self, times: np.ndarray, block: np.ndarray):
-        raise NotImplementedError
-
-
-class _Recorder(_StateBlocks):
-    """The diagnostics of every recorded state: t, mass, the three energy
-    terms and the weighted distance to the mean, one row each.  They are
-    evaluated a block of states at a time: the mass is one matrix-vector
-    product, the energy terms one energy_form call (built once per run), the
-    distance to the mean one more product."""
-
-    def __init__(self, generator: GeneratorMatrix, n_records: int):
-        super().__init__(generator.size)
-        self.weights = generator.weights
-        self.measure = float(np.sum(self.weights))
-        self.energy = energy_form(generator)
-        self.rows = np.empty((n_records, 6))  # t, mass, three energy terms, dist
-        self.k = 0
-
-    def flush(self, times, block):
-        m = block @ self.weights
-        loc, nl, cp = self.energy(block)
-        d = block - (m / self.measure)[:, None]
-        dist = np.sqrt(np.square(d, out=d) @ self.weights)
-        k = self.k + len(times)
-        self.rows[self.k : k] = np.column_stack((times, m, loc, nl, cp, dist))
-        self.k = k
-
-    def build(self, grid, snapshots, final_state, dt, picard) -> Trajectory:
-        self.close()
-        t, m, loc, nl, cp, dist = self.rows[: self.k].T.copy()
-        return Trajectory(grid, t, m, loc, nl, cp, loc + nl + cp, dist, snapshots, final_state,
-                          dt, picard)
 
 
 def _picard_states(generator: GeneratorMatrix, scheme: StepScheme, dt: float,
@@ -428,6 +390,24 @@ class _States:
                 raise RuntimeError(f"non-finite state detected at t = {t:.6g}; aborting")
             yield t, values
 
+    def blocks(self):
+        """(times, block) for each run of BLOCK_STATES consecutive states, the
+        last run possibly shorter: per-state diagnostics evaluated on a block
+        pay numpy's per-call cost once per BLOCK_STATES states.  The two
+        arrays are reused from one block to the next."""
+        times = np.empty(BLOCK_STATES)
+        block = np.empty((BLOCK_STATES, self.w0.grid.size))
+        fill = 0
+        for t, values in self:
+            times[fill] = t
+            block[fill] = values
+            fill += 1
+            if fill == BLOCK_STATES:
+                yield times, block
+                fill = 0
+        if fill:
+            yield times[:fill], block[:fill]
+
 
 def evolve(
     generator: GeneratorMatrix,
@@ -439,18 +419,33 @@ def evolve(
     """Advance w' = L w to t = horizon with any of the three schemes,
     recording diagnostics at every step (sub-step for picard) at t = k dt.
 
-    Snapshots are the initial state, for snapshot_stride > 0 every stride-th
-    step before the last, and the final state.  For the picard scheme the
-    window iteration's report is Trajectory.picard.
+    Each block of states fills its rows of Trajectory.table: the mass is one
+    matrix-vector product, the energy terms one energy_form call (built once
+    per run), the distance to the mean one more product.  Snapshots, copied
+    from block rows, are the initial state, for snapshot_stride > 0 every
+    stride-th step before the last, and the final state.  For the picard
+    scheme the window iteration's report is Trajectory.picard.
     """
     states = _States(generator, w0, scheme, horizon)
     n_steps = states.n_steps
-    rec = _Recorder(generator, n_steps + 1)
+    weights = generator.weights
+    measure = float(np.sum(weights))
+    energy = energy_form(generator)
+    table = np.empty((n_steps + 1, len(TIMESERIES_COLUMNS)))
+    # the steps snapshotted before the last one
+    kept = range(0, n_steps, snapshot_stride) if snapshot_stride > 0 else range(1)
     snapshots = []
-    for k, (t, values) in enumerate(states):
-        rec.push(t, values)
-        if k == 0 or (snapshot_stride > 0 and k % snapshot_stride == 0 and k != n_steps):
-            snapshots.append((t, StateField(w0.grid, values.copy())))
-    final = StateField(w0.grid, values.copy())
+    k = 0
+    for times, block in states.blocks():
+        m = block @ weights
+        loc, nl, cp = energy(block)
+        d = block - (m / measure)[:, None]
+        dist = np.sqrt(np.square(d, out=d) @ weights)
+        table[k : k + len(times)] = np.column_stack((times, m, loc + nl + cp, loc, nl, cp, dist))
+        for i in range(len(times)):
+            if k + i in kept:
+                snapshots.append((float(times[i]), StateField(w0.grid, block[i].copy())))
+        k += len(times)
+    final = StateField(w0.grid, block[-1].copy())
     snapshots.append((n_steps * states.dt, final))
-    return rec.build(w0.grid, snapshots, final, states.dt, states.picard)
+    return Trajectory(w0.grid, table, snapshots, final, states.dt, states.picard)

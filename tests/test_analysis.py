@@ -127,19 +127,25 @@ def test_epsilon_sweep_monotone():
 def test_epsilon_sweep_error_matches_per_state_loop():
     """The sweep's sup error, taken over blocks of states against the heat
     reference at an array of times, equals the per-state loop to 1e-13
-    relative; 130 steps make two full blocks and a partial one."""
+    relative, and its interface jump is that of the loop's last state.  The
+    horizons make 64 states (one full block), 65 (a full block and one state)
+    and 131 (two full blocks and a partial one)."""
     cfg = _sweep_config()
-    rows = epsilon_sweep(cfg, [0.4, 0.2], horizon=0.13)
     constants = coupling_constants(make_kernel("triangle", 1.0, 1.0))
-    for row in rows:
-        grid = build_grid(cfg.grid_n_local, row.n_nonlocal)
-        gen = assemble_generator(grid, make_kernel("triangle", 1.0, row.epsilon), constants)
-        w0 = initial_state(cfg, grid)
-        ref = _HeatReference(w0, 256)
-        states = _States(gen, w0, StepScheme(dt=cfg.time_dt), 0.13)
-        sup = max(weighted_norm(grid, values - ref.at(t)) for t, values in states)
-        assert states.n_steps == 130
-        assert abs(row.sup_error_l2 - sup) <= 1e-13 * sup
+    for horizon, n_steps in ((0.063, 63), (0.064, 64), (0.13, 130)):
+        rows = epsilon_sweep(cfg, [0.4, 0.2], horizon=horizon)
+        for row in rows:
+            grid = build_grid(cfg.grid_n_local, row.n_nonlocal)
+            gen = assemble_generator(grid, make_kernel("triangle", 1.0, row.epsilon), constants)
+            w0 = initial_state(cfg, grid)
+            ref = _HeatReference(w0, 256)
+            states = _States(gen, w0, StepScheme(dt=cfg.time_dt), horizon)
+            sup = 0.0
+            for t, values in states:
+                sup = max(sup, weighted_norm(grid, values - ref.at(t)))
+            assert states.n_steps == n_steps
+            assert abs(row.sup_error_l2 - sup) <= 1e-13 * sup
+            assert row.interface_jump == interface_jump(StateField(grid, values))
 
 
 def test_heat_reference_at_array_of_times(grid100):

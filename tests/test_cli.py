@@ -229,9 +229,10 @@ def _bad_init_csv(tmp_path, bad_x):
         ("time.dt", lambda p: ["time.scheme=picard", "time.dt=0.003"]),  # window 0.032
         ("time.horizon",
          lambda p: ["time.scheme=picard", "time.dt=auto", "time.horizon=0.2005"]),
+        ("seed", lambda p: ["seed=-1"]),
     ],
     ids=["radius-inf", "horizon-inf", "dt-inf", "value-nan", "csv-bad-x", "csv-bad-w",
-         "picard-window", "picard-dt", "picard-horizon"],
+         "picard-window", "picard-dt", "picard-horizon", "seed-negative"],
 )
 def test_bad_input_exits_2_naming_key(tmp_path, capsys, key, overrides):
     cfg = write_cfg(tmp_path, SMALL, f"output.dir = {tmp_path}/out\n")
@@ -244,7 +245,7 @@ def test_bad_input_exits_2_naming_key(tmp_path, capsys, key, overrides):
 
 @pytest.mark.parametrize("dt", ["1e-300", "1e-12"])
 def test_step_count_beyond_memory_exits_2_before_assembly(tmp_path, capsys, monkeypatch, dt):
-    """A time.dt whose (n_steps + 1) x 6 table of diagnostics exceeds
+    """A time.dt whose (n_steps + 1) x 7 table of diagnostics exceeds
     physical memory is refused, naming the key, before any assembly."""
 
     def unreachable(*args):
@@ -255,6 +256,32 @@ def test_step_count_beyond_memory_exits_2_before_assembly(tmp_path, capsys, monk
     assert main(["simulate", "--config", cfg, "--set", f"time.dt={dt}"]) == 2
     assert "time.dt" in capsys.readouterr().err
     assert not (tmp_path / "out" / "timeseries.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "scheme, horizon, assembles",
+    [("picard", "1e9", False), ("explicit", "1e7", True)],
+)
+def test_auto_dt_step_count_beyond_memory_exits_2(tmp_path, capsys, monkeypatch,
+                                                   scheme, horizon, assembles):
+    """With time.dt = auto the step size is known from the picard window before
+    assembly and from the CFL limit after it; a horizon that takes more steps
+    than physical memory holds rows of diagnostics (5.6e10 explicit steps,
+    1e12 picard sub-steps on 50 x 50) is refused, naming both keys, before
+    evolve allocates its table."""
+
+    def unreachable(*args):
+        raise AssertionError("a refused run went on")
+
+    if not assembles:
+        monkeypatch.setattr(cli, "assemble_generator", unreachable)
+    monkeypatch.setattr(cli, "evolve", unreachable)
+    cfg = write_cfg(tmp_path, SMALL, f"output.dir = {tmp_path}/out\n")
+    args = ["simulate", "--config", cfg, "--set", f"time.scheme={scheme}",
+            "--set", "time.dt=auto", "--set", f"time.horizon={horizon}"]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "time.horizon" in err and "time.dt" in err
 
 
 def test_runtime_failure_exits_3(tmp_path):

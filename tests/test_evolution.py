@@ -241,29 +241,40 @@ def test_small_eps_fine_grid_implicit_run(constants):
     assert drift <= 1e-11 * abs(m0)
 
 
-@pytest.mark.parametrize("n_steps", (1, 62, 63, 64, 65, 200))
+@pytest.mark.parametrize("n_steps", (1, 62, 63, 64, 65, 127, 200))
 def test_block_diagnostics_match_per_state(gen20, n_steps):
-    """The recorder evaluates its diagnostics a block of 64 states at a time
-    (the initial state makes n_steps + 1 rows); every column equals the
-    per-state evaluation of the same states to 1e-13."""
+    """evolve evaluates its diagnostics a block of 64 states at a time (the
+    initial state makes n_steps + 1 rows); every column equals the
+    per-state evaluation of the same states to 1e-13.  The snapshots taken
+    from the blocks' rows, with a stride of 63 or 64, and the final state
+    are the per-state loop's states at the same steps."""
     grid = gen20.grid
     W = grid.weights
     w0 = StateField(grid, np.where(grid.positions <= 0, 1.0, 0.0))
     scheme = StepScheme(dt=1e-3)
-    traj = evolve(gen20, w0, scheme, n_steps * 1e-3)
     terms = energy_form(gen20)
-    rows = []
+    rows, states = [], []
     for t, values in _States(gen20, w0, scheme, n_steps * 1e-3):
         m = float(W @ values)
         d = values - m / np.sum(W)
         loc, nl, cp = terms(values)
         rows.append((t, m, loc, nl, cp, loc + nl + cp, np.sqrt(np.sum(W * d * d))))
+        states.append((t, values.copy()))
     expected = np.array(rows).T
-    got = (traj.times, traj.mass, traj.energy_local, traj.energy_nonlocal,
-           traj.energy_coupling, traj.energy_total, traj.dist_to_mean)
-    assert len(traj.times) == n_steps + 1
-    for column, ref in zip(got, expected):
-        np.testing.assert_allclose(column, ref, rtol=1e-13, atol=1e-13 * np.max(np.abs(ref)))
+    for stride in (63, 64):
+        traj = evolve(gen20, w0, scheme, n_steps * 1e-3, stride)
+        got = (traj.times, traj.mass, traj.energy_local, traj.energy_nonlocal,
+               traj.energy_coupling, traj.energy_total, traj.dist_to_mean)
+        assert len(traj.times) == n_steps + 1
+        for column, ref in zip(got, expected):
+            np.testing.assert_allclose(column, ref, rtol=1e-13,
+                                       atol=1e-13 * np.max(np.abs(ref)))
+        kept = [*range(0, n_steps, stride), n_steps]
+        assert len(traj.snapshots) == len(kept)
+        for (t, snap), k in zip(traj.snapshots, kept):
+            assert t == states[k][0]
+            assert np.array_equal(snap.values, states[k][1])
+        assert np.array_equal(traj.final_state.values, states[-1][1])
 
 
 def test_evolve_constant_state(gen50, grid50):
@@ -292,7 +303,7 @@ def test_evolve_snapshots_stride(gen50, grid50):
 
 def test_evolve_aborts_on_blowup():
     # sign-flipped heat generator is anti-dissipative: explicit stepping
-    # overflows and the recorder must abort instead of emitting corrupt series
+    # overflows and evolve must abort instead of emitting corrupt series
     base = assemble_heat_generator(50)
     blow = GeneratorMatrix.from_dense(base.grid, -base.dense())
     w = StateField(base.grid, np.cos(np.pi * (base.grid.positions + 1) / 2))
