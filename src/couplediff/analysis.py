@@ -37,7 +37,7 @@ class _HeatReference:
     grid resolution would alias and are dropped.
     """
 
-    def __init__(self, w0: StateField, n_modes: int):
+    def __init__(self, w0: StateField, n_modes: int = 256):
         if n_modes < 1:
             raise ValueError("need at least one cosine mode")
         grid = w0.grid
@@ -136,7 +136,6 @@ def epsilon_sweep(
     base_config: SimConfig,
     eps_list,
     horizon: float | None = None,
-    n_modes: int = 256,
 ) -> list[SweepRow]:
     """Run the rescaled problem for each epsilon and measure the sup-in-time
     weighted L2 distance to the exact heat solution from the same data.
@@ -163,7 +162,7 @@ def epsilon_sweep(
                    int(np.ceil(4.0 / (e * base_config.kernel_radius))))
         if ref is None or ref.grid.n_nonlocal != n_nl:  # members on one grid share it
             w0 = initial_state(base_config, build_grid(base_config.grid_n_local, n_nl))
-            ref = _HeatReference(w0, n_modes)
+            ref = _HeatReference(w0)
         rows.append(_sweep_member(base_config, e, constants, scheme, horizon, w0, ref))
     return rows
 

@@ -7,6 +7,7 @@ SVG plots are opt-in and purely decorative.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -40,26 +41,19 @@ def _setup(cfg: SimConfig):
     try:
         return assemble_generator(grid_from(cfg), kernel, coupling_constants(kernel))
     except ValueError as exc:
-        raise ConfigError(f"grid.n_nonlocal / kernel.epsilon: {exc}") from exc
+        raise ConfigError(f"grid.n_nonlocal / kernel.epsilon / kernel.radius: {exc}") from exc
 
 
-def _check_record_table(cfg: SimConfig, dt: float):
-    """Refuse a step size dt whose table of recorded diagnostics, (n_steps + 1)
-    rows of len(TIMESERIES_COLUMNS) float64, exceeds physical memory, before
-    evolve allocates it.  The step count is horizon / dt, which every scheme
-    rounds (or nudges by one step), kept as a float because it need not fit
-    an integer.  run_simulate calls it as soon as dt is known: a given
-    time.dt and picard's sub-step before assembly, the explicit scheme's
-    auto step (its CFL limit) after."""
-    n_steps = cfg.time_horizon / dt
-    table = (n_steps + 1.0) * len(TIMESERIES_COLUMNS) * 8
+def _check_record_table(cfg: SimConfig, n_steps: int):
+    """Refuse a run of n_steps steps, as planned, before evolve allocates its
+    table of diagnostics: (n_steps + 1) rows of len(TIMESERIES_COLUMNS)
+    float64 that must fit in physical memory."""
+    table = (n_steps + 1) * len(TIMESERIES_COLUMNS) * 8
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if table > memory:
-        raise ConfigError(
-            f"time.horizon / time.dt: dt = {dt:.6g} over time.horizon = {cfg.time_horizon} "
-            f"takes {n_steps:.3g} steps, whose table of diagnostics "
-            f"({table / 2**30:.3g} GiB) exceeds physical memory ({memory / 2**30:.3g} GiB)"
-        )
+        raise ConfigError(f"time.horizon / time.dt: the horizon {cfg.time_horizon} takes "
+                          f"{n_steps:.3g} steps, whose table of diagnostics ({table / 2**30:.3g}"
+                          f" GiB) exceeds physical memory ({memory / 2**30:.3g} GiB)")
 
 
 def _write_snapshot(path, state):
@@ -74,28 +68,25 @@ def _write_snapshot(path, state):
 
 def run_simulate(cfg: SimConfig, svg: bool = False) -> list:
     scheme = scheme_from(cfg)
-    if scheme.dt != "auto":
-        _check_record_table(cfg, float(scheme.dt))
+    constants, cfl = None, math.inf
     if scheme.kind == "picard":
         constants = coupling_constants(kernel_from(cfg))
         try:
-            window = scheme.window_for(constants)
+            scheme.window_for(constants)
         except ValueError as exc:
             raise ConfigError(f"picard.window: {exc}") from exc
-        try:
-            dt = scheme.picard_steps(constants, cfg.time_horizon)[1]
-        except ValueError as exc:
-            raise ConfigError(f"time.dt / time.horizon: {exc}") from exc
-        _check_record_table(cfg, dt)
-    generator = _setup(cfg)
-    if scheme.kind == "explicit":
-        limit = cfl_limit(generator)
-        if scheme.dt == "auto":
-            _check_record_table(cfg, limit)
-        elif float(scheme.dt) > limit * (1.0 + 1e-12):
-            raise ConfigError(
-                f"time.dt: {scheme.dt} exceeds the explicit CFL limit {limit:.6g}"
-            )
+    elif scheme.kind == "explicit":  # its plan needs the CFL limit of the generator
+        generator = _setup(cfg)
+        cfl = cfl_limit(generator)
+        if scheme.dt != "auto" and float(scheme.dt) > cfl * (1.0 + 1e-12):
+            raise ConfigError(f"time.dt: {scheme.dt} exceeds the explicit CFL limit {cfl:.6g}")
+    try:
+        _, n_steps, window, _ = scheme.plan(cfg.time_horizon, constants, cfl)
+    except ValueError as exc:
+        raise ConfigError(f"time.horizon / time.dt: {exc}") from exc
+    _check_record_table(cfg, n_steps)
+    if scheme.kind != "explicit":
+        generator = _setup(cfg)
     w0 = initial_state(cfg, generator.grid)
     traj = evolve(generator, w0, scheme, cfg.time_horizon, cfg.time_snapshot_stride)
 

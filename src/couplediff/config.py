@@ -14,7 +14,7 @@ import numpy as np
 
 from .discretization import Grid, StateField, build_grid
 from .evolution import SCHEME_KINDS, StepScheme
-from .kernels import FAMILIES, Kernel, make_kernel
+from .kernels import FAMILIES, Kernel, coupling_constants, make_kernel
 
 INIT_KINDS = ("constant", "step", "cosine", "gaussian", "file")
 
@@ -138,6 +138,10 @@ def validate(cfg: SimConfig):
         raise ConfigError("kernel.radius: must be positive")
     if not cfg.kernel_epsilon > 0.0:
         raise ConfigError("kernel.epsilon: must be positive")
+    try:
+        coupling_constants(kernel_from(cfg))
+    except ValueError as exc:
+        raise ConfigError(f"kernel.radius: {exc}") from exc
     if cfg.grid_n_local < 4 or cfg.grid_n_nonlocal < 4:
         raise ConfigError("grid.n_local / grid.n_nonlocal: need at least 4 cells each")
     if cfg.time_scheme not in SCHEME_KINDS:

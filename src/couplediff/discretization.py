@@ -87,14 +87,17 @@ class IntervalGrid:
     """Single-domain diagnostic mesh: nodes on [-1, 1] with trapezoid weights.
 
     Used only by the pure-heat generator that validates the eigensolver
-    against the closed-form Neumann spectrum.
+    against the closed-form Neumann spectrum.  Every node is local.
     """
+
+    n_nonlocal = 0
 
     def __init__(self, n_intervals: int):
         self.n_intervals = int(n_intervals)
         self.spacing = 2.0 / self.n_intervals
         self.positions = np.linspace(-1.0, 1.0, self.n_intervals + 1)
         self.size = self.n_intervals + 1
+        self.interface_index = self.n_intervals
         w = np.full(self.size, self.spacing)
         w[0] *= 0.5
         w[-1] *= 0.5
@@ -188,10 +191,9 @@ class BandSplit:
 
     p is the chain length, the longest leading run of nodes that link only to
     their neighbours (A[i, j] = 0 for i < p and j > i + 1), so that they reach
-    the rest only through node p, and at most last.  That is
-    grid.interface_index for every assembled generator and n - 1 for the heat
-    generator; a band with a far link from node 0 has p = 0, and the block is
-    then the whole band.
+    the rest only through node p, and at most last = grid.interface_index
+    (n - 1 for the heat generator); a band with a far link from node 0 has
+    p = 0, and the block is then the whole band.
 
     chain holds A on nodes 0..p in (2, p + 1) upper band storage with its
     (p, p) entry zero; block = band[:, p:] is A[p:, p:] in place, an
@@ -349,8 +351,7 @@ class GeneratorMatrix:
         """The band split at the interface node, made on first use.  On a
         two-subdomain grid the chain ends at the interface node at the
         latest, so the nonlocal block always lies in the split's block."""
-        last = self.grid.interface_index if isinstance(self.grid, Grid) else self.size - 1
-        return BandSplit(self.band, last)
+        return BandSplit(self.band, self.grid.interface_index)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """L x = -(A x) / W."""
@@ -364,7 +365,7 @@ class GeneratorMatrix:
         return L
 
     @classmethod
-    def from_dense(cls, grid, L, constants=None, kernel=None):
+    def from_dense(cls, grid, L):
         """The generator of a dense L (small, hand-built ones).  Only A's upper
         triangle is kept, so W L must be symmetric to roundoff."""
         WL = grid.weights[:, None] * L
@@ -375,7 +376,7 @@ class GeneratorMatrix:
         band = np.zeros((b + 1, L.shape[0]), order="F")
         for k in range(b + 1):
             band[b - k, k:] = -np.diagonal(WL, k)
-        return cls(grid, band, constants, kernel)
+        return cls(grid, band)
 
 
 def assemble_generator(
@@ -392,7 +393,7 @@ def assemble_generator(
     if grid.h_nonlocal > limit * (1.0 + 1e-12):
         raise ValueError(
             f"under-resolved kernel: h_nonlocal = {grid.h_nonlocal:.3g} exceeds "
-            f"support_radius/4 = {limit:.3g}; refine n_nonlocal or increase epsilon"
+            f"support_radius/4 = {limit:.3g}; refine n_nonlocal or widen the kernel"
         )
     if not isinstance(constants, CouplingConstants):
         raise ValueError("constants must be a CouplingConstants instance")
@@ -455,8 +456,7 @@ def generator_edges(generator: GeneratorMatrix):
     IntervalGrid generator is), nonlocal when both are nonlocal cells, and
     coupling when it joins the interface node to a cell.
     """
-    grid = generator.grid
-    n_loc = grid.interface_index + 1 if isinstance(grid, Grid) else generator.size
+    n_loc = generator.grid.interface_index + 1
     b = generator.half_bandwidth
     rows, j = np.nonzero(generator.band[:b])
     i = j - (b - rows)

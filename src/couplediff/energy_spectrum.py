@@ -100,12 +100,12 @@ def energy_form(generator: GeneratorMatrix):
     state's v nearest its mean, keeps the roundoff relative to the energy,
     is exact by Sterbenz for values within a factor 2 of it, and makes a
     constant v give exactly 0 (its mean in floating point need not be the
-    constant).  A generator without a nonlocal block (IntervalGrid) has
-    nonlocal and coupling terms 0.
+    constant).  A generator without a nonlocal block (an IntervalGrid,
+    n_nonlocal = 0) has nonlocal and coupling terms 0.
     """
     local, _, coupling = generator_edges(generator)
     grid = generator.grid
-    if isinstance(grid, Grid):
+    if grid.n_nonlocal:
         nl0 = grid.interface_index + 1
         split = generator.split
         pad = nl0 - split.p  # leading zeros of each row: nodes p..nl0-1

@@ -7,8 +7,9 @@ solution is built: freeze the interface trace, solve the jump subsystem over
 a short window, feed the result back into the local heat subsystem, and
 iterate to a fixed point before moving to the next window.  All three go
 through evolve: _States yields the state at t = k dt, from single steps or
-from the window iteration, and evolve records and snapshots it.  The picard
-iteration's report is Trajectory.picard.
+from the window iteration, and evolve records and snapshots it; both read
+dt and the step count off StepScheme.plan, as does the CLI's refusal of an
+oversized run.  The picard iteration's report is Trajectory.picard.
 
 L = -W^-1 A with A symmetric positive semidefinite, so every implicit solve
 (I - dt L) x = b is the SPD system (W + dt A) x = W b: band-Cholesky factored
@@ -76,19 +77,41 @@ class StepScheme:
             )
         return tw
 
-    def picard_steps(self, constants: CouplingConstants, horizon: float) -> tuple:
-        """(window, dt, window_steps, n_steps): the window, the sub-step
-        ('auto' takes 1/32 of the window), which must divide both the window
-        and the horizon, and the sub-steps per window and to the horizon."""
-        window = self.window_for(constants)
-        dt = window / 32.0 if self.dt == "auto" else float(self.dt)
-        counts = []
-        for name, span in (("picard window", window), ("horizon", horizon)):
-            n_steps = round(span / dt)
-            if n_steps < 1 or abs(n_steps * dt - span) > 1e-9 * span:
-                raise ValueError(f"sub-step dt = {dt:.6g} must divide the {name} {span:.6g}")
-            counts.append(n_steps)
-        return window, dt, *counts
+    def plan(self, horizon: float, constants: CouplingConstants | None = None,
+             cfl: float = math.inf) -> tuple:
+        """(dt, n_steps, window, window_steps), the last two None but for
+        picard.  'auto' takes 1/32 of the picard window, the CFL limit cfl
+        (explicit) or horizon / 1000 (implicit).  The picard sub-step must
+        divide the window and the horizon; any other dt is nudged so that
+        n_steps dt = horizon, by one more step where the nudge would push a
+        dt within cfl over it.  A step count that overflows a float is refused."""
+        if not horizon > 0.0:
+            raise ValueError(f"horizon must be positive, got {horizon}")
+        if self.kind == "picard" and constants is None:
+            raise ValueError("picard scheme needs the coupling constants")
+        window = self.window_for(constants) if self.kind == "picard" else None
+        if self.dt != "auto":
+            dt = float(self.dt)
+        elif window is not None:
+            dt = window / 32.0
+        else:
+            dt = cfl if self.kind == "explicit" else horizon / 1000.0
+        if max(horizon, window or 0.0) / dt == math.inf:
+            raise ValueError(f"dt = {dt:.6g} takes more steps than a float can count")
+        if window is not None:
+            counts = []
+            for name, span in (("picard window", window), ("horizon", horizon)):
+                n_steps = round(span / dt)
+                if n_steps < 1 or abs(n_steps * dt - span) > 1e-9 * span:
+                    raise ValueError(f"sub-step dt = {dt:.6g} must divide the {name} {span:.6g}")
+                counts.append(n_steps)
+            return dt, counts[1], window, counts[0]
+        n_steps = max(1, round(horizon / dt))
+        if abs(n_steps * dt - horizon) > 1e-9 * horizon:
+            n_steps = int(np.ceil(horizon / dt - 1e-12))
+        if dt <= cfl * (1.0 + 1e-12) < horizon / n_steps:
+            n_steps += 1  # the nudge would push a dt that _explicit_step allows over its bound
+        return horizon / n_steps, n_steps, None, None
 
 
 @dataclass
@@ -330,47 +353,29 @@ def _picard_states(generator: GeneratorMatrix, scheme: StepScheme, dt: float,
 class _States:
     """The states of w' = L w at t = k dt, k = 0..n_steps, one per iteration.
 
-    Resolves dt and the step count from the scheme and the horizon.  Explicit
-    and implicit steps (self.step) start from a private copy of w0, with dt
-    nudged so that n_steps dt = horizon; an explicit nudge that would cross
-    the CFL limit takes one more step instead.  The picard scheme takes its
-    sub-step from scheme.picard_steps and its states from the window
-    iteration, whose report is self.picard.  Every scheme aborts on a
-    non-finite state.
+    dt and the step count are scheme.plan's, given the generator's coupling
+    constants and, for the explicit scheme, its CFL limit.  Explicit and
+    implicit steps (self.step) start from a private copy of w0.  The picard
+    scheme takes its states from the window iteration, whose report is
+    self.picard.  Every scheme aborts on a non-finite state.
     """
 
     def __init__(self, generator: GeneratorMatrix, w0: StateField, scheme: StepScheme,
                  horizon: float):
-        if not horizon > 0.0:
-            raise ValueError(f"horizon must be positive, got {horizon}")
+        cfl = cfl_limit(generator) if scheme.kind == "explicit" else math.inf
+        self.dt, self.n_steps, window, window_steps = scheme.plan(
+            horizon, generator.constants, cfl)
         self.w0 = w0
         self.picard = None
         if scheme.kind == "picard":
-            constants = generator.constants
-            if constants is None:
-                raise ValueError("picard scheme needs the coupled generator")
-            window, self.dt, window_steps, self.n_steps = scheme.picard_steps(constants, horizon)
-            kappa = contraction_factor(constants, window)
+            kappa = contraction_factor(generator.constants, window)
             self.picard = PicardReport(kappa, scheme.picard_tol, [])
             self._windows = _picard_states(generator, scheme, self.dt, window_steps,
                                            self.n_steps, self.picard)
-            return
-        cfl = cfl_limit(generator) if scheme.kind == "explicit" else math.inf
-        if scheme.dt != "auto":
-            dt = float(scheme.dt)
+        elif scheme.kind == "explicit":
+            self.step = _explicit_step(generator, self.dt)
         else:
-            dt = cfl if scheme.kind == "explicit" else horizon / 1000.0
-        n_steps = max(1, round(horizon / dt))
-        if abs(n_steps * dt - horizon) > 1e-9 * horizon:
-            n_steps = int(np.ceil(horizon / dt - 1e-12))
-        if dt <= cfl * (1.0 + 1e-12) < horizon / n_steps:
-            n_steps += 1  # the nudge would push a dt that _explicit_step allows over its bound
-        self.dt = dt = horizon / n_steps
-        self.n_steps = n_steps
-        if scheme.kind == "explicit":
-            self.step = _explicit_step(generator, dt)
-        else:
-            self.step = _ImplicitStepper(generator, dt).step
+            self.step = _ImplicitStepper(generator, self.dt).step
 
     def _stepped(self, values):
         for _ in range(self.n_steps):
@@ -417,7 +422,8 @@ def evolve(
     snapshot_stride: int = 0,
 ):
     """Advance w' = L w to t = horizon with any of the three schemes,
-    recording diagnostics at every step (sub-step for picard) at t = k dt.
+    recording diagnostics at every step (sub-step for picard) at t = k dt,
+    k = 0..n_steps, with dt and n_steps from scheme.plan.
 
     Each block of states fills its rows of Trajectory.table: the mass is one
     matrix-vector product, the energy terms one energy_form call (built once

@@ -101,8 +101,8 @@ class CouplingConstants:
     def __post_init__(self):
         if not (self.m_j > 0.0 and np.isfinite(self.m_j)):
             raise ValueError(f"second moment must be positive and finite, got {self.m_j}")
-        if self.c1 <= 0.0 or self.c2 <= 0.0:
-            raise ValueError("coupling constants must be positive")
+        if not (0.0 < self.c1 < np.inf and 0.0 < self.c2 < np.inf):
+            raise ValueError(f"coupling constants must be positive and finite, c1 = {self.c1}")
 
 
 def make_kernel(family: str, radius: float, epsilon: float = 1.0) -> Kernel:
@@ -120,8 +120,11 @@ def second_moment(kernel: Kernel) -> float:
 
 
 def coupling_constants(kernel: Kernel) -> CouplingConstants:
-    m = second_moment(kernel)
-    return CouplingConstants(c1=2.0 / m, c2=1.0, m_j=m)
+    try:
+        m = second_moment(kernel)
+        return CouplingConstants(c1=2.0 / m, c2=1.0, m_j=m)
+    except ArithmeticError:
+        raise ValueError(f"kernel radius {kernel.radius}: radius**2 over- or underflows") from None
 
 
 def coupling_profile_analytic(kernel: Kernel, y):

@@ -3,8 +3,8 @@
 Each check re-derives its expectation from structure (exact identities,
 closed forms, or an independent oracle) at sizes small enough to finish in
 seconds; the full acceptance suite in tests/ runs the same properties at the
-production sizes.  A check hook lets tests corrupt the assembled generator
-to confirm the harness actually detects broken structure.
+production sizes.  Tests replace this module's assemble_generator with one
+that corrupts the band, to confirm the checks detect broken structure.
 
 The operator-structure check (_structure_defects, shared with acceptance
 criterion 10) reads three facts about A in L = -W^-1 A off the band in
@@ -62,32 +62,27 @@ def _structure_defects(generator):
     return {name: np.inf if np.isnan(v) else float(v) for name, v in defects.items()}
 
 
-def check_operator_structure(cfg, transform=None):
+def check_operator_structure(cfg):
     worst = 0.0
     cases = []
     for family, eps in (("triangle", 1.0), ("uniform", 0.25), ("epanechnikov", 1.0)):
         kernel = make_kernel(family, cfg.kernel_radius, eps)
         grid = build_grid(50, 50)
         gen = assemble_generator(grid, kernel, coupling_constants(kernel))
-        if transform is not None:
-            transform(gen)
         defects = _structure_defects(gen)
         worst = max(worst, max(defects.values()))
         cases.append(f"{family}/eps={eps}: {max(defects.values()):.2e}")
     return worst <= 1e-12, f"worst defect {worst:.2e} ({'; '.join(cases)})"
 
 
-def _coupled_setup(cfg, n=100, transform=None):
+def _coupled_setup(cfg, n=100):
     kernel = make_kernel(cfg.kernel_family, cfg.kernel_radius, cfg.kernel_epsilon)
     grid = build_grid(n, n)
-    gen = assemble_generator(grid, kernel, coupling_constants(kernel))
-    if transform is not None:
-        transform(gen)
-    return grid, gen
+    return grid, assemble_generator(grid, kernel, coupling_constants(kernel))
 
 
-def check_mass_conservation(cfg, transform=None):
-    grid, gen = _coupled_setup(cfg, transform=transform)
+def check_mass_conservation(cfg):
+    grid, gen = _coupled_setup(cfg)
     w0 = StateField(grid, np.where(grid.positions <= 0.0, 1.0, 0.0))
     traj = evolve(gen, w0, StepScheme(kind="implicit", dt=1e-2), horizon=2.0)
     drift = float(np.max(np.abs(traj.mass - traj.mass[0])))
@@ -95,16 +90,16 @@ def check_mass_conservation(cfg, transform=None):
     return rel <= 1e-11, f"relative mass drift {rel:.2e}"
 
 
-def check_energy_dissipation(cfg, transform=None):
-    grid, gen = _coupled_setup(cfg, transform=transform)
+def check_energy_dissipation(cfg):
+    grid, gen = _coupled_setup(cfg)
     w0 = StateField(grid, np.where(grid.positions <= 0.0, 1.0, 0.0))
     traj = evolve(gen, w0, StepScheme(kind="implicit", dt=1e-2), horizon=2.0)
     rise = float(np.max(np.diff(traj.energy_total)))
     return rise <= 1e-12, f"largest per-step energy increase {rise:.2e}"
 
 
-def check_comparison_principle(cfg, transform=None):
-    grid, gen = _coupled_setup(cfg, n=30, transform=transform)
+def check_comparison_principle(cfg):
+    grid, gen = _coupled_setup(cfg, n=30)
     rng = np.random.default_rng(cfg.seed)
     worst = 0.0
     dt_exp = cfl_limit(gen)
@@ -124,8 +119,8 @@ def check_comparison_principle(cfg, transform=None):
     return worst <= 1e-12, f"worst ordering violation {worst:.2e}"
 
 
-def check_decay_bound(cfg, transform=None):
-    grid, gen = _coupled_setup(cfg, transform=transform)
+def check_decay_bound(cfg):
+    grid, gen = _coupled_setup(cfg)
     bump = SimConfig(init_kind="gaussian", init_center=-0.5, init_width=0.15)
     w0 = initial_state(bump, grid)
     traj = evolve(gen, w0, StepScheme(kind="implicit", dt=2e-3), horizon=3.0)
@@ -140,8 +135,8 @@ def check_decay_bound(cfg, transform=None):
     )
 
 
-def check_picard_oracle(cfg, transform=None):
-    grid, gen = _coupled_setup(cfg, n=50, transform=transform)
+def check_picard_oracle(cfg):
+    grid, gen = _coupled_setup(cfg, n=50)
     w0 = StateField(grid, np.where(grid.positions <= 0.0, 1.0, 0.0))
     scheme = StepScheme(kind="picard", picard_tol=1e-10)
     horizon = 10 * scheme.window_for(gen.constants)
@@ -158,8 +153,8 @@ def check_picard_oracle(cfg, transform=None):
     )
 
 
-def check_semigroup_oracle(cfg, transform=None):
-    grid, gen = _coupled_setup(cfg, n=20, transform=transform)
+def check_semigroup_oracle(cfg):
+    grid, gen = _coupled_setup(cfg, n=20)
     bump = SimConfig(init_kind="gaussian", init_center=-0.5, init_width=0.15,
                      init_amplitude=0.25)
     w0 = initial_state(bump, grid)
@@ -182,15 +177,15 @@ CHECKS = (
 )
 
 
-def run_all(cfg: SimConfig, transform=None, out=print) -> int:
+def run_all(cfg: SimConfig) -> int:
     """Run every check, print one PASS/FAIL line each, return 0 iff all pass."""
     failures = 0
     for name, check in CHECKS:
         try:
-            ok, detail = check(cfg, transform)
+            ok, detail = check(cfg)
         except Exception as exc:  # a crashed check is a failed check
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         status = "PASS" if ok else "FAIL"
-        out(f"{status}  {name:<22} {detail}")
+        print(f"{status}  {name:<22} {detail}")
         failures += 0 if ok else 1
     return 0 if failures == 0 else 1

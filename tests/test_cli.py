@@ -230,9 +230,13 @@ def _bad_init_csv(tmp_path, bad_x):
         ("time.horizon",
          lambda p: ["time.scheme=picard", "time.dt=auto", "time.horizon=0.2005"]),
         ("seed", lambda p: ["seed=-1"]),
+        ("kernel.radius", lambda p: ["kernel.radius=1e-300"]),  # its square underflows
+        ("kernel.radius", lambda p: ["kernel.radius=1e200"]),  # its square overflows
+        ("kernel.radius", lambda p: ["kernel.radius=1e-3"]),  # h = 0.02 > R eps / 4
     ],
     ids=["radius-inf", "horizon-inf", "dt-inf", "value-nan", "csv-bad-x", "csv-bad-w",
-         "picard-window", "picard-dt", "picard-horizon", "seed-negative"],
+         "picard-window", "picard-dt", "picard-horizon", "seed-negative",
+         "radius-tiny", "radius-huge", "radius-under-resolved"],
 )
 def test_bad_input_exits_2_naming_key(tmp_path, capsys, key, overrides):
     cfg = write_cfg(tmp_path, SMALL, f"output.dir = {tmp_path}/out\n")
@@ -243,19 +247,24 @@ def test_bad_input_exits_2_naming_key(tmp_path, capsys, key, overrides):
     assert key in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("dt", ["1e-300", "1e-12"])
+@pytest.mark.parametrize("dt", ["1e-300", "1e-12", "1e-320"])
 def test_step_count_beyond_memory_exits_2_before_assembly(tmp_path, capsys, monkeypatch, dt):
     """A time.dt whose (n_steps + 1) x 7 table of diagnostics exceeds
-    physical memory is refused, naming the key, before any assembly."""
+    physical memory is refused, naming the key, before any assembly, by the
+    implicit and the picard scheme; so is one whose step count horizon / dt
+    overflows a float (1e-320)."""
 
     def unreachable(*args):
         raise AssertionError("a refused run assembled its generator")
 
     monkeypatch.setattr(cli, "assemble_generator", unreachable)
     cfg = write_cfg(tmp_path, SMALL, f"output.dir = {tmp_path}/out\n")
-    assert main(["simulate", "--config", cfg, "--set", f"time.dt={dt}"]) == 2
-    assert "time.dt" in capsys.readouterr().err
-    assert not (tmp_path / "out" / "timeseries.csv").exists()
+    for scheme in ("implicit", "picard"):
+        args = ["--set", f"time.dt={dt}", "--set", f"time.scheme={scheme}"]
+        assert main(["simulate", "--config", cfg, *args]) == 2, scheme
+        err = capsys.readouterr().err
+        assert "time.dt" in err and "time.horizon" in err, scheme
+        assert not (tmp_path / "out" / "timeseries.csv").exists()
 
 
 @pytest.mark.parametrize(
@@ -280,6 +289,23 @@ def test_auto_dt_step_count_beyond_memory_exits_2(tmp_path, capsys, monkeypatch,
     args = ["simulate", "--config", cfg, "--set", f"time.scheme={scheme}",
             "--set", "time.dt=auto", "--set", f"time.horizon={horizon}"]
     assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "time.horizon" in err and "time.dt" in err
+
+
+def test_explicit_dt_beyond_memory_exits_2_before_evolve(tmp_path, capsys, monkeypatch):
+    """A given explicit time.dt is planned after assembly, against the CFL
+    limit; one whose table of diagnostics exceeds physical memory (5e10
+    steps) is refused there, naming both keys, before evolve."""
+
+    def unreachable(*args):
+        raise AssertionError("a refused run went on")
+
+    monkeypatch.setattr(cli, "evolve", unreachable)
+    cfg = write_cfg(tmp_path, SMALL, f"output.dir = {tmp_path}/out\n")
+    args = ["--set", "time.scheme=explicit", "--set", "time.dt=1e-12",
+            "--set", "time.horizon=0.05"]
+    assert main(["simulate", "--config", cfg, *args]) == 2
     err = capsys.readouterr().err
     assert "time.horizon" in err and "time.dt" in err
 
@@ -437,16 +463,26 @@ def _isolate_node(gen):  # node 10's two local edges and its diagonal
     _zero_coupling_edge, _flip_coupling_edge, _scale_diagonal, _negate_diagonal,
     _nan_coupling_edge, _isolate_node,
 ), ids=lambda corrupt: corrupt.__name__.strip("_"))
-def test_verify_detects_corruption(corrupt):
+def test_verify_detects_corruption(monkeypatch, corrupt):
     """Each corruption of the band fails the structure check: a NaN entry and
     an isolated node (whose own row reads 0 / 0) included."""
+    assemble = verify.assemble_generator
+
+    def corrupted(*args):
+        gen = assemble(*args)
+        corrupt(gen)
+        return gen
+
     cfg = SimConfig(grid_n_local=50, grid_n_nonlocal=50)
-    ok, _ = verify.check_operator_structure(cfg, transform=corrupt)
-    assert not ok
-    if corrupt is _zero_coupling_edge:
-        ok, _ = verify.check_mass_conservation(cfg, transform=corrupt)
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "assemble_generator", corrupted)
+        ok, _ = verify.check_operator_structure(cfg)
         assert not ok
-        ok, _ = verify.check_mass_conservation(cfg, transform=None)
+        if corrupt is _zero_coupling_edge:
+            ok, _ = verify.check_mass_conservation(cfg)
+            assert not ok
+    if corrupt is _zero_coupling_edge:
+        ok, _ = verify.check_mass_conservation(cfg)
         assert ok
 
 
