@@ -24,8 +24,6 @@ from .config import (
     kernel_from,
     load_config,
     scheme_from,
-    set_key,
-    validate,
 )
 from .discretization import assemble_generator, assemble_heat_generator
 from .energy_spectrum import estimate_beta1, estimate_energy_control_k
@@ -250,15 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        for item in args.set:
-            if "=" not in item:
-                raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
-            key, value = item.split("=", 1)
-            set_key(cfg, key.strip(), value.strip())
+        cfg = load_config(args.config, args.set)
         if args.out:
             cfg.output_dir = args.out
-        validate(cfg)
 
         if args.command == "simulate":
             artifacts = run_simulate(cfg, svg=args.svg)

@@ -1,9 +1,12 @@
 """Flat key = value run configuration.
 
 One dotted key per line, UTF-8, '#' comments; unknown keys are rejected so a
-typo cannot silently fall back to a default.  The manifest written by every
-run uses the same format with all values resolved, so it re-parses as a
-config that reproduces the run bit for bit.
+typo cannot silently fall back to a default.  Each key is declared once, as a
+`SimConfig` field: the key is the field name with its first '_' read as '.'
+(``grid_n_local`` is ``grid.n_local``, ``seed`` is ``seed``) and its parser is
+read off the field's annotation.  The manifest written by every run uses the
+same format with all values resolved, so it re-parses as a config that
+reproduces the run bit for bit.
 """
 from __future__ import annotations
 
@@ -25,6 +28,10 @@ class ConfigError(Exception):
 
 @dataclass
 class SimConfig:
+    """Every key of a run, with its default.  A field is the key with its
+    first '.' written '_'; its annotation (str, float, int or float | str,
+    the last for 'auto' or a number) chooses the key's parser."""
+
     kernel_family: str = "triangle"
     kernel_radius: float = 1.0
     kernel_epsilon: float = 1.0
@@ -53,35 +60,19 @@ def _parse_auto_float(raw: str):
     return "auto" if raw == "auto" else float(raw)
 
 
-# dotted key -> (attribute, parser)
+# dotted key -> (attribute, parser), in field order
 _KEYS = {
-    "kernel.family": ("kernel_family", str),
-    "kernel.radius": ("kernel_radius", float),
-    "kernel.epsilon": ("kernel_epsilon", float),
-    "grid.n_local": ("grid_n_local", int),
-    "grid.n_nonlocal": ("grid_n_nonlocal", int),
-    "time.scheme": ("time_scheme", str),
-    "time.dt": ("time_dt", _parse_auto_float),
-    "time.horizon": ("time_horizon", float),
-    "time.snapshot_stride": ("time_snapshot_stride", int),
-    "picard.window": ("picard_window", _parse_auto_float),
-    "picard.tol": ("picard_tol", float),
-    "picard.max_iters": ("picard_max_iters", int),
-    "init.kind": ("init_kind", str),
-    "init.value": ("init_value", float),
-    "init.u_value": ("init_u_value", float),
-    "init.v_value": ("init_v_value", float),
-    "init.amplitude": ("init_amplitude", float),
-    "init.center": ("init_center", float),
-    "init.width": ("init_width", float),
-    "init.path": ("init_path", str),
-    "output.dir": ("output_dir", str),
-    "seed": ("seed", int),
+    f.name.replace("_", ".", 1): (
+        f.name,
+        {"str": str, "float": float, "int": int, "float | str": _parse_auto_float}[f.type],
+    )
+    for f in fields(SimConfig)
 }
-_ATTR_TO_KEY = {attr: key for key, (attr, _) in _KEYS.items()}
 
 
-def parse_config_text(text: str) -> SimConfig:
+def parse_config_text(text: str, overrides=()) -> SimConfig:
+    """The config of text, with each KEY=VALUE of overrides applied after
+    its lines, validated once."""
     cfg = SimConfig()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -91,6 +82,11 @@ def parse_config_text(text: str) -> SimConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         set_key(cfg, key, value, where=f"line {lineno}")
+    for item in overrides:
+        if "=" not in item:
+            raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
+        key, value = item.split("=", 1)
+        set_key(cfg, key.strip(), value.strip())
     validate(cfg)
     return cfg
 
@@ -105,20 +101,17 @@ def set_key(cfg: SimConfig, key: str, value: str, where: str = "override"):
         raise ConfigError(f"{where}: bad value for {key!r}: {exc}") from exc
 
 
-def load_config(path) -> SimConfig:
+def load_config(path, overrides=()) -> SimConfig:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return parse_config_text(text)
+    return parse_config_text(text, overrides)
 
 
 def config_to_text(cfg: SimConfig) -> str:
-    lines = []
-    for f in fields(SimConfig):
-        key = _ATTR_TO_KEY[f.name]
-        lines.append(f"{key} = {_format_value(getattr(cfg, f.name))}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {_format_value(getattr(cfg, attr))}\n"
+                   for key, (attr, _) in _KEYS.items())
 
 
 def _format_value(value) -> str:
@@ -186,32 +179,24 @@ def scheme_from(cfg: SimConfig) -> StepScheme:
     )
 
 
-def initial_profile(cfg: SimConfig):
-    """The initial condition as a function of position (file kind excluded)."""
-    kind = cfg.init_kind
-    if kind == "constant":
-        return lambda x: np.full_like(np.asarray(x, dtype=float), cfg.init_value)
-    if kind == "step":
-        return lambda x: np.where(
-            np.asarray(x, dtype=float) <= 0.0, cfg.init_u_value, cfg.init_v_value
-        )
-    if kind == "cosine":
-        return lambda x: cfg.init_amplitude * np.cos(
-            np.pi * (np.asarray(x, dtype=float) + 1.0) / 2.0
-        )
-    if kind == "gaussian":
-        return lambda x: cfg.init_amplitude * np.exp(
-            -((np.asarray(x, dtype=float) - cfg.init_center) ** 2)
-            / (2.0 * cfg.init_width**2)
-        )
-    raise ConfigError(f"init.kind: {kind!r} has no closed-form profile")
-
-
 def initial_state(cfg: SimConfig, grid: Grid) -> StateField:
+    """The init.* datum sampled at the grid's positions."""
     if cfg.init_kind == "file":
         return _state_from_csv(cfg.init_path, grid)
-    profile = initial_profile(cfg)
-    return StateField(grid, profile(grid.positions))
+    x = grid.positions
+    if cfg.init_kind == "constant":
+        values = np.full_like(x, cfg.init_value)
+    elif cfg.init_kind == "step":
+        values = np.where(x <= 0.0, cfg.init_u_value, cfg.init_v_value)
+    elif cfg.init_kind == "cosine":
+        values = cfg.init_amplitude * np.cos(np.pi * (x + 1.0) / 2.0)
+    elif cfg.init_kind == "gaussian":
+        values = cfg.init_amplitude * np.exp(
+            -((x - cfg.init_center) ** 2) / (2.0 * cfg.init_width**2)
+        )
+    else:  # a SimConfig built in code skips validate
+        raise ConfigError(f"init.kind: unknown kind {cfg.init_kind!r}")
+    return StateField(grid, values)
 
 
 def _state_from_csv(path, grid: Grid) -> StateField:

@@ -142,9 +142,6 @@ class StateField:
     def v(self) -> np.ndarray:
         return self.values[self.grid.interface_index + 1 :]
 
-    def copy(self) -> "StateField":
-        return StateField(self.grid, self.values.copy())
-
 
 def constant_state(grid, value: float) -> StateField:
     return StateField(grid, np.full(grid.size, float(value)))

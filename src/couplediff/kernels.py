@@ -31,10 +31,8 @@ def _base_eval(family: str, radius: float, s):
         val = 0.5 / radius * np.ones_like(a)
     elif family == "triangle":
         val = (1.0 - a) / radius
-    elif family == "epanechnikov":
+    else:  # epanechnikov
         val = 0.75 * (1.0 - a * a) / radius
-    else:
-        raise ValueError(f"unknown kernel family {family!r}")
     return np.where(inside, val, 0.0)
 
 
@@ -47,9 +45,7 @@ def _base_cdf(family: str, radius: float, s):
         neg = 0.5 * (a + 1.0) ** 2
         pos = 1.0 - 0.5 * (1.0 - a) ** 2
         return np.where(a <= 0.0, neg, pos)
-    if family == "epanechnikov":
-        return 0.5 + 0.25 * (3.0 * a - a**3)
-    raise ValueError(f"unknown kernel family {family!r}")
+    return 0.5 + 0.25 * (3.0 * a - a**3)  # epanechnikov
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,17 @@ def test_parse_defaults_and_roundtrip():
     assert again == cfg
 
 
+def test_readme_config_block_is_the_defaults():
+    """README's "Config keys and defaults" block lists every key, in the
+    manifest's order, and parses as SimConfig()."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Config keys and defaults", 1)[1].split("```", 2)[1]
+    assert parse_config_text(block) == SimConfig()
+    keys = [line.split("=", 1)[0].strip() for line in block.strip().splitlines()]
+    assert keys == [line.split(" = ", 1)[0]
+                    for line in config_to_text(SimConfig()).splitlines()]
+
+
 def test_parse_rejects_unknown_keys():
     with pytest.raises(ConfigError, match="unknown config key"):
         parse_config_text("kernel.width = 2\n")
@@ -61,9 +74,12 @@ def test_parse_validates_values():
         parse_config_text("init.kind = spline\n")
 
 
-def test_simulate_artifacts_and_schemas(tmp_path):
+def test_simulate_artifacts_and_schemas(tmp_path, capsys):
     cfg = write_cfg(tmp_path, SMALL, f"output.dir = {tmp_path}/out\n")
-    assert main(["simulate", "--config", cfg]) == 0
+    assert main(["simulate", "--config", cfg, "--svg"]) == 0
+    plot = tmp_path / "out" / "dist_to_mean.svg"
+    assert str(plot) in capsys.readouterr().out.splitlines()
+    assert plot.read_text().startswith("<svg")
     header, rows = read_csv(tmp_path / "out" / "timeseries.csv")
     assert header == [
         "t", "mass", "energy_total", "energy_local", "energy_nonlocal",
@@ -203,16 +219,21 @@ def test_explicit_dt_above_cfl_is_config_error(tmp_path):
 def test_unknown_key_and_bad_value_exit_2(tmp_path):
     cfg = write_cfg(tmp_path, SMALL)
     assert main(["simulate", "--config", cfg, "--set", "nope=1"]) == 2
+    assert main(["simulate", "--config", cfg, "--set", "nodelimiter"]) == 2
     assert main(["simulate", "--config", cfg, "--set", "time.dt=fast"]) == 2
     assert main(["simulate", "--config", str(tmp_path / "missing.cfg")]) == 2
 
 
-def _bad_init_csv(tmp_path, bad_x):
+def _init_csv(tmp_path, header="x,w,region", w="0.5", shift=0.0, row3=None):
+    """Overrides that start from a 50 x 50 snapshot CSV with this header,
+    every w equal to w, every x shifted by shift and, if given, row3 in place
+    of the fourth row."""
     grid = build_grid(50, 50)
-    rows = [f"{x!r},0.5,local" for x in grid.positions]
-    rows[3] = "0.1x,0.5,local" if bad_x else f"{grid.positions[3]!r},abc,local"
+    rows = [f"{float(x + shift)!r},{w},local" for x in grid.positions]
+    if row3 is not None:
+        rows[3] = row3
     path = tmp_path / "init.csv"
-    path.write_text("x,w,region\n" + "\n".join(rows) + "\n")
+    path.write_text(header + "\n" + "\n".join(rows) + "\n")
     return ["init.kind=file", f"init.path={path}"]
 
 
@@ -223,8 +244,8 @@ def _bad_init_csv(tmp_path, bad_x):
         ("time.horizon", lambda p: ["time.horizon=inf"]),
         ("time.dt", lambda p: ["time.dt=inf"]),
         ("init.value", lambda p: ["init.kind=constant", "init.value=nan"]),
-        ("init.path", lambda p: _bad_init_csv(p, bad_x=True)),
-        ("init.path", lambda p: _bad_init_csv(p, bad_x=False)),
+        ("init.path", lambda p: _init_csv(p, row3="0.1x,0.5,local")),
+        ("init.path", lambda p: _init_csv(p, w="abc")),
         ("picard.window", lambda p: ["time.scheme=picard", "picard.window=0.5"]),
         ("time.dt", lambda p: ["time.scheme=picard", "time.dt=0.003"]),  # window 0.032
         ("time.horizon",
@@ -233,10 +254,30 @@ def _bad_init_csv(tmp_path, bad_x):
         ("kernel.radius", lambda p: ["kernel.radius=1e-300"]),  # its square underflows
         ("kernel.radius", lambda p: ["kernel.radius=1e200"]),  # its square overflows
         ("kernel.radius", lambda p: ["kernel.radius=1e-3"]),  # h = 0.02 > R eps / 4
+        ("kernel.radius", lambda p: ["kernel.radius=0"]),
+        ("kernel.epsilon", lambda p: ["kernel.epsilon=-1"]),
+        ("grid.n_local", lambda p: ["grid.n_local=3"]),
+        ("time.dt", lambda p: ["time.dt=-1"]),
+        ("time.horizon", lambda p: ["time.horizon=0"]),
+        ("time.snapshot_stride", lambda p: ["time.snapshot_stride=-1"]),
+        ("picard.window", lambda p: ["picard.window=0"]),
+        ("picard.tol", lambda p: ["picard.tol=0"]),
+        ("picard.max_iters", lambda p: ["picard.max_iters=0"]),
+        ("init.width", lambda p: ["init.kind=gaussian", "init.width=0"]),
+        ("init.path", lambda p: ["init.kind=file"]),
+        ("init.path", lambda p: ["init.kind=file", f"init.path={p / 'absent.csv'}"]),
+        ("init.path", lambda p: _init_csv(p, header="t,w,region")),
+        ("init.path", lambda p: _init_csv(p, w="inf")),
+        ("init.path", lambda p: _init_csv(p, shift=0.01)),
+        ("time.dt", lambda p: ["time.scheme=explicit", "time.dt=0.1"]),  # above the CFL limit
     ],
     ids=["radius-inf", "horizon-inf", "dt-inf", "value-nan", "csv-bad-x", "csv-bad-w",
          "picard-window", "picard-dt", "picard-horizon", "seed-negative",
-         "radius-tiny", "radius-huge", "radius-under-resolved"],
+         "radius-tiny", "radius-huge", "radius-under-resolved",
+         "radius-zero", "epsilon-negative", "n-local-3", "dt-negative", "horizon-zero",
+         "stride-negative", "picard-window-zero", "picard-tol-zero", "picard-iters-zero",
+         "width-zero", "csv-no-path", "csv-missing", "csv-no-header", "csv-inf-w",
+         "csv-shifted", "explicit-dt-above-cfl"],
 )
 def test_bad_input_exits_2_naming_key(tmp_path, capsys, key, overrides):
     cfg = write_cfg(tmp_path, SMALL, f"output.dir = {tmp_path}/out\n")
@@ -245,6 +286,23 @@ def test_bad_input_exits_2_naming_key(tmp_path, capsys, key, overrides):
         args += ["--set", item]
     assert main(args) == 2
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "broken, repair",
+    [("init.kind = file\n", lambda p: _init_csv(p)[1:]),  # init.path only
+     ("grid.n_local = 3\n", lambda p: ["grid.n_local=50"])],
+    ids=["supply-init-path", "correct-n-local"],
+)
+def test_set_completes_the_config_file_before_validation(tmp_path, broken, repair):
+    """--set overrides are applied before the config is validated, so they
+    can supply a key the file needs (init.path) or correct one it gets wrong."""
+    cfg = write_cfg(tmp_path, SMALL, broken + f"output.dir = {tmp_path}/out\n")
+    args = ["simulate", "--config", cfg]
+    for item in repair(tmp_path):
+        args += ["--set", item]
+    assert main(args) == 0
+    assert (tmp_path / "out" / "timeseries.csv").exists()
 
 
 @pytest.mark.parametrize("dt", ["1e-300", "1e-12", "1e-320"])
@@ -429,6 +487,10 @@ def test_initial_profiles():
     assert step.values[-1] == 0.0
     const = initial_state(SimConfig(init_kind="constant", init_value=-2.0), grid)
     assert np.all(const.values == -2.0)
+    bump = initial_state(SimConfig(init_amplitude=0.5), grid)  # the default gaussian
+    assert np.array_equal(bump.values, 0.5 * np.exp(-((grid.positions + 0.5) ** 2) / 0.045))
+    with pytest.raises(ConfigError, match="init.kind"):
+        initial_state(SimConfig(init_kind="spline"), grid)
 
 
 def _zero_coupling_edge(gen):  # A[I, I + 1], the coupling edge to the first cell
