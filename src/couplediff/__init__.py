@@ -21,14 +21,10 @@ from .analysis import (
 from .discretization import (
     GeneratorMatrix,
     Grid,
-    StateField,
     assemble_generator,
     assemble_heat_generator,
     build_grid,
-    constant_state,
     generator_edges,
-    mass,
-    weighted_inner,
 )
 from .energy_spectrum import (
     EnergyBreakdown,

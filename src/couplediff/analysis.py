@@ -12,14 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SimConfig, initial_state, kernel_from
-from .discretization import (
-    GeneratorMatrix,
-    Grid,
-    StateField,
-    assemble_generator,
-    build_grid,
-    generator_edges,
-)
+from .discretization import GeneratorMatrix, Grid, assemble_generator, build_grid, generator_edges
 from .energy_spectrum import SpectralReport, estimate_beta1
 from .evolution import StepScheme, Trajectory, _States
 from .kernels import coupling_constants, make_kernel
@@ -37,10 +30,9 @@ class _HeatReference:
     grid resolution would alias and are dropped.
     """
 
-    def __init__(self, w0: StateField, n_modes: int = 256):
+    def __init__(self, grid: Grid, w0: np.ndarray, n_modes: int = 256):
         if n_modes < 1:
             raise ValueError("need at least one cosine mode")
-        grid = w0.grid
         n_modes = min(n_modes, grid.n_local, grid.n_nonlocal)
         x = grid.positions
         ww = grid.weights
@@ -53,8 +45,8 @@ class _HeatReference:
         sign[sign == 0.0] = 1.0
         q *= sign[None, :]
         self.grid = grid
-        self.mean = float(ww @ w0.values) / float(np.sum(ww))
-        self.coeff = q.T @ (root_w * w0.values)
+        self.mean = float(ww @ w0) / float(np.sum(ww))
+        self.coeff = q.T @ (root_w * w0)
         self.rates = (0.5 * np.pi * k) ** 2
         self.modes = q / root_w[:, None]
 
@@ -66,10 +58,10 @@ class _HeatReference:
         return self.mean + (self.modes @ c.T).T
 
 
-def heat_reference(w0: StateField, t: float, n_modes: int = 256) -> StateField:
-    """Exact Neumann heat solution at time t from the sampled initial data."""
-    ref = _HeatReference(w0, n_modes)
-    return StateField(w0.grid, ref.at(t))
+def heat_reference(grid: Grid, w0: np.ndarray, t: float, n_modes: int = 256) -> np.ndarray:
+    """Exact Neumann heat solution at time t from the initial data w0 sampled
+    on grid."""
+    return _HeatReference(grid, w0, n_modes).at(t)
 
 
 class DecayFitError(ValueError):
@@ -125,11 +117,11 @@ class SweepRow:
     interface_jump: float
 
 
-def interface_jump(state: StateField) -> float:
+def interface_jump(grid: Grid, w: np.ndarray) -> float:
     """|u(0-) - v(0+)| with v extrapolated to the interface from the first
     two cell centers."""
-    v = state.v
-    return float(abs(state.u[-1] - (1.5 * v[0] - 0.5 * v[1])))
+    iface = grid.interface_index
+    return float(abs(w[iface] - (1.5 * w[iface + 1] - 0.5 * w[iface + 2])))
 
 
 def epsilon_sweep(
@@ -161,18 +153,19 @@ def epsilon_sweep(
         n_nl = max(base_config.grid_n_nonlocal,
                    int(np.ceil(4.0 / (e * base_config.kernel_radius))))
         if ref is None or ref.grid.n_nonlocal != n_nl:  # members on one grid share it
-            w0 = initial_state(base_config, build_grid(base_config.grid_n_local, n_nl))
-            ref = _HeatReference(w0)
+            grid = build_grid(base_config.grid_n_local, n_nl)
+            w0 = initial_state(base_config, grid)
+            ref = _HeatReference(grid, w0)
         rows.append(_sweep_member(base_config, e, constants, scheme, horizon, w0, ref))
     return rows
 
 
 def _sweep_member(base_config, e, constants, scheme, horizon, w0, ref) -> SweepRow:
-    """One sweep row from w0 and the heat reference ref on the member's grid,
-    stepping the member once.  The generator and the stepper live in this
-    frame only, so they are freed before the next member is assembled; the
-    eigensolve runs before the stepper exists."""
-    grid = w0.grid
+    """One sweep row from w0 and the heat reference ref on the member's grid
+    (ref.grid), stepping the member once.  The generator and the stepper
+    live in this frame only, so they are freed before the next member is
+    assembled; the eigensolve runs before the stepper exists."""
+    grid = ref.grid
     kernel = make_kernel(base_config.kernel_family, base_config.kernel_radius, e)
     generator = assemble_generator(grid, kernel, constants)
     spectral = estimate_beta1(generator)
@@ -189,7 +182,7 @@ def _sweep_member(base_config, e, constants, scheme, horizon, w0, ref) -> SweepR
         dt=states.dt,
         sup_error_l2=sup,
         beta1_eps=spectral.beta1,
-        interface_jump=interface_jump(StateField(grid, block[-1])),
+        interface_jump=interface_jump(grid, block[-1]),
     )
 
 

@@ -24,6 +24,7 @@ from .config import (
     kernel_from,
     load_config,
     scheme_from,
+    validate,
 )
 from .discretization import assemble_generator, assemble_heat_generator
 from .energy_spectrum import estimate_beta1, estimate_energy_control_k
@@ -54,12 +55,11 @@ def _check_record_table(cfg: SimConfig, n_steps: int):
                           f" GiB) exceeds physical memory ({memory / 2**30:.3g} GiB)")
 
 
-def _write_snapshot(path, state):
-    grid = state.grid
+def _write_snapshot(path, grid, state):
     iface = grid.interface_index
     rows = (
         (float(x), float(w), "local" if i <= iface else "nonlocal")
-        for i, (x, w) in enumerate(zip(grid.positions, state.values))
+        for i, (x, w) in enumerate(zip(grid.positions, state))
     )
     write_csv(path, ("x", "w", "region"), rows)
 
@@ -95,7 +95,7 @@ def run_simulate(cfg: SimConfig, svg: bool = False) -> list:
     artifacts.append(ts)
     for k, (_, state) in enumerate(traj.snapshots):
         snap = out / f"snapshot_{k:06d}.csv"
-        _write_snapshot(snap, state)
+        _write_snapshot(snap, generator.grid, state)
         artifacts.append(snap)
 
     resolved = replace(cfg, time_dt=traj.dt)
@@ -249,8 +249,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, args.set)
-        if args.out:
+        if args.out:  # the manifest writes it, so it must re-parse too
             cfg.output_dir = args.out
+            validate(cfg)
 
         if args.command == "simulate":
             artifacts = run_simulate(cfg, svg=args.svg)

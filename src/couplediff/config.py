@@ -6,7 +6,9 @@ typo cannot silently fall back to a default.  Each key is declared once, as a
 (``grid_n_local`` is ``grid.n_local``, ``seed`` is ``seed``) and its parser is
 read off the field's annotation.  The manifest written by every run uses the
 same format with all values resolved, so it re-parses as a config that
-reproduces the run bit for bit.
+reproduces the run bit for bit.  That is why validate refuses a string value
+that holds a '#' or a line break, or starts or ends with whitespace: the
+parser would cut or strip it.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .discretization import Grid, StateField, build_grid
+from .discretization import Grid, build_grid
 from .evolution import SCHEME_KINDS, StepScheme
 from .kernels import FAMILIES, Kernel, coupling_constants, make_kernel
 
@@ -123,7 +125,11 @@ def _format_value(value) -> str:
 def validate(cfg: SimConfig):
     for key, (attr, parser) in _KEYS.items():
         value = getattr(cfg, attr)
-        if parser in (float, _parse_auto_float) and value != "auto" and not np.isfinite(value):
+        if isinstance(value, str):
+            if "#" in value or value != value.strip() or len(value.splitlines()) > 1:
+                raise ConfigError(f"{key}: {value!r} would not re-parse: a value may not "
+                                  "hold '#' or a line break, or start or end with whitespace")
+        elif parser in (float, _parse_auto_float) and not np.isfinite(value):
             raise ConfigError(f"{key}: must be finite, got {value}")
     if cfg.kernel_family not in FAMILIES:
         raise ConfigError(f"kernel.family: unknown family {cfg.kernel_family!r}")
@@ -179,8 +185,9 @@ def scheme_from(cfg: SimConfig) -> StepScheme:
     )
 
 
-def initial_state(cfg: SimConfig, grid: Grid) -> StateField:
-    """The init.* datum sampled at the grid's positions."""
+def initial_state(cfg: SimConfig, grid: Grid) -> np.ndarray:
+    """The init.* datum sampled at the grid's positions, one value per
+    position."""
     if cfg.init_kind == "file":
         return _state_from_csv(cfg.init_path, grid)
     x = grid.positions
@@ -196,10 +203,10 @@ def initial_state(cfg: SimConfig, grid: Grid) -> StateField:
         )
     else:  # a SimConfig built in code skips validate
         raise ConfigError(f"init.kind: unknown kind {cfg.init_kind!r}")
-    return StateField(grid, values)
+    return values
 
 
-def _state_from_csv(path, grid: Grid) -> StateField:
+def _state_from_csv(path, grid: Grid) -> np.ndarray:
     try:
         rows = Path(path).read_text(encoding="utf-8").splitlines()
     except OSError as exc:
@@ -220,4 +227,4 @@ def _state_from_csv(path, grid: Grid) -> StateField:
         raise ConfigError(f"init.path: {path} has a non-finite w value")
     if not np.allclose(x, grid.positions, atol=1e-9):
         raise ConfigError("init.path: snapshot positions do not match the grid")
-    return StateField(grid, w)
+    return w

@@ -75,13 +75,6 @@ class Grid:
     def __repr__(self):
         return f"Grid(n_local={self.n_local}, n_nonlocal={self.n_nonlocal})"
 
-    def compatible_with(self, other) -> bool:
-        return (
-            isinstance(other, Grid)
-            and other.n_local == self.n_local
-            and other.n_nonlocal == self.n_nonlocal
-        )
-
 
 class IntervalGrid:
     """Single-domain diagnostic mesh: nodes on [-1, 1] with trapezoid weights.
@@ -106,9 +99,6 @@ class IntervalGrid:
     def __repr__(self):
         return f"IntervalGrid(n_intervals={self.n_intervals})"
 
-    def compatible_with(self, other) -> bool:
-        return isinstance(other, IntervalGrid) and other.n_intervals == self.n_intervals
-
 
 def build_grid(n_local: int, n_nonlocal: int) -> Grid:
     if n_local < 4 or n_nonlocal < 4:
@@ -116,53 +106,6 @@ def build_grid(n_local: int, n_nonlocal: int) -> Grid:
             f"grid needs at least 4 cells per subdomain, got ({n_local}, {n_nonlocal})"
         )
     return Grid(n_local, n_nonlocal)
-
-
-@dataclass
-class StateField:
-    """A discrete state w = (u, v) sampled on a grid."""
-
-    grid: object
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.grid.size,):
-            raise ValueError(
-                f"state length {self.values.shape} does not match grid size {self.grid.size}"
-            )
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("state values must be finite")
-
-    @property
-    def u(self) -> np.ndarray:
-        return self.values[: self.grid.interface_index + 1]
-
-    @property
-    def v(self) -> np.ndarray:
-        return self.values[self.grid.interface_index + 1 :]
-
-
-def constant_state(grid, value: float) -> StateField:
-    return StateField(grid, np.full(grid.size, float(value)))
-
-
-def mass(grid, w: StateField) -> float:
-    """Weighted total, the discrete integral of w over (-1, 1)."""
-    _check_grid(grid, w)
-    return float(grid.weights @ w.values)
-
-
-def weighted_inner(grid, a: StateField, b: StateField) -> float:
-    """Discrete L2 inner product with the grid quadrature weights."""
-    _check_grid(grid, a)
-    _check_grid(grid, b)
-    return float(np.sum(grid.weights * a.values * b.values))
-
-
-def _check_grid(grid, w: StateField):
-    if w.grid is not grid and not grid.compatible_with(w.grid):
-        raise ValueError("state field lives on a different grid")
 
 
 def _add_path_stiffness(band: np.ndarray, n_edges: int, h: float):

@@ -39,15 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretization import (
-    GeneratorMatrix,
-    Grid,
-    StateField,
-    _symmetric,
-    generator_edges,
-    mass,
-    weighted_inner,
-)
+from .discretization import GeneratorMatrix, Grid, _symmetric, generator_edges
 from .kernels import Kernel
 
 
@@ -135,8 +127,8 @@ def energy_form(generator: GeneratorMatrix):
     return terms
 
 
-def energy(generator: GeneratorMatrix, w: StateField) -> EnergyBreakdown:
-    return EnergyBreakdown(*energy_form(generator)(w.values))
+def energy(generator: GeneratorMatrix, w: np.ndarray) -> EnergyBreakdown:
+    return EnergyBreakdown(*energy_form(generator)(w))
 
 
 def _full_energy(grid: Grid, kernel: Kernel, values):
@@ -157,20 +149,20 @@ def _full_energy(grid: Grid, kernel: Kernel, values):
     return 0.5 * total
 
 
-def nonlocal_energy_full(grid: Grid, kernel: Kernel, w: StateField) -> float:
+def nonlocal_energy_full(grid: Grid, kernel: Kernel, w: np.ndarray) -> float:
     """Pure nonlocal energy over the whole domain (-1, 1).
 
     Double quadrature over all degree-of-freedom pairs, local nodes and
     nonlocal centers alike, of J_eps(x - y) (w(y) - w(x))^2.
     """
-    return float(_full_energy(grid, kernel, w.values))
+    return float(_full_energy(grid, kernel, w))
 
 
 @dataclass
 class SpectralReport:
     beta1: float
     lambda2: float
-    eigvec: StateField
+    eigvec: np.ndarray
     residual: float
     iterations: int
 
@@ -275,18 +267,18 @@ def estimate_beta1(generator: GeneratorMatrix) -> SpectralReport:
     return SpectralReport(
         beta1=0.5 * lam,
         lambda2=lam,
-        eigvec=StateField(generator.grid, x),
+        eigvec=x,
         residual=residual,
         iterations=iterations,
     )
 
 
-def rayleigh(generator: GeneratorMatrix, w: StateField) -> float:
+def rayleigh(generator: GeneratorMatrix, w: np.ndarray) -> float:
     """Energy over squared weighted norm of the mean-free part of w."""
-    grid = generator.grid
-    shifted = StateField(grid, w.values - 0.5 * mass(grid, w))
-    denom = weighted_inner(grid, shifted, shifted)
-    scale = float(np.max(np.abs(w.values))) or 1.0
+    weights = generator.weights
+    shifted = w - 0.5 * float(weights @ w)
+    denom = float(np.sum(weights * shifted * shifted))
+    scale = float(np.max(np.abs(w))) or 1.0
     if denom <= 1e-28 * scale * scale:
         raise ValueError("rayleigh quotient undefined for (numerically) constant input")
     return energy(generator, w).total / denom

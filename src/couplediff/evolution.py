@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._lapack import dpbtrs
-from .discretization import GeneratorMatrix, StateField, _cholesky, generator_edges
+from .discretization import GeneratorMatrix, _cholesky, generator_edges
 from .energy_spectrum import energy_form
 from .kernels import CouplingConstants
 
@@ -156,12 +156,13 @@ def _column(name: str):
 class Trajectory:
     """table holds one row per recorded state, in TIMESERIES_COLUMNS order;
     it is read-only, and so are the column views times, mass, energy_* and
-    dist_to_mean."""
+    dist_to_mean.  snapshots holds (t, state) pairs; every state is an
+    array of grid.size values."""
 
     grid: object
     table: np.ndarray
     snapshots: list = field(default_factory=list)
-    final_state: StateField | None = None
+    final_state: np.ndarray | None = None
     dt: float = 0.0
     picard: PicardReport | None = None
 
@@ -206,8 +207,8 @@ def _explicit_step(generator: GeneratorMatrix, dt: float):
     return lambda values: values + dt * generator.apply(values)
 
 
-def step_explicit(generator: GeneratorMatrix, w: StateField, dt: float) -> StateField:
-    return StateField(w.grid, _explicit_step(generator, dt)(w.values))
+def step_explicit(generator: GeneratorMatrix, w: np.ndarray, dt: float) -> np.ndarray:
+    return _explicit_step(generator, dt)(w)
 
 
 class _ImplicitStepper:
@@ -267,11 +268,10 @@ class _ImplicitStepper:
         return x
 
 
-def step_implicit(generator: GeneratorMatrix, w: StateField, dt: float) -> StateField:
+def step_implicit(generator: GeneratorMatrix, w: np.ndarray, dt: float) -> np.ndarray:
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    stepper = _ImplicitStepper(generator, dt)
-    return StateField(w.grid, stepper.step(w.values))
+    return _ImplicitStepper(generator, dt).step(w)
 
 
 BLOCK_STATES = 64  # states per block of the per-state diagnostics
@@ -354,14 +354,22 @@ class _States:
     """The states of w' = L w at t = k dt, k = 0..n_steps, one per iteration.
 
     dt and the step count are scheme.plan's, given the generator's coupling
-    constants and, for the explicit scheme, its CFL limit.  Explicit and
-    implicit steps (self.step) start from a private copy of w0.  The picard
-    scheme takes its states from the window iteration, whose report is
-    self.picard.  Every scheme aborts on a non-finite state.
+    constants and, for the explicit scheme, its CFL limit.  This is where a
+    state enters stepping: w0 must be grid.size finite values (ValueError
+    otherwise).  Explicit and implicit steps (self.step) start from a
+    private copy of w0.  The picard scheme takes its states from the window
+    iteration, whose report is self.picard.  Every scheme aborts on a
+    non-finite state.
     """
 
-    def __init__(self, generator: GeneratorMatrix, w0: StateField, scheme: StepScheme,
+    def __init__(self, generator: GeneratorMatrix, w0: np.ndarray, scheme: StepScheme,
                  horizon: float):
+        w0 = np.asarray(w0, dtype=float)
+        if w0.shape != (generator.size,):
+            raise ValueError(
+                f"state length {w0.shape} does not match grid size {generator.size}")
+        if not np.all(np.isfinite(w0)):
+            raise ValueError("state values must be finite")
         cfl = cfl_limit(generator) if scheme.kind == "explicit" else math.inf
         self.dt, self.n_steps, window, window_steps = scheme.plan(
             horizon, generator.constants, cfl)
@@ -383,7 +391,7 @@ class _States:
             yield values
 
     def __iter__(self):
-        values = self.w0.values.copy()
+        values = self.w0.copy()
         zeros = np.zeros_like(values)  # 0 . w is 0 for finite w and NaN otherwise
         yield 0.0, values
         # no step source is stored on self: a bound method there would make a
@@ -401,7 +409,7 @@ class _States:
         pay numpy's per-call cost once per BLOCK_STATES states.  The two
         arrays are reused from one block to the next."""
         times = np.empty(BLOCK_STATES)
-        block = np.empty((BLOCK_STATES, self.w0.grid.size))
+        block = np.empty((BLOCK_STATES, self.w0.size))
         fill = 0
         for t, values in self:
             times[fill] = t
@@ -416,7 +424,7 @@ class _States:
 
 def evolve(
     generator: GeneratorMatrix,
-    w0: StateField,
+    w0: np.ndarray,
     scheme: StepScheme,
     horizon: float,
     snapshot_stride: int = 0,
@@ -450,8 +458,8 @@ def evolve(
         table[k : k + len(times)] = np.column_stack((times, m, loc + nl + cp, loc, nl, cp, dist))
         for i in range(len(times)):
             if k + i in kept:
-                snapshots.append((float(times[i]), StateField(w0.grid, block[i].copy())))
+                snapshots.append((float(times[i]), block[i].copy()))
         k += len(times)
-    final = StateField(w0.grid, block[-1].copy())
+    final = block[-1].copy()
     snapshots.append((n_steps * states.dt, final))
-    return Trajectory(w0.grid, table, snapshots, final, states.dt, states.picard)
+    return Trajectory(generator.grid, table, snapshots, final, states.dt, states.picard)

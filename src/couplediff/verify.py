@@ -21,12 +21,7 @@ import numpy as np
 
 from .analysis import decay_report
 from .config import SimConfig, initial_state
-from .discretization import (
-    StateField,
-    assemble_generator,
-    build_grid,
-    generator_edges,
-)
+from .discretization import assemble_generator, build_grid, generator_edges
 from .energy_spectrum import _semigroup_oracle, estimate_beta1
 from .evolution import (
     StepScheme,
@@ -83,7 +78,7 @@ def _coupled_setup(cfg, n=100):
 
 def check_mass_conservation(cfg):
     grid, gen = _coupled_setup(cfg)
-    w0 = StateField(grid, np.where(grid.positions <= 0.0, 1.0, 0.0))
+    w0 = np.where(grid.positions <= 0.0, 1.0, 0.0)
     traj = evolve(gen, w0, StepScheme(kind="implicit", dt=1e-2), horizon=2.0)
     drift = float(np.max(np.abs(traj.mass - traj.mass[0])))
     rel = drift / abs(traj.mass[0])
@@ -92,7 +87,7 @@ def check_mass_conservation(cfg):
 
 def check_energy_dissipation(cfg):
     grid, gen = _coupled_setup(cfg)
-    w0 = StateField(grid, np.where(grid.positions <= 0.0, 1.0, 0.0))
+    w0 = np.where(grid.positions <= 0.0, 1.0, 0.0)
     traj = evolve(gen, w0, StepScheme(kind="implicit", dt=1e-2), horizon=2.0)
     rise = float(np.max(np.diff(traj.energy_total)))
     return rise <= 1e-12, f"largest per-step energy increase {rise:.2e}"
@@ -106,16 +101,16 @@ def check_comparison_principle(cfg):
     for _ in range(10):
         lo = rng.standard_normal(grid.size)
         hi = lo + np.abs(rng.standard_normal(grid.size))
-        w_lo, w_hi = StateField(grid, lo), StateField(grid, hi)
+        w_lo, w_hi = lo, hi
         for _ in range(40):
             w_lo = step_explicit(gen, w_lo, dt_exp)
             w_hi = step_explicit(gen, w_hi, dt_exp)
-            worst = max(worst, float(np.max(w_lo.values - w_hi.values)))
-        w_lo, w_hi = StateField(grid, lo), StateField(grid, hi)
+            worst = max(worst, float(np.max(w_lo - w_hi)))
+        w_lo, w_hi = lo, hi
         for _ in range(20):
             w_lo = step_implicit(gen, w_lo, 5e-3)
             w_hi = step_implicit(gen, w_hi, 5e-3)
-            worst = max(worst, float(np.max(w_lo.values - w_hi.values)))
+            worst = max(worst, float(np.max(w_lo - w_hi)))
     return worst <= 1e-12, f"worst ordering violation {worst:.2e}"
 
 
@@ -137,13 +132,13 @@ def check_decay_bound(cfg):
 
 def check_picard_oracle(cfg):
     grid, gen = _coupled_setup(cfg, n=50)
-    w0 = StateField(grid, np.where(grid.positions <= 0.0, 1.0, 0.0))
+    w0 = np.where(grid.positions <= 0.0, 1.0, 0.0)
     scheme = StepScheme(kind="picard", picard_tol=1e-10)
     horizon = 10 * scheme.window_for(gen.constants)
     traj = evolve(gen, w0, scheme, horizon)
     report = traj.picard
     mono = evolve(gen, w0, StepScheme(kind="implicit", dt=traj.dt), horizon)
-    diff = traj.final_state.values - mono.final_state.values
+    diff = traj.final_state - mono.final_state
     dist = float(np.sqrt(np.sum(grid.weights * diff * diff)))
     ratio_ok = all(r <= report.kappa for r in report.contraction_ratios)
     return (
@@ -159,9 +154,9 @@ def check_semigroup_oracle(cfg):
                      init_amplitude=0.25)
     w0 = initial_state(bump, grid)
     t = 0.5
-    exact = _semigroup_oracle(gen, w0.values, t)[0]
+    exact = _semigroup_oracle(gen, w0, t)[0]
     traj = evolve(gen, w0, StepScheme(kind="implicit", dt=1e-4), horizon=t)
-    diff = traj.final_state.values - exact
+    diff = traj.final_state - exact
     dist = float(np.sqrt(np.sum(gen.weights * diff * diff)))
     return dist <= 1e-5, f"L2 gap to matrix exponential {dist:.2e}"
 

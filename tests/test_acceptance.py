@@ -16,7 +16,6 @@ import pytest
 
 from couplediff import (
     BarrierSpec,
-    StateField,
     StepScheme,
     assemble_generator,
     assemble_heat_generator,
@@ -60,7 +59,7 @@ def setup200():
 @pytest.fixture(scope="module")
 def step_run(setup200):
     grid, _, _, generator = setup200
-    w0 = StateField(grid, np.where(grid.positions <= 0.0, 1.0, 0.0))
+    w0 = np.where(grid.positions <= 0.0, 1.0, 0.0)
     start = time.time()
     traj = evolve(generator, w0, StepScheme(kind="implicit", dt=1e-3), 10.0)
     return traj, time.time() - start
@@ -105,9 +104,7 @@ def test_criterion_03_spectral_gap(setup200):
 
 def test_criterion_04_exponential_decay(setup200):
     grid, _, _, generator = setup200
-    w0 = StateField(
-        grid, np.exp(-((grid.positions + 0.5) ** 2) / (2 * 0.15**2))
-    )
+    w0 = np.exp(-((grid.positions + 0.5) ** 2) / (2 * 0.15**2))
     traj = evolve(generator, w0, StepScheme(kind="implicit", dt=2e-3), 8.0)
     spectral = estimate_beta1(generator)
     rep = decay_report(traj, spectral)
@@ -171,16 +168,16 @@ def test_criterion_07_comparison_principle():
     for _ in range(50):
         lo = rng.standard_normal(grid.size)
         hi = lo + np.abs(rng.standard_normal(grid.size))
-        a, b = StateField(grid, lo), StateField(grid, hi)
+        a, b = lo, hi
         for _ in range(200):
             a = step_explicit(generator, a, dt_exp)
             b = step_explicit(generator, b, dt_exp)
-            worst = max(worst, float(np.max(a.values - b.values)))
-        a, b = StateField(grid, lo), StateField(grid, hi)
+            worst = max(worst, float(np.max(a - b)))
+        a, b = lo, hi
         for _ in range(40):
             a = step_implicit(generator, a, 5e-3)
             b = step_implicit(generator, b, 5e-3)
-            worst = max(worst, float(np.max(a.values - b.values)))
+            worst = max(worst, float(np.max(a - b)))
     ok = worst <= 1e-12
     assert report(7, "comparison-principle", ok, f"worst violation={worst:.2e}")
 
@@ -191,12 +188,12 @@ def test_criterion_08_picard_fidelity():
     grid = build_grid(100, 100)
     window = 0.8 / (2 * constants.c1 + constants.c2)
     scheme = StepScheme(kind="picard", picard_window=window, picard_tol=1e-10)
-    w0 = StateField(grid, np.where(grid.positions <= 0.0, 1.0, 0.0))
+    w0 = np.where(grid.positions <= 0.0, 1.0, 0.0)
     generator = assemble_generator(grid, kernel, constants)
     traj = evolve(generator, w0, scheme, 0.5)
     rep = traj.picard
     mono = evolve(generator, w0, StepScheme(kind="implicit", dt=traj.dt), 0.5)
-    gap = weighted_norm(grid, traj.final_state.values - mono.final_state.values)
+    gap = weighted_norm(grid, traj.final_state - mono.final_state)
     converged = all(n <= scheme.picard_tol for n in rep.final_update_norms)
     ratios_ok = rep.kappa >= 1.0 or all(r <= rep.kappa for r in rep.contraction_ratios)
     ok = converged and gap <= 1e-6 and ratios_ok
@@ -213,10 +210,10 @@ def test_criterion_09_semigroup_oracle():
     constants = coupling_constants(kernel)
     grid = build_grid(20, 20)
     generator = assemble_generator(grid, kernel, constants)
-    w0 = StateField(grid, np.exp(-((grid.positions + 0.5) ** 2) / (2 * 0.15**2)))
-    exact = _semigroup_oracle(generator, w0.values, 0.5)[0]
+    w0 = np.exp(-((grid.positions + 0.5) ** 2) / (2 * 0.15**2))
+    exact = _semigroup_oracle(generator, w0, 0.5)[0]
     traj = evolve(generator, w0, StepScheme(kind="implicit", dt=1e-4), 0.5)
-    gap = weighted_norm(grid, traj.final_state.values - exact)
+    gap = weighted_norm(grid, traj.final_state - exact)
     ok = gap <= 1e-5
     assert report(9, "semigroup-oracle", ok, f"L2 gap={gap:.2e}")
 

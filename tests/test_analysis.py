@@ -3,20 +3,17 @@ import pytest
 
 from couplediff import (
     BarrierSpec,
-    StateField,
     StepScheme,
     assemble_generator,
     assemble_heat_generator,
     barrier_fields,
     build_grid,
-    constant_state,
     decay_report,
     epsilon_sweep,
     estimate_beta1,
     evolve,
     heat_reference,
     interface_jump,
-    mass,
     supersolution_check,
 )
 from couplediff.analysis import _HeatReference
@@ -29,35 +26,30 @@ from conftest import weighted_norm
 
 def test_heat_reference_single_mode(grid100):
     mode = np.cos(np.pi * (grid100.positions + 1) / 2)
-    w0 = StateField(grid100, mode)
-    ref = heat_reference(w0, 1.0, 100)
+    ref = heat_reference(grid100, mode, 1.0, 100)
     exact = np.exp(-np.pi**2 / 4) * mode
-    assert np.max(np.abs(ref.values - exact)) <= 1e-5
+    assert np.max(np.abs(ref - exact)) <= 1e-5
 
 
 def test_heat_reference_conserves_mass(grid100):
     prof = np.exp(-((grid100.positions + 0.5) ** 2) / (2 * 0.15**2))
-    w0 = StateField(grid100, prof)
+    W = grid100.weights
     for t in (0.0, 0.05, 1.0):
-        ref = heat_reference(w0, t, 100)
-        assert abs(mass(grid100, ref) - mass(grid100, w0)) <= 1e-8
+        ref = heat_reference(grid100, prof, t, 100)
+        assert abs(W @ ref - W @ prof) <= 1e-8
 
 
 def test_heat_reference_projection_improves_with_modes():
     grid = build_grid(300, 300)
     prof = np.exp(-((grid.positions + 0.5) ** 2) / (2 * 0.15**2))
-    w0 = StateField(grid, prof)
-    errs = [
-        weighted_norm(grid, heat_reference(w0, 0.0, m).values - w0.values)
-        for m in (16, 64, 256)
-    ]
+    errs = [weighted_norm(grid, heat_reference(grid, prof, 0.0, m) - prof) for m in (16, 64, 256)]
     assert errs[0] > errs[1] >= errs[2]
 
 
 def test_heat_reference_drops_subnormal_terms():
     grid = build_grid(200, 200)
-    w0 = StateField(grid, np.exp(-((grid.positions + 0.5) ** 2) / (2 * 0.15**2)))
-    ref = _HeatReference(w0, 256)
+    w0 = np.exp(-((grid.positions + 0.5) ** 2) / (2 * 0.15**2))
+    ref = _HeatReference(grid, w0, 256)
     t = 0.05
     terms = ref.coeff * np.exp(-ref.rates * t)
     assert np.any((terms != 0.0) & (np.abs(terms) < np.finfo(float).tiny))
@@ -67,15 +59,14 @@ def test_heat_reference_drops_subnormal_terms():
 
 def test_heat_reference_long_time_constant(grid100):
     prof = np.exp(-((grid100.positions + 0.5) ** 2) / (2 * 0.15**2))
-    w0 = StateField(grid100, prof)
-    ref = heat_reference(w0, 50.0, 100)
-    assert np.max(np.abs(ref.values - mass(grid100, w0) / 2)) <= 1e-12
+    ref = heat_reference(grid100, prof, 50.0, 100)
+    assert np.max(np.abs(ref - grid100.weights @ prof / 2)) <= 1e-12
 
 
 def test_decay_report_pure_heat_rate():
     gen = assemble_heat_generator(200)
     grid = gen.grid
-    w0 = StateField(grid, np.cos(np.pi * (grid.positions + 1) / 2))
+    w0 = np.cos(np.pi * (grid.positions + 1) / 2)
     traj = evolve(gen, w0, StepScheme(dt=1e-3), 6.0)
     report = decay_report(traj, estimate_beta1(gen))
     assert report.fitted_rate == pytest.approx(np.pi**2 / 4, rel=0.02)
@@ -85,7 +76,7 @@ def test_decay_report_pure_heat_rate():
 
 def test_decay_report_coupled_rate(grid100, gen100):
     prof = np.exp(-((grid100.positions + 0.5) ** 2) / (2 * 0.15**2))
-    traj = evolve(gen100, StateField(grid100, prof), StepScheme(dt=2e-3), 8.0)
+    traj = evolve(gen100, prof, StepScheme(dt=2e-3), 8.0)
     spectral = estimate_beta1(gen100)
     report = decay_report(traj, spectral)
     assert 1.9 * spectral.beta1 <= report.fitted_rate <= 2.1 * spectral.beta1
@@ -94,7 +85,7 @@ def test_decay_report_coupled_rate(grid100, gen100):
 
 
 def test_decay_report_insufficient_samples(grid100, gen100):
-    traj = evolve(gen100, constant_state(grid100, 1.0), StepScheme(dt=1e-2), 0.5)
+    traj = evolve(gen100, np.ones(grid100.size), StepScheme(dt=1e-2), 0.5)
     spectral = estimate_beta1(gen100)
     with pytest.raises(ValueError):
         decay_report(traj, spectral)
@@ -138,19 +129,19 @@ def test_epsilon_sweep_error_matches_per_state_loop():
             grid = build_grid(cfg.grid_n_local, row.n_nonlocal)
             gen = assemble_generator(grid, make_kernel("triangle", 1.0, row.epsilon), constants)
             w0 = initial_state(cfg, grid)
-            ref = _HeatReference(w0, 256)
+            ref = _HeatReference(grid, w0, 256)
             states = _States(gen, w0, StepScheme(dt=cfg.time_dt), horizon)
             sup = 0.0
             for t, values in states:
                 sup = max(sup, weighted_norm(grid, values - ref.at(t)))
             assert states.n_steps == n_steps
             assert abs(row.sup_error_l2 - sup) <= 1e-13 * sup
-            assert row.interface_jump == interface_jump(StateField(grid, values))
+            assert row.interface_jump == interface_jump(grid, values)
 
 
 def test_heat_reference_at_array_of_times(grid100):
-    w0 = StateField(grid100, np.exp(-((grid100.positions + 0.5) ** 2) / (2 * 0.15**2)))
-    ref = _HeatReference(w0, 256)
+    w0 = np.exp(-((grid100.positions + 0.5) ** 2) / (2 * 0.15**2))
+    ref = _HeatReference(grid100, w0, 256)
     times = np.array([0.0, 1e-3, 0.05, 1.0, 400.0])
     block = ref.at(times)
     assert block.shape == (times.size, grid100.size)
@@ -201,9 +192,8 @@ def test_supersolution_rejects_nonuniform_times(grid50, gen50):
 
 
 def test_heat_reference_needs_a_mode(grid100):
-    w0 = StateField(grid100, np.zeros(grid100.size))
     with pytest.raises(ValueError):
-        heat_reference(w0, 0.1, 0)
+        heat_reference(grid100, np.zeros(grid100.size), 0.1, 0)
 
 
 def test_barrier_spec_properties():
@@ -248,5 +238,4 @@ def test_negated_barrier_is_subsolution(triangle_kernel, constants):
 
 def test_interface_jump_extrapolation(grid50):
     values = np.where(grid50.positions <= 0, 2.0, 1.0)
-    w = StateField(grid50, values)
-    assert interface_jump(w) == pytest.approx(1.0)
+    assert interface_jump(grid50, values) == pytest.approx(1.0)

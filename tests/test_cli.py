@@ -2,17 +2,23 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import Phase, assume, given, settings
+from hypothesis import strategies as st
 
 from couplediff import cli, verify
 from couplediff.cli import main
 from couplediff.config import (
+    INIT_KINDS,
     ConfigError,
     SimConfig,
     config_to_text,
     initial_state,
     parse_config_text,
+    validate,
 )
 from couplediff.discretization import GeneratorMatrix, build_grid
+from couplediff.evolution import SCHEME_KINDS
+from couplediff.kernels import FAMILIES
 from couplediff.output import write_csv, write_float_csv
 
 SMALL = """
@@ -47,6 +53,52 @@ def test_parse_defaults_and_roundtrip():
     assert again == cfg
 
 
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# '#' starts a comment, and the parser splits lines and strips each value
+_TEXT = st.text(st.sampled_from("ab/._=\u00e9 #\n\u2028"), max_size=5)
+
+
+# no explain phase: it traces the 22 fields of a failing example for minutes
+@settings(max_examples=200, derandomize=True, deadline=None, database=None,
+          phases=(Phase.generate, Phase.shrink))
+@given(st.builds(
+    SimConfig,
+    kernel_family=st.sampled_from(FAMILIES),
+    kernel_radius=st.floats(1e-3, 1e3),
+    kernel_epsilon=st.floats(1e-4, 1e4),
+    grid_n_local=st.integers(4, 4000),
+    grid_n_nonlocal=st.integers(4, 4000),
+    time_scheme=st.sampled_from(SCHEME_KINDS),
+    time_dt=st.one_of(st.just("auto"), _POSITIVE),
+    time_horizon=_POSITIVE,
+    time_snapshot_stride=st.integers(0, 10**6),
+    picard_window=st.one_of(st.just("auto"), _POSITIVE),
+    picard_tol=_POSITIVE,
+    picard_max_iters=st.integers(1, 1000),
+    init_kind=st.sampled_from(INIT_KINDS),
+    init_value=_FINITE,
+    init_u_value=_FINITE,
+    init_v_value=_FINITE,
+    init_amplitude=_FINITE,
+    init_center=_FINITE,
+    init_width=_POSITIVE,
+    init_path=_TEXT,
+    output_dir=_TEXT,
+    seed=st.integers(0, 2**63 - 1),
+))
+def test_manifest_reparses_as_its_config(cfg):
+    """Every config of the annotated types that validate accepts is written
+    by config_to_text as text that parse_config_text reads back as the same
+    config.  Nothing is run or allocated: the grids drawn are at most
+    4000 x 4000 cells, well inside the resource guard."""
+    try:
+        validate(cfg)
+    except ConfigError:
+        assume(False)
+    assert parse_config_text(config_to_text(cfg)) == cfg
+
+
 def test_readme_config_block_is_the_defaults():
     """README's "Config keys and defaults" block lists every key, in the
     manifest's order, and parses as SimConfig()."""
@@ -56,6 +108,19 @@ def test_readme_config_block_is_the_defaults():
     keys = [line.split("=", 1)[0].strip() for line in block.strip().splitlines()]
     assert keys == [line.split(" = ", 1)[0]
                     for line in config_to_text(SimConfig()).splitlines()]
+
+
+def test_readme_library_sketch_runs(capsys):
+    """README's "Library sketch" runs as written, and its run conserves mass
+    and decays at the rate of the spectral gap."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    sketch = readme.split("## Library sketch", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    exec(compile(sketch, "README.md (Library sketch)", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    m0, m1 = map(float, lines[1].split())
+    assert abs(m1 - m0) <= 1e-12
+    beta1, rate = map(float, lines[-1].split())
+    assert 1.9 * beta1 <= rate <= 2.1 * beta1
 
 
 def test_parse_rejects_unknown_keys():
@@ -72,6 +137,12 @@ def test_parse_validates_values():
         parse_config_text("time.scheme = rk4\n")
     with pytest.raises(ConfigError, match="init.kind"):
         parse_config_text("init.kind = spline\n")
+    # string values that a manifest would cut at '#' or strip
+    for key, cfg in (("output.dir", SimConfig(output_dir="runs/#3")),
+                     ("init.path", SimConfig(init_path=" snap.csv")),
+                     ("init.path", SimConfig(init_path="snap.csv\n"))):
+        with pytest.raises(ConfigError, match=key):
+            validate(cfg)
 
 
 def test_simulate_artifacts_and_schemas(tmp_path, capsys):
@@ -270,6 +341,10 @@ def _init_csv(tmp_path, header="x,w,region", w="0.5", shift=0.0, row3=None):
         ("init.path", lambda p: _init_csv(p, w="inf")),
         ("init.path", lambda p: _init_csv(p, shift=0.01)),
         ("time.dt", lambda p: ["time.scheme=explicit", "time.dt=0.1"]),  # above the CFL limit
+        ("output.dir", lambda p: [f"output.dir={p}/runs/#3"]),
+        ("output.dir", lambda p: [f"output.dir={p}/out\nb"]),
+        ("output.dir", lambda p: [f"--out={p}/runs/#3"]),
+        ("output.dir", lambda p: [f"--out={p}/out "]),
     ],
     ids=["radius-inf", "horizon-inf", "dt-inf", "value-nan", "csv-bad-x", "csv-bad-w",
          "picard-window", "picard-dt", "picard-horizon", "seed-negative",
@@ -277,13 +352,16 @@ def _init_csv(tmp_path, header="x,w,region", w="0.5", shift=0.0, row3=None):
          "radius-zero", "epsilon-negative", "n-local-3", "dt-negative", "horizon-zero",
          "stride-negative", "picard-window-zero", "picard-tol-zero", "picard-iters-zero",
          "width-zero", "csv-no-path", "csv-missing", "csv-no-header", "csv-inf-w",
-         "csv-shifted", "explicit-dt-above-cfl"],
+         "csv-shifted", "explicit-dt-above-cfl", "dir-hash", "dir-line-break", "out-hash",
+         "out-trailing-space"],
 )
 def test_bad_input_exits_2_naming_key(tmp_path, capsys, key, overrides):
+    """Each input exits 2 naming its key; an item --out=... is passed as it
+    is, any other one after --set."""
     cfg = write_cfg(tmp_path, SMALL, f"output.dir = {tmp_path}/out\n")
     args = ["simulate", "--config", cfg]
     for item in overrides(tmp_path):
-        args += ["--set", item]
+        args += [item] if item.startswith("--out=") else ["--set", item]
     assert main(args) == 2
     assert key in capsys.readouterr().err
 
@@ -470,25 +548,49 @@ def test_init_file_roundtrip(tmp_path):
                      grid_n_nonlocal=50)
     grid = build_grid(50, 50)
     w = initial_state(cfg2, grid)
-    assert w.values.shape == (grid.size,)
+    assert w.shape == (grid.size,)
     bad = SimConfig(init_kind="file", init_path=str(snap), grid_n_local=40,
                     grid_n_nonlocal=50)
     with pytest.raises(ConfigError):
         initial_state(bad, build_grid(40, 50))
 
 
+def test_restart_from_a_snapshot_reproduces_the_run(tmp_path):
+    """The semigroup property S(t + s) = S(s) S(t), bit for bit: a run
+    restarted from its mid-run snapshot (init.kind = file) retraces the
+    first run's last 500 steps.  Every column but t of timeseries.csv and
+    the final snapshot are byte-identical."""
+    cfg = write_cfg(tmp_path, SMALL)
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["simulate", "--config", cfg, "--out", str(first), "--set", "time.dt=1e-3",
+                 "--set", "time.snapshot_stride=500"]) == 0
+    assert main(["simulate", "--config", cfg, "--out", str(second), "--set", "time.dt=1e-3",
+                 "--set", "time.snapshot_stride=500", "--set", "init.kind=file",
+                 "--set", f"init.path={first / 'snapshot_000001.csv'}",
+                 "--set", "time.horizon=0.5"]) == 0
+
+    def without_t(path):
+        return [line.split(",", 1)[1] for line in path.read_text().splitlines()]
+
+    series = without_t(first / "timeseries.csv")
+    assert len(series) == 1 + 1001
+    assert series[1 + 500:] == without_t(second / "timeseries.csv")[1:]
+    final = (first / "snapshot_000002.csv").read_bytes()
+    assert final == (second / "snapshot_000001.csv").read_bytes()
+
+
 def test_initial_profiles():
     grid = build_grid(50, 50)
     cosine = initial_state(SimConfig(init_kind="cosine", init_amplitude=2.0), grid)
     expected = 2.0 * np.cos(np.pi * (grid.positions + 1) / 2)
-    np.testing.assert_allclose(cosine.values, expected)
+    np.testing.assert_allclose(cosine, expected)
     step = initial_state(SimConfig(init_kind="step", init_u_value=3.0), grid)
-    assert step.values[grid.interface_index] == 3.0
-    assert step.values[-1] == 0.0
+    assert step[grid.interface_index] == 3.0
+    assert step[-1] == 0.0
     const = initial_state(SimConfig(init_kind="constant", init_value=-2.0), grid)
-    assert np.all(const.values == -2.0)
+    assert np.all(const == -2.0)
     bump = initial_state(SimConfig(init_amplitude=0.5), grid)  # the default gaussian
-    assert np.array_equal(bump.values, 0.5 * np.exp(-((grid.positions + 0.5) ** 2) / 0.045))
+    assert np.array_equal(bump, 0.5 * np.exp(-((grid.positions + 0.5) ** 2) / 0.045))
     with pytest.raises(ConfigError, match="init.kind"):
         initial_state(SimConfig(init_kind="spline"), grid)
 

@@ -6,17 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from couplediff import (
-    StateField,
+    StepScheme,
     assemble_generator,
     assemble_heat_generator,
     build_grid,
-    constant_state,
     coupling_constants,
     coupling_profile_analytic,
+    evolve,
     generator_edges,
     make_kernel,
-    mass,
-    weighted_inner,
 )
 from couplediff.energy_spectrum import _symmetrized_eigh
 from couplediff.kernels import FAMILIES
@@ -45,29 +43,35 @@ def test_build_grid_minimum():
         build_grid(10, 2)
 
 
-def test_state_field_validation(grid50):
-    with pytest.raises(ValueError):
-        StateField(grid50, np.zeros(grid50.size - 1))
+def test_state_field_validation(gen50, grid50):
+    """evolve, where a state enters stepping, refuses a wrong-length or
+    non-finite initial state."""
+    for w0 in (np.zeros(grid50.size - 1), np.full(grid50.size, np.nan)):
+        with pytest.raises(ValueError):
+            evolve(gen50, w0, StepScheme(dt=0.1), 0.1)
 
 
 def test_mass_values(grid50):
-    assert mass(grid50, constant_state(grid50, 1.0)) == pytest.approx(2.0)
-    assert mass(grid50, constant_state(grid50, 0.0)) == 0.0
-    step = StateField(grid50, np.where(grid50.positions <= 0, 1.0, 0.0))
-    assert mass(grid50, step) == pytest.approx(1.0)
+    assert grid50.weights @ np.ones(grid50.size) == pytest.approx(2.0)
+    assert grid50.weights @ np.zeros(grid50.size) == 0.0
+    step = np.where(grid50.positions <= 0, 1.0, 0.0)
+    assert grid50.weights @ step == pytest.approx(1.0)
 
 
-def test_weighted_inner(grid50):
-    one = constant_state(grid50, 1.0)
-    assert weighted_inner(grid50, one, one) == pytest.approx(2.0)
+def test_weighted_inner(gen50, grid50):
+    def inner(a, b):
+        return float(np.sum(grid50.weights * a * b))
+
+    one = np.ones(grid50.size)
+    assert inner(one, one) == pytest.approx(2.0)
     rng = np.random.default_rng(1)
-    a = StateField(grid50, rng.standard_normal(grid50.size))
-    b = StateField(grid50, rng.standard_normal(grid50.size))
-    assert weighted_inner(grid50, a, b) == pytest.approx(weighted_inner(grid50, b, a))
-    assert weighted_inner(grid50, a, a) > 0
+    a = rng.standard_normal(grid50.size)
+    b = rng.standard_normal(grid50.size)
+    assert inner(a, b) == pytest.approx(inner(b, a))
+    assert inner(a, a) > 0
     other = build_grid(40, 50)
     with pytest.raises(ValueError):
-        weighted_inner(grid50, a, constant_state(other, 1.0))
+        evolve(gen50, np.ones(other.size), StepScheme(dt=0.1), 0.1)
 
 
 def _structure_asserts(gen):
@@ -175,9 +179,9 @@ def test_mass_identity_random_states(gen50, grid50):
     rng = np.random.default_rng(3)
     L = gen50.dense()
     for _ in range(20):
-        w = StateField(grid50, rng.standard_normal(grid50.size))
-        rate = mass(grid50, StateField(grid50, L @ w.values))
-        assert abs(rate) <= 1e-12 * weighted_norm(grid50, w.values)
+        w = rng.standard_normal(grid50.size)
+        rate = grid50.weights @ (L @ w)
+        assert abs(rate) <= 1e-12 * weighted_norm(grid50, w)
 
 
 def test_under_resolved_kernel_rejected(constants):

@@ -4,11 +4,9 @@ from scipy.integrate import quad
 
 from couplediff import (
     GeneratorMatrix,
-    StateField,
     assemble_generator,
     assemble_heat_generator,
     build_grid,
-    constant_state,
     coupling_constants,
     edge_energy,
     energy,
@@ -17,11 +15,9 @@ from couplediff import (
     estimate_energy_control_k,
     generator_edges,
     make_kernel,
-    mass,
     nonlocal_energy_full,
     rayleigh,
     supersolution_check,
-    weighted_inner,
 )
 from couplediff import energy_spectrum
 from couplediff.energy_spectrum import EIGEN_MAX_ITERATIONS, _full_energy, _symmetrized_eigh
@@ -32,7 +28,7 @@ PI2_OVER_8 = np.pi**2 / 8.0
 
 
 def test_energy_zero_for_constants(grid50, gen50):
-    e = energy(gen50, constant_state(grid50, 5.0))
+    e = energy(gen50, np.full(grid50.size, 5.0))
     assert e.local_term == 0.0
     assert e.nonlocal_term == 0.0
     assert e.coupling_term == 0.0
@@ -42,7 +38,7 @@ def test_energy_zero_for_constants(grid50, gen50):
 def test_energy_terms_nonnegative_and_additive(grid50, gen50):
     rng = np.random.default_rng(2)
     for _ in range(10):
-        w = StateField(grid50, rng.standard_normal(grid50.size))
+        w = rng.standard_normal(grid50.size)
         e = energy(gen50, w)
         assert e.local_term >= 0 and e.nonlocal_term >= 0 and e.coupling_term >= 0
         assert e.total == e.local_term + e.nonlocal_term + e.coupling_term
@@ -54,7 +50,7 @@ def test_energy_coupling_closed_form(triangle_kernel, constants):
     errs = []
     for n in (50, 200):
         g = build_grid(n, n)
-        w = StateField(g, np.where(g.positions <= 0, 0.0, 1.0))
+        w = np.where(g.positions <= 0, 0.0, 1.0)
         e = energy(assemble_generator(g, triangle_kernel, constants), w)
         assert e.local_term == 0.0
         assert e.nonlocal_term == 0.0
@@ -68,27 +64,25 @@ def test_tiny_energy_implies_near_constant(grid100, gen100):
     that implication is the gap eigenvector, scaled to sit on the threshold."""
     rep = estimate_beta1(gen100)
     scale = np.sqrt(0.99e-14 / rep.beta1)
-    w = StateField(grid100, 3.0 + scale * rep.eigvec.values)
+    w = 3.0 + scale * rep.eigvec
     e = energy(gen100, w)
     assert e.total < 1e-14
-    assert np.max(w.values) - np.min(w.values) < 1e-6
+    assert np.max(w) - np.min(w) < 1e-6
     rng = np.random.default_rng(9)
     for _ in range(5):
         z = rng.standard_normal(grid100.size)
-        ez = energy(gen100, StateField(grid100, z)).total
+        ez = energy(gen100, z).total
         d = np.sqrt(0.9e-14 / ez)
-        wz = StateField(grid100, 1.0 + d * z)
+        wz = 1.0 + d * z
         assert energy(gen100, wz).total < 1e-14
-        assert np.max(wz.values) - np.min(wz.values) < 1e-6
+        assert np.max(wz) - np.min(wz) < 1e-6
 
 
 def test_energy_generator_identity(grid50, gen50):
     rng = np.random.default_rng(4)
     for _ in range(100):
-        w = StateField(grid50, rng.standard_normal(grid50.size))
-        quad_form = 0.5 * float(
-            np.sum(grid50.weights * w.values * (-gen50.dense() @ w.values))
-        )
+        w = rng.standard_normal(grid50.size)
+        quad_form = 0.5 * float(np.sum(grid50.weights * w * (-gen50.dense() @ w)))
         total = energy(gen50, w).total
         assert total == pytest.approx(quad_form, rel=1e-10)
 
@@ -201,7 +195,7 @@ def test_energy_form_smooth_state_small_eps():
 
 
 def test_nonlocal_energy_full_constant(grid50, triangle_kernel):
-    assert nonlocal_energy_full(grid50, triangle_kernel, constant_state(grid50, 2.0)) == 0.0
+    assert nonlocal_energy_full(grid50, triangle_kernel, np.full(grid50.size, 2.0)) == 0.0
 
 
 def test_nonlocal_energy_full_indicator_uniform():
@@ -221,7 +215,7 @@ def test_nonlocal_energy_full_indicator_uniform():
     vals = []
     for n in (50, 200):
         g = build_grid(n, n)
-        w = StateField(g, np.where(g.positions <= 0, 0.0, 1.0))
+        w = np.where(g.positions <= 0, 0.0, 1.0)
         vals.append(nonlocal_energy_full(g, kernel, w))
     assert vals[1] == pytest.approx(oracle, abs=1e-3)
     assert abs(vals[1] - oracle) <= abs(vals[0] - oracle) + 1e-12
@@ -230,7 +224,7 @@ def test_nonlocal_energy_full_indicator_uniform():
 def test_nonlocal_energy_full_nonnegative(grid50, triangle_kernel):
     rng = np.random.default_rng(6)
     for _ in range(10):
-        w = StateField(grid50, rng.standard_normal(grid50.size))
+        w = rng.standard_normal(grid50.size)
         assert nonlocal_energy_full(grid50, triangle_kernel, w) >= 0.0
 
 
@@ -255,7 +249,7 @@ def test_full_energy_matches_all_pairs_double_sum(family, eps, n_local, n_nonloc
     rows = _full_energy(grid, kernel, block)
     assert rows.shape == (len(block),)
     for v, row in zip(block, rows):
-        single = nonlocal_energy_full(grid, kernel, StateField(grid, v))
+        single = nonlocal_energy_full(grid, kernel, v)
         assert abs(single - oracle(v)) <= 1e-13 * oracle(v)
         assert abs(row - single) <= 1e-13 * single
 
@@ -271,8 +265,8 @@ def test_beta1_coupled_positive(gen100, grid100):
     rep = estimate_beta1(gen100)
     assert rep.beta1 > 0.0
     assert rep.lambda2 == pytest.approx(2 * rep.beta1, rel=1e-14)
-    assert abs(mass(grid100, rep.eigvec)) <= 1e-10
-    assert weighted_inner(grid100, rep.eigvec, rep.eigvec) == pytest.approx(1.0)
+    assert abs(grid100.weights @ rep.eigvec) <= 1e-10
+    assert grid100.weights @ (rep.eigvec * rep.eigvec) == pytest.approx(1.0)
 
 
 def _far_linked_generator():
@@ -293,7 +287,7 @@ def _assert_matches_dense_eigh(gen):
     vals, vecs, d = _symmetrized_eigh(gen)
     assert abs(rep.lambda2 / vals[1] - 1.0) <= 1e-9
     assert rep.beta1 == 0.5 * rep.lambda2
-    x, W = rep.eigvec.values, gen.weights
+    x, W = rep.eigvec, gen.weights
     assert abs(W @ x) <= 1e-10
     assert W @ (x * x) == pytest.approx(1.0, rel=1e-12)
     y = d * vecs[:, 1]
@@ -331,7 +325,7 @@ def test_band_eigensolve_finds_a_mode_the_first_start_column_misses():
     heat = assemble_heat_generator(40)
     gen = with_edges(heat, [(9, 10, 0.5 - 20.0), (30, 31, 0.5 - 20.0), (0, heat.size - 1, 0.4)])
     rep = _assert_matches_dense_eigh(gen)
-    x = rep.eigvec.values
+    x = rep.eigvec
     assert np.max(np.abs(x - x[::-1])) <= 1e-8  # the even mode
     assert rep.lambda2 == pytest.approx(1.747, abs=1e-3)
 
@@ -401,13 +395,12 @@ def test_rayleigh_consistency(grid100, gen100):
     assert rayleigh(gen100, rep.eigvec) == pytest.approx(rep.beta1, abs=1e-8)
     rng = np.random.default_rng(8)
     for _ in range(20):
-        w = StateField(grid100, rng.standard_normal(grid100.size))
+        w = rng.standard_normal(grid100.size)
         assert rayleigh(gen100, w) >= rep.beta1 - 1e-8
-    w = StateField(grid100, rng.standard_normal(grid100.size))
-    shifted = StateField(grid100, w.values + 5.0)
-    assert rayleigh(gen100, shifted) == pytest.approx(rayleigh(gen100, w), rel=1e-10)
+    w = rng.standard_normal(grid100.size)
+    assert rayleigh(gen100, w + 5.0) == pytest.approx(rayleigh(gen100, w), rel=1e-10)
     with pytest.raises(ValueError):
-        rayleigh(gen100, constant_state(grid100, 1.0))
+        rayleigh(gen100, np.ones(grid100.size))
 
 
 def test_energy_control_estimate_contract(gen100):
@@ -431,8 +424,7 @@ def test_energy_control_estimate_matches_sample_loop(eps):
     for _ in range(60):
         z = rng.standard_normal(grid.size)
         z -= 0.5 * float(grid.weights @ z)
-        w = StateField(grid, z)
-        ratios.append(energy(gen, w).total / nonlocal_energy_full(grid, gen.kernel, w))
+        ratios.append(energy(gen, z).total / nonlocal_energy_full(grid, gen.kernel, z))
     assert estimate_energy_control_k(gen, 60, seed=78) == pytest.approx(min(ratios), rel=1e-13)
 
 
@@ -442,7 +434,7 @@ def test_routines_read_the_given_generator(grid50, gen50):
     and the interface flux of supersolution margin 3 (u = 0, v = 1, so the
     one-sided interface slope is 0 and the margin is minus the flux)."""
     doubled = GeneratorMatrix(gen50.grid, 2 * gen50.band, gen50.constants, gen50.kernel)
-    w = StateField(grid50, np.random.default_rng(3).standard_normal(grid50.size))
+    w = np.random.default_rng(3).standard_normal(grid50.size)
     u = np.zeros((3, grid50.n_local + 1))
     v = np.ones((3, grid50.n_nonlocal))
     pairs = [
@@ -483,9 +475,8 @@ def test_poincare_constant_reusable_across_eps(grid100):
         kernel = make_kernel("triangle", 1.0, eps)
         worst = 0.0
         for z in samples:
-            w = StateField(grid100, z)
-            nlf = nonlocal_energy_full(grid100, kernel, w)
-            worst = max(worst, weighted_inner(grid100, w, w) / nlf)
+            nlf = nonlocal_energy_full(grid100, kernel, z)
+            worst = max(worst, float(np.sum(grid100.weights * z * z)) / nlf)
         return worst
 
     c_cal = max_ratio(1.0)

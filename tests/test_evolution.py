@@ -8,19 +8,16 @@ from hypothesis import strategies as st
 
 from couplediff import (
     GeneratorMatrix,
-    StateField,
     StepScheme,
     assemble_generator,
     assemble_heat_generator,
     build_grid,
     cfl_limit,
-    constant_state,
     contraction_factor,
     coupling_constants,
     energy_form,
     evolve,
     make_kernel,
-    mass,
     step_explicit,
     step_implicit,
 )
@@ -58,12 +55,13 @@ def test_cfl_zero_generator(grid50):
 
 def test_step_explicit_contract(gen50, grid50):
     dt = cfl_limit(gen50)
-    const = constant_state(grid50, 2.5)
-    np.testing.assert_allclose(step_explicit(gen50, const, dt).values, 2.5)
+    const = np.full(grid50.size, 2.5)
+    np.testing.assert_allclose(step_explicit(gen50, const, dt), 2.5)
     rng = np.random.default_rng(0)
-    w = StateField(grid50, rng.standard_normal(grid50.size))
+    w = rng.standard_normal(grid50.size)
     out = step_explicit(gen50, w, dt)
-    assert mass(grid50, out) == pytest.approx(mass(grid50, w), rel=1e-13, abs=1e-14)
+    W = grid50.weights
+    assert W @ out == pytest.approx(W @ w, rel=1e-13, abs=1e-14)
     with pytest.raises(ValueError, match="CFL"):
         step_explicit(gen50, w, 2 * dt)
 
@@ -73,18 +71,18 @@ def test_step_explicit_monotone(gen50, grid50):
     rng = np.random.default_rng(1)
     lo = rng.standard_normal(grid50.size)
     hi = lo + np.abs(rng.standard_normal(grid50.size))
-    a, b = StateField(grid50, lo), StateField(grid50, hi)
+    a, b = lo, hi
     for _ in range(50):
         a = step_explicit(gen50, a, dt)
         b = step_explicit(gen50, b, dt)
-        assert np.all(b.values - a.values >= -1e-12)
+        assert np.all(b - a >= -1e-12)
 
 
 def test_explicit_auto_dt_nudge_stays_within_cfl(gen20):
     """The auto dt is the CFL limit; nudging it to divide the horizon must not
     push it over the limit, so the run takes one more step instead."""
     horizon = 10 * cfl_limit(gen20) * (1 + 5e-10)
-    traj = evolve(gen20, constant_state(gen20.grid, 1.0), StepScheme(kind="explicit"), horizon)
+    traj = evolve(gen20, np.ones(gen20.size), StepScheme(kind="explicit"), horizon)
     assert len(traj.times) == 12
     assert traj.dt <= cfl_limit(gen20)
 
@@ -107,13 +105,14 @@ def test_explicit_sup_norm_contraction(triangle_kernel, constants):
 def test_step_implicit_contract(gen50, grid50):
     from couplediff import energy
 
-    const = constant_state(grid50, -1.5)
-    np.testing.assert_allclose(step_implicit(gen50, const, 0.1).values, -1.5)
+    const = np.full(grid50.size, -1.5)
+    np.testing.assert_allclose(step_implicit(gen50, const, 0.1), -1.5)
     rng = np.random.default_rng(2)
+    W = grid50.weights
     for _ in range(5):
-        w = StateField(grid50, rng.standard_normal(grid50.size))
+        w = rng.standard_normal(grid50.size)
         out = step_implicit(gen50, w, 0.05)
-        assert mass(grid50, out) == pytest.approx(mass(grid50, w), rel=1e-12, abs=1e-13)
+        assert W @ out == pytest.approx(W @ w, rel=1e-12, abs=1e-13)
         e0 = energy(gen50, w).total
         e1 = energy(gen50, out).total
         assert e1 <= e0
@@ -198,7 +197,7 @@ def test_band_layout_conserves_mass_and_dissipates(constants):
     """Criteria 01/02's bounds on a narrow band (eps = 0.05) over 2,000 steps."""
     grid = build_grid(200, 200)
     gen = assemble_generator(grid, make_kernel("triangle", 1.0, 0.05), constants)
-    step = StateField(grid, np.where(grid.positions <= 0.0, 1.0, 0.0))
+    step = np.where(grid.positions <= 0.0, 1.0, 0.0)
     traj = evolve(gen, step, StepScheme(dt=1e-3), 2.0)
     assert len(traj.times) == 2001
     assert np.max(np.abs(traj.mass - traj.mass[0])) / abs(traj.mass[0]) <= 1e-11
@@ -235,7 +234,7 @@ def test_small_eps_fine_grid_implicit_run(constants):
     gen = assemble_generator(grid, make_kernel("triangle", 1.0, 0.01), constants)
     w0 = initial_state(SimConfig(), grid)
     states = _States(gen, w0, StepScheme(dt=1e-3), 0.012)
-    m0 = mass(grid, w0)
+    m0 = float(grid.weights @ w0)
     drift = max(abs(float(grid.weights @ values) - m0) for _, values in states)
     assert states.n_steps == 12
     assert drift <= 1e-11 * abs(m0)
@@ -250,7 +249,7 @@ def test_block_diagnostics_match_per_state(gen20, n_steps):
     are the per-state loop's states at the same steps."""
     grid = gen20.grid
     W = grid.weights
-    w0 = StateField(grid, np.where(grid.positions <= 0, 1.0, 0.0))
+    w0 = np.where(grid.positions <= 0, 1.0, 0.0)
     scheme = StepScheme(dt=1e-3)
     terms = energy_form(gen20)
     rows, states = [], []
@@ -273,19 +272,19 @@ def test_block_diagnostics_match_per_state(gen20, n_steps):
         assert len(traj.snapshots) == len(kept)
         for (t, snap), k in zip(traj.snapshots, kept):
             assert t == states[k][0]
-            assert np.array_equal(snap.values, states[k][1])
-        assert np.array_equal(traj.final_state.values, states[-1][1])
+            assert np.array_equal(snap, states[k][1])
+        assert np.array_equal(traj.final_state, states[-1][1])
 
 
 def test_evolve_constant_state(gen50, grid50):
-    traj = evolve(gen50, constant_state(grid50, 4.0), StepScheme(dt=1e-2), 0.5)
+    traj = evolve(gen50, np.full(grid50.size, 4.0), StepScheme(dt=1e-2), 0.5)
     assert np.max(traj.dist_to_mean) <= 1e-12
     assert np.all(np.diff(traj.times) > 0)
     assert len(traj.times) == round(0.5 / 1e-2) + 1
 
 
 def test_evolve_mass_and_ordering(gen100, grid100):
-    step = StateField(grid100, np.where(grid100.positions <= 0, 1.0, 0.0))
+    step = np.where(grid100.positions <= 0, 1.0, 0.0)
     traj = evolve(gen100, step, StepScheme(dt=5e-3), 2.0)
     drift = np.max(np.abs(traj.mass - traj.mass[0])) / abs(traj.mass[0])
     assert drift <= 1e-11
@@ -294,7 +293,7 @@ def test_evolve_mass_and_ordering(gen100, grid100):
 
 
 def test_evolve_snapshots_stride(gen50, grid50):
-    traj = evolve(gen50, constant_state(grid50, 1.0), StepScheme(dt=0.1), 1.0, 3)
+    traj = evolve(gen50, np.ones(grid50.size), StepScheme(dt=0.1), 1.0, 3)
     times = [t for t, _ in traj.snapshots]
     assert times[0] == 0.0
     assert times[-1] == pytest.approx(1.0)
@@ -306,7 +305,7 @@ def test_evolve_aborts_on_blowup():
     # overflows and evolve must abort instead of emitting corrupt series
     base = assemble_heat_generator(50)
     blow = GeneratorMatrix.from_dense(base.grid, -base.dense())
-    w = StateField(base.grid, np.cos(np.pi * (base.grid.positions + 1) / 2))
+    w = np.cos(np.pi * (base.grid.positions + 1) / 2)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(RuntimeError, match="non-finite"):
             evolve(blow, w, StepScheme(kind="explicit", dt="auto"), 2.0)
@@ -316,7 +315,7 @@ def test_evolve_aborts_on_blowup():
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_states_abort_on_injected_non_finite(gen50, grid50, bad, position):
     """A single NaN or infinity in the third state stops the iteration there."""
-    states = _States(gen50, constant_state(grid50, 1.0), StepScheme(dt=0.1), 1.0)
+    states = _States(gen50, np.ones(grid50.size), StepScheme(dt=0.1), 1.0)
     calls = []
 
     def poisoned(values):
@@ -341,7 +340,7 @@ def test_states_freed_without_the_cycle_collector(gen50, grid50, kind):
     dropped: no reference cycle waits for the collector (it would raise the
     peak memory of the eigensolve that follows a simulate)."""
     dt = {"explicit": cfl_limit(gen50), "implicit": 0.1, "picard": "auto"}[kind]
-    states = _States(gen50, constant_state(grid50, 1.0), StepScheme(kind=kind, dt=dt), 0.032)
+    states = _States(gen50, np.ones(grid50.size), StepScheme(kind=kind, dt=dt), 0.032)
     for _ in states:
         pass
     ref = weakref.ref(states)
@@ -362,14 +361,13 @@ def test_scheme_agreement_first_order(triangle_kernel, constants):
     horizon = 0.1
     gaps = []
     for dt in (cfl_limit(gen), cfl_limit(gen) / 2):
-        e = StateField(grid, prof.copy())
-        i = StateField(grid, prof.copy())
+        e = i = prof
         n = int(np.ceil(horizon / dt))
         dt_eff = horizon / n
         for _ in range(n):
             e = step_explicit(gen, e, dt_eff)
             i = step_implicit(gen, i, dt_eff)
-        gaps.append(weighted_norm(grid, e.values - i.values))
+        gaps.append(weighted_norm(grid, e - i))
     assert 1.5 <= gaps[0] / gaps[1] <= 2.5
 
 
@@ -378,10 +376,10 @@ def test_semigroup_oracle_small_instance(triangle_kernel, constants):
     flow; implicit Euler at dt = 1e-4 must match at t = 0.5 within 1e-5."""
     grid = build_grid(20, 20)
     gen = assemble_generator(grid, triangle_kernel, constants)
-    w0 = StateField(grid, np.exp(-((grid.positions + 0.5) ** 2) / (2 * 0.15**2)))
-    exact = _semigroup_oracle(gen, w0.values, 0.5)[0]
+    w0 = np.exp(-((grid.positions + 0.5) ** 2) / (2 * 0.15**2))
+    exact = _semigroup_oracle(gen, w0, 0.5)[0]
     traj = evolve(gen, w0, StepScheme(dt=1e-4), 0.5)
-    assert weighted_norm(grid, traj.final_state.values - exact) <= 1e-5
+    assert weighted_norm(grid, traj.final_state - exact) <= 1e-5
 
 
 def test_picard_window_validation(constants):
@@ -392,7 +390,7 @@ def test_picard_window_validation(constants):
     grid = build_grid(20, 20)
     kernel = make_kernel("triangle", 1.0, 1.0)
     gen = assemble_generator(grid, kernel, constants)
-    w0 = constant_state(grid, 1.0)
+    w0 = np.ones(grid.size)
     with pytest.raises(ValueError, match="divide"):
         evolve(gen, w0, scheme, 0.5)
 
@@ -400,7 +398,7 @@ def test_picard_window_validation(constants):
 def test_picard_constant_state(grid50, gen50, constants):
     scheme = StepScheme(kind="picard")
     window = scheme.window_for(constants)
-    traj = evolve(gen50, constant_state(grid50, 3.0), scheme, 3 * window)
+    traj = evolve(gen50, np.full(grid50.size, 3.0), scheme, 3 * window)
     report = traj.picard
     assert report.iterations == [1, 1, 1]
     assert np.max(traj.dist_to_mean) <= 1e-12
@@ -409,14 +407,14 @@ def test_picard_constant_state(grid50, gen50, constants):
 
 
 def test_picard_matches_monolithic(grid100, gen100):
-    w0 = StateField(grid100, np.where(grid100.positions <= 0, 1.0, 0.0))
+    w0 = np.where(grid100.positions <= 0, 1.0, 0.0)
     scheme = StepScheme(kind="picard", picard_tol=1e-10)
     horizon = 0.25
     traj = evolve(gen100, w0, scheme, horizon)
     report = traj.picard
     mono = evolve(gen100, w0, StepScheme(dt=traj.dt), horizon)
     assert np.array_equal(traj.times, mono.times)
-    gap = weighted_norm(grid100, traj.final_state.values - mono.final_state.values)
+    gap = weighted_norm(grid100, traj.final_state - mono.final_state)
     assert gap <= 1e-6
     assert all(n <= scheme.picard_tol for n in report.final_update_norms)
     assert report.kappa < 1.0
@@ -426,7 +424,7 @@ def test_picard_matches_monolithic(grid100, gen100):
 
 
 def test_picard_nonconvergence_reported(grid50, gen50):
-    w0 = StateField(grid50, np.where(grid50.positions <= 0, 1.0, 0.0))
+    w0 = np.where(grid50.positions <= 0, 1.0, 0.0)
     scheme = StepScheme(kind="picard", picard_tol=1e-14, picard_max_iters=1)
     with pytest.raises(RuntimeError, match="did not converge"):
         evolve(gen50, w0, scheme, 0.1)
@@ -434,17 +432,17 @@ def test_picard_nonconvergence_reported(grid50, gen50):
 
 def test_evolve_dispatches_picard(grid50, triangle_kernel, constants):
     gen = assemble_generator(grid50, triangle_kernel, constants)
-    w0 = StateField(grid50, np.where(grid50.positions <= 0, 1.0, 0.0))
+    w0 = np.where(grid50.positions <= 0, 1.0, 0.0)
     traj = evolve(gen, w0, StepScheme(kind="picard"), 0.1)
     assert traj.times[-1] == pytest.approx(0.1)
     heat = assemble_heat_generator(50)
     with pytest.raises(ValueError):
-        evolve(heat, StateField(heat.grid, np.zeros(heat.grid.size)),
+        evolve(heat, np.zeros(heat.size),
                StepScheme(kind="picard"), 0.1)
 
 
 def test_picard_snapshot_stride_matches_implicit(grid50, gen50):
-    w0 = StateField(grid50, np.where(grid50.positions <= 0, 1.0, 0.0))
+    w0 = np.where(grid50.positions <= 0, 1.0, 0.0)
     horizon = 0.064  # two auto windows of 32 sub-steps
     traj = evolve(gen50, w0, StepScheme(kind="picard"), horizon, 8)
     mono = evolve(gen50, w0, StepScheme(dt=traj.dt), horizon, 8)
@@ -452,7 +450,7 @@ def test_picard_snapshot_stride_matches_implicit(grid50, gen50):
     assert len(traj.snapshots) == len(mono.snapshots) == 9
     for (tp, wp), (tm, wm) in zip(traj.snapshots, mono.snapshots):
         assert tp == pytest.approx(tm, rel=1e-12, abs=1e-15)
-        assert weighted_norm(grid50, wp.values - wm.values) <= 1e-6
+        assert weighted_norm(grid50, wp - wm) <= 1e-6
 
 
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)
@@ -463,7 +461,7 @@ def test_one_clock_and_snapshot_rule(gen20, constants, kind, n_steps, data):
     stride = data.draw(st.integers(0, n_steps + 2), label="stride")
     dt = {"explicit": cfl_limit(gen20), "implicit": 1e-3,
           "picard": StepScheme().window_for(constants) / 32}[kind]
-    w0 = StateField(gen20.grid, np.where(gen20.grid.positions <= 0, 1.0, 0.0))
+    w0 = np.where(gen20.grid.positions <= 0, 1.0, 0.0)
     traj = evolve(gen20, w0, StepScheme(kind=kind, dt=dt), n_steps * dt, stride)
     assert len(traj.times) == n_steps + 1
     assert all(traj.times[k] == k * traj.dt for k in range(n_steps + 1))
