@@ -86,6 +86,8 @@ def run_simulate(cfg: SimConfig, svg: bool = False) -> list:
     if scheme.kind != "explicit":
         generator = _setup(cfg)
     w0 = initial_state(cfg, generator.grid)
+    # before evolve and the writes, so a failing eigensolve costs no stepping and leaves no artifact
+    spectral = estimate_beta1(generator)
     traj = evolve(generator, w0, scheme, cfg.time_horizon, cfg.time_snapshot_stride)
 
     out = Path(cfg.output_dir)
@@ -111,7 +113,6 @@ def run_simulate(cfg: SimConfig, svg: bool = False) -> list:
     atomic_write_text(manifest, header + config_to_text(resolved))
     artifacts.append(manifest)
 
-    spectral = estimate_beta1(generator)
     try:
         decay = decay_report(traj, spectral)
     except DecayFitError as exc:  # the timeseries still stands

@@ -126,6 +126,8 @@ def validate(cfg: SimConfig):
     for key, (attr, parser) in _KEYS.items():
         value = getattr(cfg, attr)
         if isinstance(value, str):
+            if parser is _parse_auto_float and value != "auto":
+                raise ConfigError(f"{key}: must be a number or 'auto', got {value!r}")
             if "#" in value or value != value.strip() or len(value.splitlines()) > 1:
                 raise ConfigError(f"{key}: {value!r} would not re-parse: a value may not "
                                   "hold '#' or a line break, or start or end with whitespace")

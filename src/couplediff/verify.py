@@ -1,19 +1,33 @@
 """Self-contained verification checklist behind the CLI verify subcommand.
 
-Each check re-derives its expectation from structure (exact identities,
-closed forms, or an independent oracle) at sizes small enough to finish in
-seconds; the full acceptance suite in tests/ runs the same properties at the
-production sizes.  Tests replace this module's assemble_generator with one
-that corrupts the band, to confirm the checks detect broken structure.
+Each claim has one measuring function here, which takes a generator (or
+kernel cases and a grid size), its seed and its step counts, and returns the
+measured quantity, never a verdict.  A check_* function calls it once at
+small sizes, so that verify finishes in seconds, and compares the result
+with its bound; the acceptance suite in tests/ calls the same function at
+the production sizes and asserts its own bounds.  The checks and the
+acceptance criteria that share their functions:
 
-The operator-structure check (_structure_defects, shared with acceptance
-criterion 10) reads three facts about A in L = -W^-1 A off the band in
-O(n b): its rows sum to zero, its off-diagonal entries are <= 0 and its
-diagonal is >= 0.  The rest follows.  W L = -A is symmetric because the
-band stores each pair once; the column mass 1^T W L = -(A 1)^T is then zero
-with the row sums; and for every dt > 0, I - dt L = I + dt W^-1 A has
-off-diagonal entries <= 0 and rows summing to 1, so it is a strictly
-diagonally dominant M-matrix (the comparison principle of the implicit step).
+  operator-structure    structure_defect_by_case   criterion 10
+  mass-conservation     step_drift_and_rise        criterion 01
+  energy-dissipation    step_drift_and_rise        criterion 02
+  comparison-principle  ordering_violation         criterion 07
+  decay-bound           decay_fit                  criterion 04
+  picard-vs-implicit    picard_gap                 criterion 08
+  semigroup-oracle      semigroup_gap              criterion 09
+
+Generators are assembled through this module's assemble_generator, which
+tests replace with one that corrupts the band, to confirm the checks detect
+broken structure.
+
+The operator-structure check (_structure_defects) reads three facts about A
+in L = -W^-1 A off the band in O(n b): its rows sum to zero, its
+off-diagonal entries are <= 0 and its diagonal is >= 0.  The rest follows.
+W L = -A is symmetric because the band stores each pair once; the column
+mass 1^T W L = -(A 1)^T is then zero with the row sums; and for every
+dt > 0, I - dt L = I + dt W^-1 A has off-diagonal entries <= 0 and rows
+summing to 1, so it is a strictly diagonally dominant M-matrix (the
+comparison principle of the implicit step).
 """
 from __future__ import annotations
 
@@ -57,70 +71,108 @@ def _structure_defects(generator):
     return {name: np.inf if np.isnan(v) else float(v) for name, v in defects.items()}
 
 
-def check_operator_structure(cfg):
+def _w_norm(generator, values) -> float:
+    """The weighted L2 norm sqrt(sum W_i values_i^2)."""
+    return float(np.sqrt(np.sum(generator.weights * values * values)))
+
+
+def structure_defect_by_case(cases, radius, n):
+    """{(family, eps): the largest of _structure_defects} for the generator
+    of each (family, eps) kernel of the given radius on an n x n grid."""
+    worst = {}
+    for family, eps in cases:
+        kernel = make_kernel(family, radius, eps)
+        gen = assemble_generator(build_grid(n, n), kernel, coupling_constants(kernel))
+        worst[family, eps] = max(_structure_defects(gen).values())
+    return worst
+
+
+def step_drift_and_rise(generator, dt, horizon):
+    """(relative mass drift, largest per-step energy increase) of the
+    implicit run from step data (1 on x <= 0, 0 beyond) to the horizon."""
+    w0 = np.where(generator.grid.positions <= 0.0, 1.0, 0.0)
+    traj = evolve(generator, w0, StepScheme(kind="implicit", dt=dt), horizon)
+    drift = float(np.max(np.abs(traj.mass - traj.mass[0])) / abs(traj.mass[0]))
+    return drift, float(np.max(np.diff(traj.energy_total)))
+
+
+def ordering_violation(generator, seed, pairs, explicit_steps, implicit_steps):
+    """Worst max(lo - hi) over the steps of ordered pairs lo <= hi of random
+    states (drawn from seed), each pair run explicit_steps explicit steps at
+    the CFL limit and implicit_steps implicit steps at dt = 5e-3."""
+    rng = np.random.default_rng(seed)
+    dt_exp = cfl_limit(generator)
     worst = 0.0
-    cases = []
-    for family, eps in (("triangle", 1.0), ("uniform", 0.25), ("epanechnikov", 1.0)):
-        kernel = make_kernel(family, cfg.kernel_radius, eps)
-        grid = build_grid(50, 50)
-        gen = assemble_generator(grid, kernel, coupling_constants(kernel))
-        defects = _structure_defects(gen)
-        worst = max(worst, max(defects.values()))
-        cases.append(f"{family}/eps={eps}: {max(defects.values()):.2e}")
-    return worst <= 1e-12, f"worst defect {worst:.2e} ({'; '.join(cases)})"
+    for _ in range(pairs):
+        lo = rng.standard_normal(generator.size)
+        hi = lo + np.abs(rng.standard_normal(generator.size))
+        for step, dt, n_steps in ((step_explicit, dt_exp, explicit_steps),
+                                  (step_implicit, 5e-3, implicit_steps)):
+            a, b = lo, hi
+            for _ in range(n_steps):
+                a, b = step(generator, a, dt), step(generator, b, dt)
+                worst = max(worst, float(np.max(a - b)))
+    return worst
+
+
+def decay_fit(generator, dt, horizon):
+    """(decay_report, estimate_beta1) of the implicit run from the default
+    gaussian bump (SimConfig's init: center -0.5, width 0.15) to the horizon."""
+    w0 = initial_state(SimConfig(), generator.grid)
+    traj = evolve(generator, w0, StepScheme(kind="implicit", dt=dt), horizon)
+    spectral = estimate_beta1(generator)
+    return decay_report(traj, spectral), spectral
+
+
+def picard_gap(generator, window, horizon):
+    """(W-norm gap, PicardReport) between the picard run from step data
+    (windows of the given length, tolerance 1e-10) and the monolithic
+    implicit run at its sub-step, at the horizon."""
+    w0 = np.where(generator.grid.positions <= 0.0, 1.0, 0.0)
+    traj = evolve(generator, w0, StepScheme(kind="picard", picard_window=window,
+                                            picard_tol=1e-10), horizon)
+    mono = evolve(generator, w0, StepScheme(kind="implicit", dt=traj.dt), horizon)
+    return _w_norm(generator, traj.final_state - mono.final_state), traj.picard
+
+
+def semigroup_gap(generator, t, dt, amplitude):
+    """W-norm gap at time t between the implicit run at dt and the matrix
+    exponential, both from the default gaussian bump of the given amplitude."""
+    w0 = initial_state(SimConfig(init_amplitude=amplitude), generator.grid)
+    traj = evolve(generator, w0, StepScheme(kind="implicit", dt=dt), horizon=t)
+    return _w_norm(generator, traj.final_state - _semigroup_oracle(generator, w0, t)[0])
 
 
 def _coupled_setup(cfg, n=100):
     kernel = make_kernel(cfg.kernel_family, cfg.kernel_radius, cfg.kernel_epsilon)
-    grid = build_grid(n, n)
-    return grid, assemble_generator(grid, kernel, coupling_constants(kernel))
+    return assemble_generator(build_grid(n, n), kernel, coupling_constants(kernel))
+
+
+def check_operator_structure(cfg):
+    cases = (("triangle", 1.0), ("uniform", 0.25), ("epanechnikov", 1.0))
+    defects = structure_defect_by_case(cases, cfg.kernel_radius, 50)
+    detail = "; ".join(f"{family}/eps={eps}: {d:.2e}" for (family, eps), d in defects.items())
+    worst = max(defects.values())
+    return worst <= 1e-12, f"worst defect {worst:.2e} ({detail})"
 
 
 def check_mass_conservation(cfg):
-    grid, gen = _coupled_setup(cfg)
-    w0 = np.where(grid.positions <= 0.0, 1.0, 0.0)
-    traj = evolve(gen, w0, StepScheme(kind="implicit", dt=1e-2), horizon=2.0)
-    drift = float(np.max(np.abs(traj.mass - traj.mass[0])))
-    rel = drift / abs(traj.mass[0])
-    return rel <= 1e-11, f"relative mass drift {rel:.2e}"
+    drift, _ = step_drift_and_rise(_coupled_setup(cfg), 1e-2, 2.0)
+    return drift <= 1e-11, f"relative mass drift {drift:.2e}"
 
 
 def check_energy_dissipation(cfg):
-    grid, gen = _coupled_setup(cfg)
-    w0 = np.where(grid.positions <= 0.0, 1.0, 0.0)
-    traj = evolve(gen, w0, StepScheme(kind="implicit", dt=1e-2), horizon=2.0)
-    rise = float(np.max(np.diff(traj.energy_total)))
+    _, rise = step_drift_and_rise(_coupled_setup(cfg), 1e-2, 2.0)
     return rise <= 1e-12, f"largest per-step energy increase {rise:.2e}"
 
 
 def check_comparison_principle(cfg):
-    grid, gen = _coupled_setup(cfg, n=30)
-    rng = np.random.default_rng(cfg.seed)
-    worst = 0.0
-    dt_exp = cfl_limit(gen)
-    for _ in range(10):
-        lo = rng.standard_normal(grid.size)
-        hi = lo + np.abs(rng.standard_normal(grid.size))
-        w_lo, w_hi = lo, hi
-        for _ in range(40):
-            w_lo = step_explicit(gen, w_lo, dt_exp)
-            w_hi = step_explicit(gen, w_hi, dt_exp)
-            worst = max(worst, float(np.max(w_lo - w_hi)))
-        w_lo, w_hi = lo, hi
-        for _ in range(20):
-            w_lo = step_implicit(gen, w_lo, 5e-3)
-            w_hi = step_implicit(gen, w_hi, 5e-3)
-            worst = max(worst, float(np.max(w_lo - w_hi)))
+    worst = ordering_violation(_coupled_setup(cfg, n=30), cfg.seed, 10, 40, 20)
     return worst <= 1e-12, f"worst ordering violation {worst:.2e}"
 
 
 def check_decay_bound(cfg):
-    grid, gen = _coupled_setup(cfg)
-    bump = SimConfig(init_kind="gaussian", init_center=-0.5, init_width=0.15)
-    w0 = initial_state(bump, grid)
-    traj = evolve(gen, w0, StepScheme(kind="implicit", dt=2e-3), horizon=3.0)
-    spectral = estimate_beta1(gen)
-    report = decay_report(traj, spectral)
+    report, spectral = decay_fit(_coupled_setup(cfg), 2e-3, 3.0)
     ok = report.bound_satisfied and (
         1.9 * spectral.beta1 <= report.fitted_rate <= 2.1 * spectral.beta1
     )
@@ -131,34 +183,20 @@ def check_decay_bound(cfg):
 
 
 def check_picard_oracle(cfg):
-    grid, gen = _coupled_setup(cfg, n=50)
-    w0 = np.where(grid.positions <= 0.0, 1.0, 0.0)
-    scheme = StepScheme(kind="picard", picard_tol=1e-10)
-    horizon = 10 * scheme.window_for(gen.constants)
-    traj = evolve(gen, w0, scheme, horizon)
-    report = traj.picard
-    mono = evolve(gen, w0, StepScheme(kind="implicit", dt=traj.dt), horizon)
-    diff = traj.final_state - mono.final_state
-    dist = float(np.sqrt(np.sum(grid.weights * diff * diff)))
+    gen = _coupled_setup(cfg, n=50)
+    window = StepScheme(kind="picard").window_for(gen.constants)  # the 'auto' window
+    gap, report = picard_gap(gen, window, 10 * window)
     ratio_ok = all(r <= report.kappa for r in report.contraction_ratios)
     return (
-        dist <= 1e-6 and ratio_ok,
-        f"L2 gap to monolithic implicit {dist:.2e}; "
+        gap <= 1e-6 and ratio_ok,
+        f"L2 gap to monolithic implicit {gap:.2e}; "
         f"ratios <= kappa={report.kappa:.3f}: {ratio_ok}",
     )
 
 
 def check_semigroup_oracle(cfg):
-    grid, gen = _coupled_setup(cfg, n=20)
-    bump = SimConfig(init_kind="gaussian", init_center=-0.5, init_width=0.15,
-                     init_amplitude=0.25)
-    w0 = initial_state(bump, grid)
-    t = 0.5
-    exact = _semigroup_oracle(gen, w0, t)[0]
-    traj = evolve(gen, w0, StepScheme(kind="implicit", dt=1e-4), horizon=t)
-    diff = traj.final_state - exact
-    dist = float(np.sqrt(np.sum(gen.weights * diff * diff)))
-    return dist <= 1e-5, f"L2 gap to matrix exponential {dist:.2e}"
+    gap = semigroup_gap(_coupled_setup(cfg, n=20), 0.5, 1e-4, 0.25)
+    return gap <= 1e-5, f"L2 gap to matrix exponential {gap:.2e}"
 
 
 CHECKS = (

@@ -1,7 +1,9 @@
 """Acceptance gate: every criterion at its stated size and tolerance.
 
 Each test prints one `ACCEPTANCE <nn> <name>: PASS|FAIL` line (visible with
-pytest -rA).  Criterion 06 checks the rescaling limit along the sweep
+pytest -rA).  Criteria 01, 02, 04, 07, 08, 09 and 10 measure through the
+functions of couplediff.verify that `couplediff verify` calls at smaller
+sizes; each criterion asserts its own bounds.  Criterion 06 checks the rescaling limit along the sweep
 eps = 0.4, 0.2, 0.1, 0.05: the sup error to the heat solution and the gap's
 distance from pi^2/8 both decrease strictly, and at eps <= 0.1 the gap lies
 within 2% of the transmission oracle mu^2/2 with mu tan mu = 2g, where
@@ -16,27 +18,27 @@ import pytest
 
 from couplediff import (
     BarrierSpec,
-    StepScheme,
     assemble_generator,
     assemble_heat_generator,
     barrier_fields,
     build_grid,
-    cfl_limit,
     coupling_constants,
-    decay_report,
     epsilon_sweep,
     estimate_beta1,
     estimate_energy_control_k,
-    evolve,
     make_kernel,
-    step_explicit,
-    step_implicit,
     supersolution_check,
 )
 from couplediff.config import SimConfig
-from couplediff.energy_spectrum import _semigroup_oracle
-from couplediff.verify import _structure_defects
-from conftest import transmission_beta1, weighted_norm
+from couplediff.verify import (
+    decay_fit,
+    ordering_violation,
+    picard_gap,
+    semigroup_gap,
+    step_drift_and_rise,
+    structure_defect_by_case,
+)
+from conftest import transmission_beta1
 
 PI2_OVER_8 = np.pi**2 / 8.0
 
@@ -47,44 +49,40 @@ def report(num, name, ok, detail=""):
     return ok
 
 
-@pytest.fixture(scope="module")
-def setup200():
+def triangle_generator(n):
     kernel = make_kernel("triangle", 1.0, 1.0)
-    constants = coupling_constants(kernel)
-    grid = build_grid(200, 200)
-    generator = assemble_generator(grid, kernel, constants)
-    return grid, kernel, constants, generator
+    return assemble_generator(build_grid(n, n), kernel, coupling_constants(kernel))
 
 
 @pytest.fixture(scope="module")
-def step_run(setup200):
-    grid, _, _, generator = setup200
-    w0 = np.where(grid.positions <= 0.0, 1.0, 0.0)
+def gen200():
+    return triangle_generator(200)
+
+
+@pytest.fixture(scope="module")
+def step_run(gen200):
     start = time.time()
-    traj = evolve(generator, w0, StepScheme(kind="implicit", dt=1e-3), 10.0)
-    return traj, time.time() - start
+    drift, rise = step_drift_and_rise(gen200, 1e-3, 10.0)
+    return drift, rise, time.time() - start
 
 
 def test_criterion_01_mass_conservation(step_run):
-    traj, elapsed = step_run
-    drift = float(np.max(np.abs(traj.mass - traj.mass[0])) / abs(traj.mass[0]))
+    drift, _, elapsed = step_run
     ok = drift <= 1e-11 and elapsed <= 30.0
     assert report(1, "mass-conservation", ok, f"drift={drift:.2e} time={elapsed:.1f}s")
 
 
 def test_criterion_02_energy_dissipation(step_run):
-    traj, _ = step_run
-    rise = float(np.max(np.diff(traj.energy_total)))
+    _, rise, _ = step_run
     ok = rise <= 1e-12
     assert report(2, "energy-dissipation", ok, f"max step increase={rise:.2e}")
 
 
-def test_criterion_03_spectral_gap(setup200):
-    _, kernel, constants, generator = setup200
+def test_criterion_03_spectral_gap(gen200):
     start = time.time()
-    rep = estimate_beta1(generator)
+    rep = estimate_beta1(gen200)
     fine = estimate_beta1(
-        assemble_generator(build_grid(400, 400), kernel, constants)
+        assemble_generator(build_grid(400, 400), gen200.kernel, gen200.constants)
     )
     elapsed = time.time() - start
     change = abs(fine.beta1 / rep.beta1 - 1.0)
@@ -102,12 +100,8 @@ def test_criterion_03_spectral_gap(setup200):
     )
 
 
-def test_criterion_04_exponential_decay(setup200):
-    grid, _, _, generator = setup200
-    w0 = np.exp(-((grid.positions + 0.5) ** 2) / (2 * 0.15**2))
-    traj = evolve(generator, w0, StepScheme(kind="implicit", dt=2e-3), 8.0)
-    spectral = estimate_beta1(generator)
-    rep = decay_report(traj, spectral)
+def test_criterion_04_exponential_decay(gen200):
+    rep, spectral = decay_fit(gen200, 2e-3, 8.0)
     in_range = 1.9 * spectral.beta1 <= rep.fitted_rate <= 2.1 * spectral.beta1
     ok = rep.bound_satisfied and in_range
     assert report(
@@ -158,43 +152,17 @@ def test_criterion_06_rescaling_limit():
 
 
 def test_criterion_07_comparison_principle():
-    kernel = make_kernel("triangle", 1.0, 1.0)
-    constants = coupling_constants(kernel)
-    grid = build_grid(50, 50)
-    generator = assemble_generator(grid, kernel, constants)
-    rng = np.random.default_rng(20260801)
-    dt_exp = cfl_limit(generator)
-    worst = 0.0
-    for _ in range(50):
-        lo = rng.standard_normal(grid.size)
-        hi = lo + np.abs(rng.standard_normal(grid.size))
-        a, b = lo, hi
-        for _ in range(200):
-            a = step_explicit(generator, a, dt_exp)
-            b = step_explicit(generator, b, dt_exp)
-            worst = max(worst, float(np.max(a - b)))
-        a, b = lo, hi
-        for _ in range(40):
-            a = step_implicit(generator, a, 5e-3)
-            b = step_implicit(generator, b, 5e-3)
-            worst = max(worst, float(np.max(a - b)))
+    worst = ordering_violation(triangle_generator(50), 20260801, 50, 200, 40)
     ok = worst <= 1e-12
     assert report(7, "comparison-principle", ok, f"worst violation={worst:.2e}")
 
 
 def test_criterion_08_picard_fidelity():
-    kernel = make_kernel("triangle", 1.0, 1.0)
-    constants = coupling_constants(kernel)
-    grid = build_grid(100, 100)
+    generator = triangle_generator(100)
+    constants = generator.constants
     window = 0.8 / (2 * constants.c1 + constants.c2)
-    scheme = StepScheme(kind="picard", picard_window=window, picard_tol=1e-10)
-    w0 = np.where(grid.positions <= 0.0, 1.0, 0.0)
-    generator = assemble_generator(grid, kernel, constants)
-    traj = evolve(generator, w0, scheme, 0.5)
-    rep = traj.picard
-    mono = evolve(generator, w0, StepScheme(kind="implicit", dt=traj.dt), 0.5)
-    gap = weighted_norm(grid, traj.final_state - mono.final_state)
-    converged = all(n <= scheme.picard_tol for n in rep.final_update_norms)
+    gap, rep = picard_gap(generator, window, 0.5)
+    converged = all(n <= rep.tol for n in rep.final_update_norms)
     ratios_ok = rep.kappa >= 1.0 or all(r <= rep.kappa for r in rep.contraction_ratios)
     ok = converged and gap <= 1e-6 and ratios_ok
     assert report(
@@ -206,27 +174,15 @@ def test_criterion_08_picard_fidelity():
 
 
 def test_criterion_09_semigroup_oracle():
-    kernel = make_kernel("triangle", 1.0, 1.0)
-    constants = coupling_constants(kernel)
-    grid = build_grid(20, 20)
-    generator = assemble_generator(grid, kernel, constants)
-    w0 = np.exp(-((grid.positions + 0.5) ** 2) / (2 * 0.15**2))
-    exact = _semigroup_oracle(generator, w0, 0.5)[0]
-    traj = evolve(generator, w0, StepScheme(kind="implicit", dt=1e-4), 0.5)
-    gap = weighted_norm(grid, traj.final_state - exact)
+    gap = semigroup_gap(triangle_generator(20), 0.5, 1e-4, 1.0)
     ok = gap <= 1e-5
     assert report(9, "semigroup-oracle", ok, f"L2 gap={gap:.2e}")
 
 
 def test_criterion_10_operator_structure():
-    worst = 0.0
-    for family in ("uniform", "triangle", "epanechnikov"):
-        for eps in (1.0, 0.25):
-            kernel = make_kernel(family, 1.0, eps)
-            gen = assemble_generator(
-                build_grid(50, 50), kernel, coupling_constants(kernel)
-            )
-            worst = max(worst, max(_structure_defects(gen).values()))
+    cases = [(family, eps) for family in ("uniform", "triangle", "epanechnikov")
+             for eps in (1.0, 0.25)]
+    worst = max(structure_defect_by_case(cases, 1.0, 50).values())
     ok = worst <= 1e-12
     assert report(10, "operator-structure", ok, f"worst defect={worst:.2e}")
 

@@ -137,12 +137,20 @@ def test_parse_validates_values():
         parse_config_text("time.scheme = rk4\n")
     with pytest.raises(ConfigError, match="init.kind"):
         parse_config_text("init.kind = spline\n")
+
+
+@pytest.mark.parametrize("key, cfg", [
     # string values that a manifest would cut at '#' or strip
-    for key, cfg in (("output.dir", SimConfig(output_dir="runs/#3")),
-                     ("init.path", SimConfig(init_path=" snap.csv")),
-                     ("init.path", SimConfig(init_path="snap.csv\n"))):
-        with pytest.raises(ConfigError, match=key):
-            validate(cfg)
+    ("output.dir", SimConfig(output_dir="runs/#3")),
+    ("init.path", SimConfig(init_path=" snap.csv")),
+    ("init.path", SimConfig(init_path="snap.csv\n")),
+    # a string other than 'auto' in a key that takes a number or 'auto'
+    ("time.dt", SimConfig(time_dt="fast")),
+    ("picard.window", SimConfig(picard_window="wide")),
+], ids=["dir-hash", "path-leading-space", "path-line-break", "dt-word", "window-word"])
+def test_validate_refuses_a_config_built_in_code(key, cfg):
+    with pytest.raises(ConfigError, match=key):
+        validate(cfg)
 
 
 def test_simulate_artifacts_and_schemas(tmp_path, capsys):
@@ -455,6 +463,19 @@ def test_runtime_failure_exits_3(tmp_path):
     assert main(["simulate", "--config", cfg]) == 3
 
 
+def test_failing_eigensolve_exits_3_before_any_artifact(tmp_path, monkeypatch):
+    """simulate runs the eigensolve before evolve and before any write: when
+    it fails, the run exits 3 and leaves no timeseries.csv and no manifest."""
+    def failing(generator):
+        raise RuntimeError("inverse iteration did not converge")
+
+    monkeypatch.setattr(cli, "estimate_beta1", failing)
+    cfg = write_cfg(tmp_path, SMALL, f"output.dir = {tmp_path}/out\n")
+    assert main(["simulate", "--config", cfg]) == 3
+    assert not (tmp_path / "out" / "timeseries.csv").exists()
+    assert not (tmp_path / "out" / "manifest.cfg").exists()
+
+
 def test_spectrum_rows_and_determinism(tmp_path):
     cfg = write_cfg(tmp_path, SMALL, f"output.dir = {tmp_path}/s1\n")
     assert main(["spectrum", "--config", cfg]) == 0
@@ -648,6 +669,33 @@ def test_verify_detects_corruption(monkeypatch, corrupt):
     if corrupt is _zero_coupling_edge:
         ok, _ = verify.check_mass_conservation(cfg)
         assert ok
+
+
+def test_verify_failure_exits_1(tmp_path, capsys, monkeypatch):
+    """A failed check and a crashed one each make verify exit 1: with the
+    coupling edge zeroed the structure check fails, and a measuring function
+    that raises fails its check with the exception named."""
+    cfg = write_cfg(tmp_path, SMALL)
+    assemble = verify.assemble_generator
+
+    def corrupted(*args):
+        gen = assemble(*args)
+        _zero_coupling_edge(gen)
+        return gen
+
+    def crashing(*args):
+        raise RuntimeError("measurement crashed")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "assemble_generator", corrupted)
+        assert main(["verify", "--config", cfg]) == 1
+    assert capsys.readouterr().out.startswith("FAIL  operator-structure ")
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "picard_gap", crashing)
+        assert main(["verify", "--config", cfg]) == 1
+    line = next(line for line in capsys.readouterr().out.splitlines()
+                if "picard-vs-implicit" in line)
+    assert line.startswith("FAIL") and "raised RuntimeError: measurement crashed" in line
 
 
 def test_verify_clean_passes(tmp_path, capsys):
