@@ -3,7 +3,9 @@
 Covers the exact Neumann heat reference (cosine series), decay-rate fitting
 against the spectral gap, the kernel-rescaling convergence sweep, and the
 discrete sub/supersolution checker together with the concrete self-similar
-barrier profile used to exercise it.
+barrier profile used to exercise it.  A block of states is a (k, n) array,
+one state per row: the checker reads its four inequalities off the rows of
+W L w = -A w, and barrier_fields returns the barrier as such a block.
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SimConfig, initial_state, kernel_from
-from .discretization import GeneratorMatrix, Grid, assemble_generator, build_grid, generator_edges
+from .discretization import GeneratorMatrix, Grid, assemble_generator, build_grid
 from .energy_spectrum import SpectralReport, estimate_beta1
 from .evolution import StepScheme, Trajectory, _States
 from .kernels import coupling_constants, make_kernel
@@ -139,8 +141,8 @@ def epsilon_sweep(
     n_nonlocal share it.
     """
     eps = [float(e) for e in eps_list]
-    if not eps or any(e <= 0.0 for e in eps):
-        raise ValueError("eps_list must contain positive values")
+    if not eps or not all(0.0 < e < np.inf for e in eps):
+        raise ValueError(f"eps_list must contain positive, finite values, got {eps}")
     if any(b >= a for a, b in zip(eps[:-1], eps[1:])):
         raise ValueError("eps_list must be strictly decreasing")
     horizon = base_config.time_horizon if horizon is None else float(horizon)
@@ -213,56 +215,34 @@ class SupersolutionReport:
         return all(m[i - 1] >= -self.tol for i in which)
 
 
-def supersolution_check(
-    u_field,
-    v_field,
-    times,
-    generator: GeneratorMatrix,
-    tol: float,
-) -> SupersolutionReport:
-    """Check the four discrete supersolution inequalities on sampled fields.
+def supersolution_check(states, times, generator: GeneratorMatrix,
+                        tol: float) -> SupersolutionReport:
+    """Check the four discrete supersolution inequalities on a (T, n) block
+    of states, one per sample time, read off the rows of W L w = -A w.
 
-    (1) du/dt >= discrete Laplacian at interior local nodes,
-    (2) one-sided derivative at x = -1 is <= 0,
-    (3) one-sided derivative at the interface >= discrete exchange flux,
-    (4) dv/dt >= jump operator minus exchange, at every cell center.
+    (1) w_t >= L w at interior local nodes,
+    (2) -(W L w) >= 0 at x = -1: the one-sided slope there is <= 0,
+    (3) -(W L w) >= 0 at the interface node: the one-sided slope there is
+        >= the discrete exchange flux,
+    (4) w_t >= L w at every cell center (the jump operator minus exchange).
 
     Time derivatives use centered differences, so (1) and (4) are evaluated
     at interior time samples; (2) and (3) are pointwise in time.
     """
-    grid = generator.grid
-    u = np.asarray(u_field, dtype=float)
-    v = np.asarray(v_field, dtype=float)
+    w = np.asarray(states, dtype=float)
     times = np.asarray(times, dtype=float)
     if times.size < 3:
         raise ValueError("need at least 3 time samples for centered differences")
     steps = np.diff(times)
     if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
         raise ValueError("time partition must be uniform")
-    if u.shape != (times.size, grid.n_local + 1) or v.shape != (times.size, grid.n_nonlocal):
-        raise ValueError("field shapes do not match the grid and time partition")
-    dt = float(steps[0])
-    h = grid.h_local
-
-    ut = (u[2:] - u[:-2]) / (2.0 * dt)
-    lap = (u[1:-1, :-2] - 2.0 * u[1:-1, 1:-1] + u[1:-1, 2:]) / h**2
-    margin1 = float(np.min(ut[:, 1:-1] - lap))
-
-    left_slope = (u[:, 1] - u[:, 0]) / h
-    margin2 = float(np.min(-left_slope))
-
-    w = np.hstack([u, v])
-    i, j, c = generator_edges(generator)[2]
-    flux = (w[:, j] - w[:, i]) @ c
-    iface_slope = (u[:, -1] - u[:, -2]) / h
-    margin3 = float(np.min(iface_slope - flux))
-
-    nl0 = grid.interface_index + 1  # the nonlocal rows of L are jump minus exchange
-    vt = (v[2:] - v[:-2]) / (2.0 * dt)
-    jump = np.array([generator.apply(row)[nl0:] for row in w[1:-1]])
-    margin4 = float(np.min(vt - jump))
-
-    return SupersolutionReport(margin1, margin2, margin3, margin4, float(tol))
+    if w.shape != (times.size, generator.size):
+        raise ValueError("states do not match the generator and time partition")
+    aw = np.array([generator.split(row) for row in w])  # A w = -(W L w)
+    residual = (w[2:] - w[:-2]) / (2.0 * float(steps[0])) + aw[1:-1] / generator.weights
+    iface = generator.grid.interface_index
+    margins = (residual[:, 1:iface], aw[:, 0], aw[:, iface], residual[:, iface + 1 :])
+    return SupersolutionReport(*(float(np.min(m)) for m in margins), float(tol))
 
 
 @dataclass(frozen=True)
@@ -303,11 +283,6 @@ class BarrierSpec:
 
 
 def barrier_fields(spec: BarrierSpec, grid: Grid, times):
-    """Sample the barrier on local nodes; the nonlocal companion is the
-    spatial constant equal to the barrier's interface value."""
-    times = np.asarray(times, dtype=float)
-    x = grid.local_nodes
-    u = spec.value(x[None, :], times[:, None])
-    s = np.sqrt(spec.T + times)
-    v = np.tile((s * spec.g(0.0))[:, None], (1, grid.n_nonlocal))
-    return u, v
+    """The barrier as a (T, n) block of states, one per time: sampled at
+    min(x, 0), so every cell holds the barrier's interface value."""
+    return spec.value(np.minimum(grid.positions, 0.0), np.asarray(times, dtype=float)[:, None])

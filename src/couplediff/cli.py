@@ -28,7 +28,7 @@ from .config import (
 )
 from .discretization import assemble_generator, assemble_heat_generator
 from .energy_spectrum import estimate_beta1, estimate_energy_control_k
-from .evolution import TIMESERIES_COLUMNS, cfl_limit, evolve
+from .evolution import TIMESERIES_COLUMNS, StepScheme, cfl_limit, evolve
 from .kernels import coupling_constants
 from .output import atomic_write_text, svg_line_plot, write_csv, write_float_csv
 
@@ -43,16 +43,22 @@ def _setup(cfg: SimConfig):
         raise ConfigError(f"grid.n_nonlocal / kernel.epsilon / kernel.radius: {exc}") from exc
 
 
-def _check_record_table(cfg: SimConfig, n_steps: int):
-    """Refuse a run of n_steps steps, as planned, before evolve allocates its
-    table of diagnostics: (n_steps + 1) rows of len(TIMESERIES_COLUMNS)
-    float64 that must fit in physical memory."""
+def _check_run_memory(cfg: SimConfig, n_steps: int):
+    """Refuse a run of n_steps steps, as planned, before evolve allocates what
+    it keeps: its table of diagnostics, (n_steps + 1) rows of
+    len(TIMESERIES_COLUMNS) float64, and a copy of every snapshotted state,
+    which together must fit in physical memory.  evolve snapshots step 0,
+    every stride-th step before the last for a positive stride, and the last."""
     table = (n_steps + 1) * len(TIMESERIES_COLUMNS) * 8
+    stride = cfg.time_snapshot_stride
+    states = (-(-n_steps // stride) if stride > 0 else 1) + 1
+    kept = table + states * grid_from(cfg).size * 8
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if table > memory:
-        raise ConfigError(f"time.horizon / time.dt: the horizon {cfg.time_horizon} takes "
-                          f"{n_steps:.3g} steps, whose table of diagnostics ({table / 2**30:.3g}"
-                          f" GiB) exceeds physical memory ({memory / 2**30:.3g} GiB)")
+    if kept > memory:
+        raise ConfigError(f"time.horizon / time.dt / time.snapshot_stride: the horizon "
+                          f"{cfg.time_horizon} takes {n_steps:.3g} steps, whose table of "
+                          f"diagnostics and {states:.3g} snapshotted states ({kept / 2**30:.3g}"
+                          f" GiB) exceed physical memory ({memory / 2**30:.3g} GiB)")
 
 
 def _write_snapshot(path, grid, state):
@@ -82,7 +88,7 @@ def run_simulate(cfg: SimConfig, svg: bool = False) -> list:
         _, n_steps, window, _ = scheme.plan(cfg.time_horizon, constants, cfl)
     except ValueError as exc:
         raise ConfigError(f"time.horizon / time.dt: {exc}") from exc
-    _check_record_table(cfg, n_steps)
+    _check_run_memory(cfg, n_steps)
     if scheme.kind != "explicit":
         generator = _setup(cfg)
     w0 = initial_state(cfg, generator.grid)
@@ -177,6 +183,10 @@ def run_spectrum(cfg: SimConfig, pure_heat: bool = False) -> list:
 
 
 def run_sweep(cfg: SimConfig, eps_list, svg: bool = False) -> list:
+    try:  # every member steps implicitly with this plan; refuse it before any exists
+        StepScheme(kind="implicit", dt=cfg.time_dt).plan(cfg.time_horizon)
+    except ValueError as exc:
+        raise ConfigError(f"time.horizon / time.dt: {exc}") from exc
     try:
         rows = epsilon_sweep(cfg, eps_list)
     except ValueError as exc:

@@ -213,10 +213,8 @@ def test_criterion_12_barrier_supersolution():
     grid = build_grid(1000, 100)
     spec = BarrierSpec(xi0=2.0, a=0.5, T=0.03)
     times = np.arange(0.0, spec.T + 1e-12, 1e-5)
-    u, v = barrier_fields(spec, grid, times)
-    rep = supersolution_check(
-        u, v, times, assemble_generator(grid, kernel, constants), tol=1e-6
-    )
+    states = barrier_fields(spec, grid, times)
+    rep = supersolution_check(states, times, assemble_generator(grid, kernel, constants), tol=1e-6)
     ok = rep.passed((1, 2, 3))
     assert report(
         12, "barrier-supersolution",

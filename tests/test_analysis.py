@@ -21,7 +21,7 @@ from couplediff.energy_spectrum import _semigroup_oracle
 from couplediff.config import SimConfig, initial_state
 from couplediff.evolution import _States
 from couplediff.kernels import coupling_constants, make_kernel
-from conftest import weighted_norm
+from conftest import weighted_norm, with_edges
 
 
 def test_heat_reference_single_mode(grid100):
@@ -170,25 +170,38 @@ def test_supersolution_exact_solution_margins(triangle_kernel, constants):
     prof = np.exp(-((grid.positions + 0.5) ** 2) / (2 * 0.15**2))
     times = np.arange(0.1, 0.5 + 1e-12, 5e-4)
     states = _semigroup_oracle(gen, prof, times)
-    nl0 = grid.interface_index + 1
-    report = supersolution_check(
-        states[:, :nl0], states[:, nl0:], times, gen, tol=grid.h_local
-    )
+    report = supersolution_check(states, times, gen, tol=grid.h_local)
     assert report.passed((1, 2, 3, 4)), report.margins()
 
 
 def test_supersolution_needs_three_samples(grid50, gen50):
-    u = np.zeros((2, grid50.n_local + 1))
-    v = np.zeros((2, grid50.n_nonlocal))
     with pytest.raises(ValueError):
-        supersolution_check(u, v, [0.0, 0.1], gen50, 1e-6)
+        supersolution_check(np.zeros((2, grid50.size)), [0.0, 0.1], gen50, 1e-6)
 
 
 def test_supersolution_rejects_nonuniform_times(grid50, gen50):
-    u = np.zeros((4, grid50.n_local + 1))
-    v = np.zeros((4, grid50.n_nonlocal))
     with pytest.raises(ValueError, match="uniform"):
-        supersolution_check(u, v, [0.0, 0.1, 0.15, 0.4], gen50, 1e-6)
+        supersolution_check(np.zeros((4, grid50.size)), [0.0, 0.1, 0.15, 0.4], gen50, 1e-6)
+
+
+def test_supersolution_reads_its_generator(grid50, gen50):
+    """All four margins are minima over the rows of the generator handed in:
+    with the local edge (0, 1) ten times stronger, they equal the minima of
+    w_t - L w and -(W L w) from its dense L on a random block of states."""
+    gen = with_edges(gen50, [(0, 1, 9.0 / grid50.h_local)])
+    states = np.random.default_rng(20).standard_normal((5, grid50.size))
+    times = np.linspace(0.0, 0.04, 5)
+    lw = states @ gen.dense().T
+    residual = (states[2:] - states[:-2]) / 0.02 - lw[1:-1]
+    iface = grid50.interface_index
+    expected = (
+        residual[:, 1:iface].min(),
+        -(gen.weights[0] * lw[:, 0]).max(),
+        -(gen.weights[iface] * lw[:, iface]).max(),
+        residual[:, iface + 1 :].min(),
+    )
+    report = supersolution_check(states, times, gen, 1e-6)
+    np.testing.assert_allclose(report.margins(), expected, rtol=1e-12, atol=0.0)
 
 
 def test_heat_reference_needs_a_mode(grid100):
@@ -219,9 +232,9 @@ def test_barrier_is_supersolution(triangle_kernel, constants):
     grid = build_grid(1000, 100)
     spec = BarrierSpec(xi0=2.0, a=0.5, T=0.03)
     times = np.arange(0.0, spec.T + 1e-12, 1e-5)
-    u, v = barrier_fields(spec, grid, times)
+    states = barrier_fields(spec, grid, times)
     gen = assemble_generator(grid, triangle_kernel, constants)
-    report = supersolution_check(u, v, times, gen, 1e-6)
+    report = supersolution_check(states, times, gen, 1e-6)
     assert report.passed((1, 2, 3)), report.margins()
 
 
@@ -229,9 +242,9 @@ def test_negated_barrier_is_subsolution(triangle_kernel, constants):
     grid = build_grid(200, 50)
     spec = BarrierSpec(xi0=2.0, a=0.5, T=0.03)
     times = np.arange(0.0, spec.T + 1e-12, 2e-4)
-    u, v = barrier_fields(spec, grid, times)
+    states = barrier_fields(spec, grid, times)
     gen = assemble_generator(grid, triangle_kernel, constants)
-    report = supersolution_check(-u, -v, times, gen, 1e-6)
+    report = supersolution_check(-states, times, gen, 1e-6)
     assert not report.passed((1,))
     assert report.margin_interior < -1e-3
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
-from couplediff import cli, verify
+from couplediff import analysis, cli, verify
 from couplediff.cli import main
 from couplediff.config import (
     INIT_KINDS,
@@ -454,6 +454,27 @@ def test_explicit_dt_beyond_memory_exits_2_before_evolve(tmp_path, capsys, monke
     assert "time.horizon" in err and "time.dt" in err
 
 
+def test_snapshots_beyond_memory_exit_2_before_assembly(tmp_path, capsys, monkeypatch):
+    """The memory guard counts the snapshotted states as well as the table of
+    diagnostics: with 1 MiB of physical memory, 2,000 steps at stride 1 keep
+    2,001 states of 101 values (1.6 MB) and exit 2 before assembly, naming
+    time.snapshot_stride; the same run at stride 0 keeps two and exits 0."""
+    sysconf = cli.os.sysconf
+    fake = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}
+    monkeypatch.setattr(cli.os, "sysconf", lambda name: fake.get(name) or sysconf(name))
+    assemble = cli.assemble_generator
+
+    def unreachable(*args):
+        raise AssertionError("a refused run assembled its generator")
+
+    monkeypatch.setattr(cli, "assemble_generator", unreachable)
+    cfg = write_cfg(tmp_path, SMALL, f"output.dir = {tmp_path}/out\ntime.dt = 5e-4\n")
+    assert main(["simulate", "--config", cfg, "--set", "time.snapshot_stride=1"]) == 2
+    assert "time.snapshot_stride" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "assemble_generator", assemble)
+    assert main(["simulate", "--config", cfg, "--set", "time.snapshot_stride=0"]) == 0
+
+
 def test_runtime_failure_exits_3(tmp_path):
     cfg = write_cfg(
         tmp_path, SMALL,
@@ -528,6 +549,26 @@ def test_sweep_artifacts(tmp_path):
     assert errs[0] > errs[1] > errs[2]
     assert (tmp_path / "out" / "sweep.svg").exists()
     assert main(["sweep-epsilon", "--config", cfg, "--eps", "0.1,0.4"]) == 2
+
+
+@pytest.mark.parametrize("args, named", [
+    (["--set", "time.dt=1e-320"], "time.horizon / time.dt: "),
+    (["--eps", "0.4,nan"], "sweep epsilon list: eps_list must contain positive, finite values"),
+    (["--eps", "inf,0.4"], "sweep epsilon list: eps_list must contain positive, finite values"),
+], ids=["dt-overflow", "eps-nan", "eps-inf"])
+def test_sweep_refuses_before_any_member(tmp_path, capsys, monkeypatch, args, named):
+    """sweep-epsilon plans its implicit step and checks its epsilon list before
+    any member is assembled: a time.dt whose step count overflows a float
+    exits 2 naming time.horizon / time.dt, and a NaN or infinite epsilon
+    exits 2 as not positive and finite."""
+
+    def unreachable(*args):
+        raise AssertionError("a refused sweep assembled a member")
+
+    monkeypatch.setattr(analysis, "assemble_generator", unreachable)
+    cfg = write_cfg(tmp_path, SMALL, f"output.dir = {tmp_path}/out\n")
+    assert main(["sweep-epsilon", "--config", cfg, *args]) == 2
+    assert named in capsys.readouterr().err
 
 
 def test_sweep_constant_init_near_zero_error(tmp_path):

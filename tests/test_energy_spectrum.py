@@ -431,15 +431,15 @@ def test_energy_control_estimate_matches_sample_loop(eps):
 def test_routines_read_the_given_generator(grid50, gen50):
     """Each routine after assembly reads the band it is handed: doubling A
     doubles the energy, the Rayleigh quotient, the energy-control estimate
-    and the interface flux of supersolution margin 3 (u = 0, v = 1, so the
-    one-sided interface slope is 0 and the margin is minus the flux)."""
+    and the interface flux of supersolution margin 3 (0 on the local nodes, 1
+    on the cells, so the one-sided interface slope is 0 and the margin is
+    minus the flux)."""
     doubled = GeneratorMatrix(gen50.grid, 2 * gen50.band, gen50.constants, gen50.kernel)
     w = np.random.default_rng(3).standard_normal(grid50.size)
-    u = np.zeros((3, grid50.n_local + 1))
-    v = np.ones((3, grid50.n_nonlocal))
+    states = np.tile(np.where(grid50.positions > 0.0, 1.0, 0.0), (3, 1))
     pairs = [
         (energy(g, w).total, rayleigh(g, w), estimate_energy_control_k(g, 50, seed=11),
-         supersolution_check(u, v, [0.0, 0.1, 0.2], g, 1e-6).margin_interface_flux)
+         supersolution_check(states, [0.0, 0.1, 0.2], g, 1e-6).margin_interface_flux)
         for g in (gen50, doubled)
     ]
     assert pairs[0][3] < 0.0
