@@ -42,10 +42,7 @@ class _HeatReference:
         modes = np.cos(0.5 * np.pi * k[None, :] * (x[:, None] + 1.0))
         modes -= 0.5 * (modes.T @ ww)[None, :]
         root_w = np.sqrt(ww)
-        q, r = np.linalg.qr(root_w[:, None] * modes)
-        sign = np.sign(np.diag(r))
-        sign[sign == 0.0] = 1.0
-        q *= sign[None, :]
+        q = np.linalg.qr(root_w[:, None] * modes)[0]
         self.grid = grid
         self.mean = float(ww @ w0) / float(np.sum(ww))
         self.coeff = q.T @ (root_w * w0)
@@ -126,6 +123,21 @@ def interface_jump(grid: Grid, w: np.ndarray) -> float:
     return float(abs(w[iface] - (1.5 * w[iface + 1] - 0.5 * w[iface + 2])))
 
 
+def sweep_members(base_config: SimConfig, eps_list) -> list:
+    """(epsilon, n_nonlocal) of each member of a sweep over eps_list, which
+    must be strictly decreasing, positive and finite (ValueError otherwise).
+    The nonlocal resolution is n_nonlocal = max(base, ceil(4 / (eps R))):
+    at least four cells across the kernel's reach, so the last member has
+    the finest grid."""
+    eps = [float(e) for e in eps_list]
+    if not eps or not all(0.0 < e < np.inf for e in eps):
+        raise ValueError(f"eps_list must contain positive, finite values, got {eps}")
+    if any(b >= a for a, b in zip(eps[:-1], eps[1:])):
+        raise ValueError("eps_list must be strictly decreasing")
+    return [(e, max(base_config.grid_n_nonlocal,
+                    int(np.ceil(4.0 / (e * base_config.kernel_radius))))) for e in eps]
+
+
 def epsilon_sweep(
     base_config: SimConfig,
     eps_list,
@@ -134,26 +146,19 @@ def epsilon_sweep(
     """Run the rescaled problem for each epsilon and measure the sup-in-time
     weighted L2 distance to the exact heat solution from the same data.
 
-    The nonlocal resolution is auto-adjusted per member
-    (n_nonlocal = max(base, ceil(4 / (eps R)))), the implicit scheme is
-    forced, and every member starts from the same initial profile.  The
+    Each member's nonlocal resolution is sweep_members', the implicit scheme
+    is forced, and every member starts from the same initial profile.  The
     heat reference is built once per grid: consecutive members with the same
     n_nonlocal share it.
     """
-    eps = [float(e) for e in eps_list]
-    if not eps or not all(0.0 < e < np.inf for e in eps):
-        raise ValueError(f"eps_list must contain positive, finite values, got {eps}")
-    if any(b >= a for a, b in zip(eps[:-1], eps[1:])):
-        raise ValueError("eps_list must be strictly decreasing")
+    members = sweep_members(base_config, eps_list)
     horizon = base_config.time_horizon if horizon is None else float(horizon)
     base_kernel = kernel_from(base_config)
     constants = coupling_constants(base_kernel)
 
     scheme = StepScheme(kind="implicit", dt=base_config.time_dt)
     rows, ref = [], None
-    for e in eps:
-        n_nl = max(base_config.grid_n_nonlocal,
-                   int(np.ceil(4.0 / (e * base_config.kernel_radius))))
+    for e, n_nl in members:
         if ref is None or ref.grid.n_nonlocal != n_nl:  # members on one grid share it
             grid = build_grid(base_config.grid_n_local, n_nl)
             w0 = initial_state(base_config, grid)

@@ -14,7 +14,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import verify as verify_mod
-from .analysis import DecayFitError, decay_report, epsilon_sweep
+from .analysis import DecayFitError, decay_report, epsilon_sweep, sweep_members
 from .config import (
     ConfigError,
     SimConfig,
@@ -43,22 +43,29 @@ def _setup(cfg: SimConfig):
         raise ConfigError(f"grid.n_nonlocal / kernel.epsilon / kernel.radius: {exc}") from exc
 
 
-def _check_run_memory(cfg: SimConfig, n_steps: int):
-    """Refuse a run of n_steps steps, as planned, before evolve allocates what
-    it keeps: its table of diagnostics, (n_steps + 1) rows of
-    len(TIMESERIES_COLUMNS) float64, and a copy of every snapshotted state,
-    which together must fit in physical memory.  evolve snapshots step 0,
-    every stride-th step before the last for a positive stride, and the last."""
-    table = (n_steps + 1) * len(TIMESERIES_COLUMNS) * 8
-    stride = cfg.time_snapshot_stride
-    states = (-(-n_steps // stride) if stride > 0 else 1) + 1
-    kept = table + states * grid_from(cfg).size * 8
+def _band_bytes(cfg: SimConfig) -> int:
+    """A bound on the bytes of the generator's band, (b + 1) n float64 for
+    n = n_local + 1 + n_nonlocal, read off the config: b is at most
+    n_nonlocal, and at most the kernel's reach in cells, ceil(R eps
+    n_nonlocal), which the coupling edges do not pass either, plus one cell
+    for rounding."""
+    n_nl = cfg.grid_n_nonlocal
+    b = min(n_nl, math.ceil(min(cfg.kernel_radius * cfg.kernel_epsilon, 1.0) * n_nl) + 1)
+    return (b + 1) * (cfg.grid_n_local + 1 + n_nl) * 8
+
+
+def _check_memory(cfg: SimConfig, keys: str, states: int = 0, rows: int = 0):
+    """Refuse, naming keys, a run whose generator band, `states` more states
+    and a table of `rows` rows of diagnostics (len(TIMESERIES_COLUMNS)
+    float64 each) exceed physical memory.  Every count is read off the
+    config, so the check allocates nothing."""
+    n = cfg.grid_n_local + 1 + cfg.grid_n_nonlocal
+    need = _band_bytes(cfg) + (states * n + rows * len(TIMESERIES_COLUMNS)) * 8
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if kept > memory:
-        raise ConfigError(f"time.horizon / time.dt / time.snapshot_stride: the horizon "
-                          f"{cfg.time_horizon} takes {n_steps:.3g} steps, whose table of "
-                          f"diagnostics and {states:.3g} snapshotted states ({kept / 2**30:.3g}"
-                          f" GiB) exceed physical memory ({memory / 2**30:.3g} GiB)")
+    if need > memory:
+        raise ConfigError(f"{keys}: {need / 2**30:.3g} GiB (the generator's band on {n} "
+                          f"nodes, plus {states:.3g} states and {rows:.3g} rows of diagnostics)"
+                          f" exceed physical memory ({memory / 2**30:.3g} GiB)")
 
 
 def _write_snapshot(path, grid, state):
@@ -71,6 +78,7 @@ def _write_snapshot(path, grid, state):
 
 
 def run_simulate(cfg: SimConfig, svg: bool = False) -> list:
+    _check_memory(cfg, "grid.n_local / grid.n_nonlocal")
     scheme = scheme_from(cfg)
     constants, cfl = None, math.inf
     if scheme.kind == "picard":
@@ -88,7 +96,10 @@ def run_simulate(cfg: SimConfig, svg: bool = False) -> list:
         _, n_steps, window, _ = scheme.plan(cfg.time_horizon, constants, cfl)
     except ValueError as exc:
         raise ConfigError(f"time.horizon / time.dt: {exc}") from exc
-    _check_run_memory(cfg, n_steps)
+    # evolve keeps step 0, every stride-th step before the last and the last
+    stride = cfg.time_snapshot_stride
+    states = (-(-n_steps // stride) if stride > 0 else 1) + 1
+    _check_memory(cfg, "time.horizon / time.dt / time.snapshot_stride", states, n_steps + 1)
     if scheme.kind != "explicit":
         generator = _setup(cfg)
     w0 = initial_state(cfg, generator.grid)
@@ -156,28 +167,18 @@ def run_simulate(cfg: SimConfig, svg: bool = False) -> list:
 def run_spectrum(cfg: SimConfig, pure_heat: bool = False) -> list:
     if pure_heat:
         n = cfg.grid_n_local + cfg.grid_n_nonlocal
-        generator = assemble_heat_generator(n)
-        spectral = estimate_beta1(generator)
-        row = (n, 0, 0.0, spectral.beta1, spectral.lambda2, spectral.residual,
-               float("nan"))
+        generator, sizes, k_hat = assemble_heat_generator(n), (n, 0, 0.0), float("nan")
     else:
+        _check_memory(cfg, "grid.n_local / grid.n_nonlocal", SPECTRUM_SAMPLES)
         generator = _setup(cfg)
-        spectral = estimate_beta1(generator)
+        sizes = (cfg.grid_n_local, cfg.grid_n_nonlocal, cfg.kernel_epsilon)
         k_hat = estimate_energy_control_k(generator, n_samples=SPECTRUM_SAMPLES, seed=cfg.seed)
-        row = (
-            cfg.grid_n_local,
-            cfg.grid_n_nonlocal,
-            cfg.kernel_epsilon,
-            spectral.beta1,
-            spectral.lambda2,
-            spectral.residual,
-            k_hat,
-        )
+    spectral = estimate_beta1(generator)
     path = Path(cfg.output_dir) / "spectrum.csv"
     write_csv(
         path,
         ("n_local", "n_nonlocal", "epsilon", "beta1", "lambda2", "residual", "k_estimate"),
-        [row],
+        [(*sizes, spectral.beta1, spectral.lambda2, spectral.residual, k_hat)],
     )
     return [path]
 
@@ -187,6 +188,13 @@ def run_sweep(cfg: SimConfig, eps_list, svg: bool = False) -> list:
         StepScheme(kind="implicit", dt=cfg.time_dt).plan(cfg.time_horizon)
     except ValueError as exc:
         raise ConfigError(f"time.horizon / time.dt: {exc}") from exc
+    try:
+        members = sweep_members(cfg, eps_list)
+    except (ValueError, ArithmeticError) as exc:  # or an n_nonlocal that overflows
+        raise ConfigError(f"sweep epsilon list: {exc}") from exc
+    for e, n_nl in members:  # every member's band, before the first member runs
+        _check_memory(replace(cfg, kernel_epsilon=e, grid_n_nonlocal=n_nl),
+                      f"sweep epsilon list: epsilon = {e:g} on n_nonlocal = {n_nl}")
     try:
         rows = epsilon_sweep(cfg, eps_list)
     except ValueError as exc:

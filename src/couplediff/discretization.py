@@ -25,10 +25,10 @@ rows).  The split also owns the Cholesky factor of W + dt A
 band factor of the block, whose solve takes one right-hand side or a block
 of them; the implicit stepper and the eigensolver both solve with it.
 generator_edges reads the edges (i, j, c),
-c = -A_ij, off the band as local, nonlocal or coupling; the interface
-fluxes and the local and coupling energies are sums over those edges, while
-the nonlocal energy is read from the split's block
-(energy_spectrum.energy_form).
+c = -A_ij, off the band as local, nonlocal or coupling; the local and
+coupling energies are sums over those edges, while the nonlocal energy is
+read from the split's block (energy_spectrum.energy_form), and the interface
+fluxes are rows of A w, one split product.
 The GeneratorMatrix also carries its grid, kernel and constants: every
 routine after assembly takes it, and none assembles again.
 """

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._lapack import dpbtrs
-from .discretization import GeneratorMatrix, _cholesky, generator_edges
+from .discretization import GeneratorMatrix, _cholesky
 from .energy_spectrum import energy_form
 from .kernels import CouplingConstants
 
@@ -284,22 +284,28 @@ def _picard_states(generator: GeneratorMatrix, scheme: StepScheme, dt: float,
     Factors the two sub-blocks now and returns states(values), a generator of
     the state after each of the n_steps sub-steps from values.
 
+    A window of m sub-steps is one (m + 1, n) block of states, one per row,
+    every row starting as the window's first state; u and v are its local
+    and nonlocal columns, and each sweep rewrites its columns of rows 1..m in
+    place.  The coupling is column iface of A (one split product with the
+    unit vector at the interface node): A[nl0:, iface] = -W_v L[nl0:, iface].
     Both subsystem solves use implicit sub-steps and exchange full histories
     at sub-step resolution, evaluating the frozen data at the new time level;
     the fixed point therefore coincides with the monolithic implicit solution
     at the same step size.  Convergence is measured in the sup-over-window
-    discrete L2(-1, 0) norm of the trace-side iterate; each window's update
-    norms are appended to the report.
+    discrete L2(-1, 0) norm of the trace-side update; each window's update
+    norms are appended to the report.  The window yields its rows 1..m, and
+    the next window starts from its last row.
     """
     grid = generator.grid
     nl0 = grid.interface_index + 1
     iface = grid.interface_index
     w_local, w_nonlocal = grid.weights[:nl0], grid.weights[nl0:]
-    _, j, c = generator_edges(generator)[2]  # edges (iface, j), c = c2 q h_nl
-    trace_coeff = np.zeros(grid.n_nonlocal)  # L[nl0:, iface] = c2 q, source for the jump solve
-    robin_coeff = np.zeros(grid.n_nonlocal)  # L[iface, nl0:], source for the heat solve
-    trace_coeff[j - nl0] = c / w_nonlocal[j - nl0]
-    robin_coeff[j - nl0] = c / w_local[iface]
+    unit = np.zeros(generator.size)
+    unit[iface] = 1.0
+    coupling = -generator.split(unit)[nl0:]  # c2 q h_nl per cell
+    trace_coeff = coupling / w_nonlocal  # L[nl0:, iface] = c2 q, source for the jump solve
+    robin_coeff = coupling / w_local[iface]  # L[iface, nl0:], source for the heat solve
     # (I - dt L_uu) x = r is (W_u + dt A_uu) x = W_u r with A_uu the tridiagonal
     # corner of the band; A_vv is the band's nonlocal columns, whose coupling
     # entries fall in the storage triangle LAPACK does not reference.
@@ -308,30 +314,25 @@ def _picard_states(generator: GeneratorMatrix, scheme: StepScheme, dt: float,
     chol_v = _cholesky(generator.band[:, nl0:], w_nonlocal, dt)
 
     def states(values):
-        u_start, v_start = values[:nl0], values[nl0:]
         for start in range(0, n_steps, window_steps):
             m = min(window_steps, n_steps - start)
-            u_hist = np.tile(u_start, (m + 1, 1))
-            v_hist = np.empty((m + 1, grid.n_nonlocal))
+            block = np.tile(values, (m + 1, 1))  # a new block: yielded rows outlive it
+            u, v = block[:, :nl0], block[:, nl0:]
             norms: list[float] = []
             for _ in range(scheme.picard_max_iters):
-                trace = u_hist[:, iface]
-                v_hist[0] = v_start
-                for k in range(1, m + 1):
-                    rhs = v_hist[k - 1] + dt * trace_coeff * trace[k]
-                    v_hist[k] = dpbtrs(chol_v, w_nonlocal * rhs, overwrite_b=1)[0]
+                for k in range(1, m + 1):  # u still holds the last iterate's trace
+                    rhs = v[k - 1] + dt * trace_coeff * u[k, iface]
+                    v[k] = dpbtrs(chol_v, w_nonlocal * rhs, overwrite_b=1)[0]
 
-                u_new = np.empty_like(u_hist)
-                u_new[0] = u_start
+                previous = u.copy()
                 for k in range(1, m + 1):
-                    rhs = w_local * u_new[k - 1]
-                    rhs[iface] += w_local[iface] * dt * float(robin_coeff @ v_hist[k])
-                    u_new[k] = dpbtrs(chol_u, rhs, overwrite_b=1)[0]
+                    rhs = w_local * u[k - 1]
+                    rhs[iface] += w_local[iface] * dt * float(robin_coeff @ v[k])
+                    u[k] = dpbtrs(chol_u, rhs, overwrite_b=1)[0]
 
-                diff = u_new - u_hist
+                diff = u - previous
                 delta = float(np.sqrt(np.max(np.sum(w_local * diff * diff, axis=1))))
                 norms.append(delta)
-                u_hist = u_new
                 if delta <= scheme.picard_tol:
                     break
             else:
@@ -342,10 +343,8 @@ def _picard_states(generator: GeneratorMatrix, scheme: StepScheme, dt: float,
                     f"kappa = {report.kappa:.3f}"
                 )
             report.update_norms.append(norms)
-            for k in range(1, m + 1):
-                yield np.concatenate([u_hist[k], v_hist[k]])
-            # copies: views would keep this window's histories alive through the next
-            u_start, v_start = u_hist[m].copy(), v_hist[m].copy()
+            yield from block[1:]
+            values = block[m]
 
     return states
 

@@ -475,6 +475,87 @@ def test_snapshots_beyond_memory_exit_2_before_assembly(tmp_path, capsys, monkey
     assert main(["simulate", "--config", cfg, "--set", "time.snapshot_stride=0"]) == 0
 
 
+def _fake_memory(monkeypatch, gib):
+    sysconf = cli.os.sysconf
+    fake = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": gib * 2**18}
+    monkeypatch.setattr(cli.os, "sysconf", lambda name: fake.get(name) or sysconf(name))
+
+
+def _no_grids(monkeypatch):
+    """Fail the test when a grid is built or a generator assembled: a
+    refusal must come from the config alone."""
+
+    def unreachable(*args):
+        raise AssertionError("a refused run allocated its grid")
+
+    for module in (cli, analysis):
+        monkeypatch.setattr(module, "assemble_generator", unreachable)
+    monkeypatch.setattr("couplediff.config.build_grid", unreachable)
+    monkeypatch.setattr(analysis, "build_grid", unreachable)
+
+
+@pytest.mark.parametrize("args", [
+    ["simulate"],
+    ["simulate", "--set", "time.scheme=explicit", "--set", "time.dt=auto"],
+    ["simulate", "--set", "time.scheme=picard", "--set", "time.dt=auto"],
+    ["spectrum"],
+], ids=["implicit", "explicit", "picard", "spectrum"])
+def test_band_beyond_memory_exit_2_before_assembly(tmp_path, capsys, monkeypatch, args):
+    """The memory guard counts the generator's band from the config alone:
+    grid.n_local = 3,000,000 with 200 cells at eps = 1 has a band of
+    201 x 3,000,201 float64 (4.8 GB), which 4 GiB of physical memory cannot
+    hold, so every scheme and spectrum exit 2 naming the grid keys before
+    a grid is built; the 50 x 50 run fits and runs."""
+    cfg = write_cfg(tmp_path, SMALL, f"output.dir = {tmp_path}/out\n")
+    _fake_memory(monkeypatch, 4)
+    _no_grids(monkeypatch)
+    big = ["--set", "grid.n_local=3000000", "--set", "grid.n_nonlocal=200"]
+    assert main([args[0], "--config", cfg, *args[1:], *big]) == 2
+    assert "grid.n_local / grid.n_nonlocal: " in capsys.readouterr().err
+    monkeypatch.undo()
+    _fake_memory(monkeypatch, 4)
+    assert main([args[0], "--config", cfg, *args[1:], "--set", "time.horizon=0.05"]) == 0
+
+
+@pytest.mark.parametrize("eps, named", [
+    ("0.4,1e-9", "sweep epsilon list: epsilon = 1e-09 on n_nonlocal = 4000000000: "),
+    ("0.4,1e-320", "sweep epsilon list: "),
+], ids=["band", "overflow"])
+def test_sweep_beyond_memory_refused_before_any_member(tmp_path, capsys, monkeypatch,
+                                                       eps, named):
+    """Each sweep member refines n_nonlocal to max(base, ceil(4 / (eps R))):
+    at eps = 1e-9 that is 4e9 cells, whose band no 8 GiB machine holds, and
+    at 1e-320 the count overflows.  Both exit 2 naming the epsilon list
+    before the first member (eps = 0.4) is built."""
+    cfg = write_cfg(tmp_path, SMALL, f"output.dir = {tmp_path}/out\n")
+    _fake_memory(monkeypatch, 8)
+    _no_grids(monkeypatch)
+    assert main(["sweep-epsilon", "--config", cfg, "--eps", eps]) == 2
+    assert named in capsys.readouterr().err
+
+
+def test_band_bound_holds_on_assembled_generators():
+    """The guard's band bound, (b + 1) n float64 with
+    b <= min(n_nonlocal, ceil(R eps n_nonlocal) + 1), is never below the
+    assembled band, and is reached where the kernel spans the nonlocal
+    region (b = n_nonlocal)."""
+    reached = 0
+    for family in ("uniform", "triangle", "epanechnikov"):
+        for radius in (0.5, 1.0, 2.0):
+            for eps in (1.0, 0.25, 0.05):
+                for n_local, n_nonlocal in ((50, 50), (40, 200)):
+                    cfg = SimConfig(kernel_family=family, kernel_radius=radius,
+                                    kernel_epsilon=eps, grid_n_local=n_local,
+                                    grid_n_nonlocal=n_nonlocal)
+                    try:
+                        band = cli._setup(cfg).band
+                    except ConfigError:  # under-resolved kernel
+                        continue
+                    assert band.nbytes <= cli._band_bytes(cfg), cfg
+                    reached += band.nbytes == cli._band_bytes(cfg)
+    assert reached > 0
+
+
 def test_runtime_failure_exits_3(tmp_path):
     cfg = write_cfg(
         tmp_path, SMALL,

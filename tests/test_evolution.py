@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import weakref
 
@@ -24,7 +25,7 @@ from couplediff import (
 from couplediff.config import SimConfig, initial_state
 from couplediff.energy_spectrum import _semigroup_oracle
 from couplediff.evolution import SCHEME_KINDS, _ImplicitStepper, _States
-from conftest import weighted_norm
+from conftest import weighted_norm, with_edges
 
 
 @pytest.fixture(scope="module")
@@ -451,6 +452,39 @@ def test_picard_snapshot_stride_matches_implicit(grid50, gen50):
     for (tp, wp), (tm, wm) in zip(traj.snapshots, mono.snapshots):
         assert tp == pytest.approx(tm, rel=1e-12, abs=1e-15)
         assert weighted_norm(grid50, wp - wm) <= 1e-6
+
+
+def test_picard_reads_its_generator(grid50, gen50):
+    """The window iteration takes its coupling from the generator it is
+    handed: with the coupling edge (I, I + 1) ten times stronger, the picard
+    run still lands within criterion 08's 1e-6 of the implicit run on that
+    generator, and away from the picard run on the unmodified one."""
+    iface = grid50.interface_index
+    b = gen50.half_bandwidth
+    c = -gen50.band[b - 1, iface + 1]  # the conductance of the edge (I, I + 1)
+    strong = dataclasses.replace(with_edges(gen50, [(iface, iface + 1, 9.0 * c)]),
+                                 constants=gen50.constants)
+    w0 = np.where(grid50.positions <= 0, 1.0, 0.0)
+    scheme, horizon = StepScheme(kind="picard"), 0.16
+    traj = evolve(strong, w0, scheme, horizon)
+    mono = evolve(strong, w0, StepScheme(dt=traj.dt), horizon)
+    assert weighted_norm(grid50, traj.final_state - mono.final_state) <= 1e-6
+    plain = evolve(gen50, w0, scheme, horizon)
+    assert weighted_norm(grid50, traj.final_state - plain.final_state) > 1e-3
+
+
+def test_picard_states_outlive_their_window(grid50, gen50):
+    """The states the window iteration yields stay as they were yielded while
+    later windows run: kept without copies, they equal evolve's snapshots at
+    stride 1 one by one."""
+    w0 = np.where(grid50.positions <= 0, 1.0, 0.0)
+    scheme, horizon = StepScheme(kind="picard"), 0.16
+    kept = list(_States(gen50, w0, scheme, horizon))
+    snapshots = evolve(gen50, w0, scheme, horizon, 1).snapshots
+    assert len(kept) == len(snapshots) == 161
+    for (t, state), (ts, snapshot) in zip(kept, snapshots):
+        assert t == ts
+        assert np.array_equal(state, snapshot)
 
 
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)
