@@ -43,27 +43,34 @@ def _setup(cfg: SimConfig):
         raise ConfigError(f"grid.n_nonlocal / kernel.epsilon / kernel.radius: {exc}") from exc
 
 
-def _band_bytes(cfg: SimConfig) -> int:
-    """A bound on the bytes of the generator's band, (b + 1) n float64 for
-    n = n_local + 1 + n_nonlocal, read off the config: b is at most
-    n_nonlocal, and at most the kernel's reach in cells, ceil(R eps
+def _half_bandwidth(cfg: SimConfig) -> int:
+    """A bound on the generator's half-bandwidth b, read off the config: at
+    most n_nonlocal, and at most the kernel's reach in cells, ceil(R eps
     n_nonlocal), which the coupling edges do not pass either, plus one cell
     for rounding."""
     n_nl = cfg.grid_n_nonlocal
-    b = min(n_nl, math.ceil(min(cfg.kernel_radius * cfg.kernel_epsilon, 1.0) * n_nl) + 1)
-    return (b + 1) * (cfg.grid_n_local + 1 + n_nl) * 8
+    return min(n_nl, math.ceil(min(cfg.kernel_radius * cfg.kernel_epsilon, 1.0) * n_nl) + 1)
+
+
+def _band_bytes(cfg: SimConfig) -> int:
+    """A bound on the bytes of the generator's band, (b + 1) n float64."""
+    return (_half_bandwidth(cfg) + 1) * (cfg.grid_n_local + 1 + cfg.grid_n_nonlocal) * 8
 
 
 def _check_memory(cfg: SimConfig, keys: str, states: int = 0, rows: int = 0):
-    """Refuse, naming keys, a run whose generator band, `states` more states
-    and a table of `rows` rows of diagnostics (len(TIMESERIES_COLUMNS)
-    float64 each) exceed physical memory.  Every count is read off the
-    config, so the check allocates nothing."""
-    n = cfg.grid_n_local + 1 + cfg.grid_n_nonlocal
-    need = _band_bytes(cfg) + (states * n + rows * len(TIMESERIES_COLUMNS)) * 8
+    """Refuse, naming keys, a run whose generator (its band, the factor of
+    the split's block, (b + 1)(n_nonlocal + 1) floats, the chains of split
+    and factor, 5 (n_local + 1), and a dense copy of the block when
+    b = n_nonlocal), `states` more states and a table of `rows` rows of
+    diagnostics (len(TIMESERIES_COLUMNS) float64 each) exceed physical
+    memory.  Every count is read off the config: nothing is allocated."""
+    n, block = cfg.grid_n_local + 1 + cfg.grid_n_nonlocal, cfg.grid_n_nonlocal + 1
+    b = _half_bandwidth(cfg)
+    solve = (b + 1) * block + 5 * (n - block + 1) + (block * block if b == block - 1 else 0)
+    need = _band_bytes(cfg) + (solve + states * n + rows * len(TIMESERIES_COLUMNS)) * 8
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > memory:
-        raise ConfigError(f"{keys}: {need / 2**30:.3g} GiB (the generator's band on {n} "
+        raise ConfigError(f"{keys}: {need / 2**30:.3g} GiB (the generator and its factor on {n} "
                           f"nodes, plus {states:.3g} states and {rows:.3g} rows of diagnostics)"
                           f" exceed physical memory ({memory / 2**30:.3g} GiB)")
 
@@ -165,8 +172,10 @@ def run_simulate(cfg: SimConfig, svg: bool = False) -> list:
 
 
 def run_spectrum(cfg: SimConfig, pure_heat: bool = False) -> list:
-    if pure_heat:
+    if pure_heat:  # its band and factor are no larger than on n - 1 local cells and 1 nonlocal
         n = cfg.grid_n_local + cfg.grid_n_nonlocal
+        _check_memory(replace(cfg, grid_n_local=n - 1, grid_n_nonlocal=1),
+                      "grid.n_local / grid.n_nonlocal")
         generator, sizes, k_hat = assemble_heat_generator(n), (n, 0, 0.0), float("nan")
     else:
         _check_memory(cfg, "grid.n_local / grid.n_nonlocal", SPECTRUM_SAMPLES)
@@ -192,9 +201,10 @@ def run_sweep(cfg: SimConfig, eps_list, svg: bool = False) -> list:
         members = sweep_members(cfg, eps_list)
     except (ValueError, ArithmeticError) as exc:  # or an n_nonlocal that overflows
         raise ConfigError(f"sweep epsilon list: {exc}") from exc
-    for e, n_nl in members:  # every member's band, before the first member runs
+    for e, n_nl in members:  # every member's generator and heat reference modes, up front
         _check_memory(replace(cfg, kernel_epsilon=e, grid_n_nonlocal=n_nl),
-                      f"sweep epsilon list: epsilon = {e:g} on n_nonlocal = {n_nl}")
+                      f"sweep epsilon list: epsilon = {e:g} on n_nonlocal = {n_nl}",
+                      min(256, cfg.grid_n_local, n_nl))
     try:
         rows = epsilon_sweep(cfg, eps_list)
     except ValueError as exc:

@@ -22,8 +22,8 @@ kernel reaches across the whole nonlocal region and the band holds no zeros
 there, as one dense symmetric copy (symv for A x, one GEMM for a block of
 rows).  The split also owns the Cholesky factor of W + dt A
 (BandSplit.factor, SplitFactor): a tridiagonal factor over the chain and a
-band factor of the block, whose solve takes one right-hand side or a block
-of them; the implicit stepper and the eigensolver both solve with it.
+band factor of the block, whose solve applies (I - dt L)^-1 = (W + dt A)^-1 W
+to a state or an (n, k) block: every implicit solve of the package is it.
 generator_edges reads the edges (i, j, c),
 c = -A_ij, off the band as local, nonlocal or coupling; the local and
 coupling energies are sums over those edges, while the nonlocal energy is
@@ -133,7 +133,8 @@ class BandSplit:
     their neighbours (A[i, j] = 0 for i < p and j > i + 1), so that they reach
     the rest only through node p, and at most last = grid.interface_index
     (n - 1 for the heat generator); a band with a far link from node 0 has
-    p = 0, and the block is then the whole band.
+    p = 0, and the block is then the whole band.  Entries stored above the
+    matrix (row j - (b - row) < 0, never read by LAPACK) are not links.
 
     chain holds A on nodes 0..p in (2, p + 1) upper band storage with its
     (p, p) entry zero; block = band[:, p:] is A[p:, p:] in place, an
@@ -145,16 +146,15 @@ class BandSplit:
     the cost of dense ones, so dense holds A[p:, p:] as a dense symmetric
     copy and the block is applied by symv, or by one GEMM for many rows;
     otherwise dense is None and sbmv reads the band.  The chain and dense
-    are copies: a band changed after its split is made no longer matches
-    the split.
+    are copies, dense made on first use (a split that only factors has
+    none): a band changed after its split is made no longer matches it.
     """
 
     def __init__(self, band: np.ndarray, last: int):
         b = band.shape[0] - 1
-        n = band.shape[1]
         rows, j = np.nonzero(band[: max(b - 1, 0)])  # offsets b..2
         far = j - (b - rows)  # the first node of each far link
-        p = int(np.min(far, initial=last))
+        p = int(np.min(far[far >= 0], initial=last))
         chain = np.zeros((2, p + 1), order="F")
         if b > 0:
             chain[0, 1:] = band[b - 1, 1 : p + 1]
@@ -163,9 +163,12 @@ class BandSplit:
         self.half_bandwidth = b
         self.chain = chain
         self.block = band[:, p:]
+
+    @cached_property
+    def dense(self) -> np.ndarray | None:
         # .T: the transpose of a symmetric C-order array is the same matrix in
         # Fortran order, which BLAS reads without a copy
-        self.dense = _symmetric(self.block).T if b == n - p - 1 else None
+        return _symmetric(self.block).T if self.block.shape[1] == self.half_bandwidth + 1 else None
 
     def __call__(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """A x, into out when given: the chain's sbmv, then the block's
@@ -222,8 +225,8 @@ class SplitFactor:
     Cholesky factor that pbtrf computes on the whole band, minus the band's
     zeros over the chain: chain = chol(M_c) (tridiagonal),
     sigma = (m / chain[p-1, p-1])^2 and block = chol(W_R + dt A_R - sigma
-    e0 e0^T), the Schur complement.  solve() is block elimination:
-    y_c = M_c^-1 r_c, then the block's solve of r_R - m y_c[-1] e0, then
+    e0 e0^T), the Schur complement.  solve() is block elimination on s = W r:
+    y_c = M_c^-1 s_c, then the block's solve of s_R - m y_c[-1] e0, then
     y_c -= m x_R[0] z with z = M_c^-1 e_{p-1}.  The factor takes
     (b + 1)(n - p) entries plus 3 p for the chain and z: about n^2 / 4 at
     epsilon = 1 on a square grid (b = p = n/2), O(n b) at small epsilon.
@@ -231,6 +234,7 @@ class SplitFactor:
 
     def __init__(self, split: BandSplit, weights: np.ndarray, dt: float):
         p = self.p = split.p
+        self.weights = weights
         self.chain = _cholesky(split.chain[:, :p], weights[:p], dt)
         self.m = m = dt * split.chain[0, p]  # dt A[p-1, p]; 0 when p = 0
         self.z = np.zeros(p)
@@ -242,12 +246,10 @@ class SplitFactor:
         self.block = _cholesky(split.block, diagonal, dt, first=p)
 
     def solve(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """(W + dt A)^-1 r for r of shape (n,) or (n, k), by block elimination
-        in out (a copy of r when not given; out may be r)."""
-        if out is None:
-            out = r.copy()
-        elif out is not r:
-            out[...] = r
+        """(I - dt L)^-1 r = (W + dt A)^-1 W r for r of shape (n,) or (n, k),
+        in out (a new array when not given; out may be r)."""
+        weights = self.weights if r.ndim == 1 else self.weights[:, None]
+        out = np.multiply(weights, r, out=out)
         p = self.p
         if p:  # LAPACK refuses an empty 2-D right-hand side (ldb = 0)
             _pbtrs_into(self.chain, out[:p])

@@ -12,21 +12,16 @@ dt and the step count off StepScheme.plan, as does the CLI's refusal of an
 oversized run.  The picard iteration's report is Trajectory.picard.
 
 L = -W^-1 A with A symmetric positive semidefinite, so every implicit solve
-(I - dt L) x = b is the SPD system (W + dt A) x = W b: band-Cholesky factored
-once per step size and polished with iterative refinement so the per-step
-residual stays near machine precision; that keeps the mass drift below 1e-11
-over ten thousand steps.  The factor is split at the interface node like
-A's band (discretization.SplitFactor, made by BandSplit.factor): a
-tridiagonal factor over the local chain and a band factor of the block
-behind it, so neither a solve nor A x reads the band's zeros over the local
-nodes; the stepper keeps only the refinement and its buffers.  A x reads the
-block as a band, or as a dense copy (symv) when the kernel reaches across
-the whole nonlocal region; the solves read the band factors either way.  The
-eigensolver (energy_spectrum.estimate_beta1) solves with the same factor at
-dt = 1.  A step writes dt L w,
-dt L x and the solve residual into buffers of its stepper.  See
-_ImplicitStepper.  The window iteration factors its two sub-blocks the same
-way.
+x = (I - dt L)^-1 b is the SPD system (W + dt A) x = W b, band-Cholesky
+factored once per step size and split at the interface node like A's band:
+discretization.SplitFactor.solve applies it, W included, for the stepper,
+the eigensolver (energy_spectrum.estimate_beta1, at dt = 1) and the window
+iteration's two sub-solves (splits with no chain, p = 0, not refined).  The
+stepper refines its solves so the per-step residual stays near machine
+precision, and keeps the mass drift near 1e-13 over ten thousand steps (see
+_ImplicitStepper).  A x reads the block as a band, or as a dense copy (symv)
+when the kernel reaches across the whole nonlocal region; the solves read
+the band factors either way.
 
 The per-state diagnostics (mass, energy terms, distance to the mean) are
 evaluated on blocks of BLOCK_STATES states (_States.blocks), not state by
@@ -41,8 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._lapack import dpbtrs
-from .discretization import GeneratorMatrix, _cholesky
+from .discretization import BandSplit, GeneratorMatrix
 from .energy_spectrum import energy_form
 from .kernels import CouplingConstants
 
@@ -212,37 +206,31 @@ def step_explicit(generator: GeneratorMatrix, w: np.ndarray, dt: float) -> np.nd
 
 
 class _ImplicitStepper:
-    """Solve of (I - dt L) x = b as (W + dt A) x = W b, iteratively refined.
-
-    W + dt A is factored along the generator's BandSplit at the interface
-    node (discretization.SplitFactor), and dt L x is applied as
-    -dt (A x) / W through the split.
+    """Solve of (I - dt L) x = b with the split's factor, iteratively
+    refined; dt L x is applied as -dt (A x) / W through the BandSplit.
 
     step() advances in increment form: solve (I - dt L) d = dt L w and return
     w + d, in the array the solve made for d.  The solve residual then scales
     with ||d|| rather than ||w||, so per-step conservation errors shrink as
-    the state relaxes; that is what keeps the mass drift at the 1e-12 level
-    over ten thousand steps.
+    the state relaxes.  dt L w is applied to w - w_I 1 (w_I the interface
+    value), equal as A 1 = 0: the rows of A sum to delta = A 1 at roundoff,
+    and the mass error dt delta^T w per step adds up (1.1e-11 in 10,000 steps
+    at eps = 0.05) where dt delta^T (w - w_I 1) shrinks as the state relaxes.
+    The step is a function of the state alone: restarts retrace a run.
     """
 
     def __init__(self, generator: GeneratorMatrix, dt: float):
-        self.weights = generator.weights
-        self.scale = -dt / self.weights
+        self.iface = generator.grid.interface_index
+        self.scale = -dt / generator.weights
         self.stiffness = generator.split
-        self.factor = self.stiffness.factor(self.weights, dt)
-        # dt L w, dt L x and the residual of a step: the step allocates only
-        # the state it returns
+        self.factor = self.stiffness.factor(generator.weights, dt)
+        # dt L w, dt L x (first the shifted state) and the residual of a
+        # step: the step allocates only the state it returns
         self.lw, self.lx, self.residual = (np.empty(generator.size) for _ in range(3))
 
     def _apply(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         """dt L x = -dt (A x) / W, written into out."""
         return np.multiply(self.stiffness(x, out), self.scale, out=out)
-
-    def _solve(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """(I - dt L)^-1 r as (W + dt A)^-1 W r, in out (a new array when not
-        given; out may be r)."""
-        out = np.multiply(self.weights, r, out=out)
-        return self.factor.solve(out, out=out)
 
     def _residual(self, b: np.ndarray, x: np.ndarray) -> float:
         """||r|| for r = (b - x) + dt L x, left in the residual buffer."""
@@ -251,19 +239,20 @@ class _ImplicitStepper:
         return math.sqrt(r @ r)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        x = self._solve(b)
+        x = self.factor.solve(b)
         norm_b = math.sqrt(b @ b) or 1.0
         for _ in range(3):
             if self._residual(b, x) <= 1e-14 * norm_b:
                 return x
-            x += self._solve(self.residual, out=self.residual)
+            x += self.factor.solve(self.residual, out=self.residual)
         norm_r = self._residual(b, x)
         if norm_r > 1e-12 * norm_b:
             raise RuntimeError(f"implicit solve residual {norm_r:.3e} above 1e-12 * ||b||")
         return x
 
     def step(self, w: np.ndarray) -> np.ndarray:
-        x = self.solve(self._apply(w, self.lw))
+        shifted = np.subtract(w, w[self.iface], out=self.lx)
+        x = self.solve(self._apply(shifted, self.lw))
         x += w
         return x
 
@@ -289,7 +278,8 @@ def _picard_states(generator: GeneratorMatrix, scheme: StepScheme, dt: float,
     and nonlocal columns, and each sweep rewrites its columns of rows 1..m in
     place.  The coupling is column iface of A (one split product with the
     unit vector at the interface node): A[nl0:, iface] = -W_v L[nl0:, iface].
-    Both subsystem solves use implicit sub-steps and exchange full histories
+    Both subsystem solves (SplitFactor.solve into the block's rows, not
+    refined) use implicit sub-steps and exchange full histories
     at sub-step resolution, evaluating the frozen data at the new time level;
     the fixed point therefore coincides with the monolithic implicit solution
     at the same step size.  Convergence is measured in the sup-over-window
@@ -306,12 +296,10 @@ def _picard_states(generator: GeneratorMatrix, scheme: StepScheme, dt: float,
     coupling = -generator.split(unit)[nl0:]  # c2 q h_nl per cell
     trace_coeff = coupling / w_nonlocal  # L[nl0:, iface] = c2 q, source for the jump solve
     robin_coeff = coupling / w_local[iface]  # L[iface, nl0:], source for the heat solve
-    # (I - dt L_uu) x = r is (W_u + dt A_uu) x = W_u r with A_uu the tridiagonal
-    # corner of the band; A_vv is the band's nonlocal columns, whose coupling
-    # entries fall in the storage triangle LAPACK does not reference.
-    b = generator.half_bandwidth
-    chol_u = _cholesky(generator.band[b - 1 :, :nl0], w_local, dt)
-    chol_v = _cholesky(generator.band[:, nl0:], w_nonlocal, dt)
+    # splits with no chain of A_uu, the band's tridiagonal corner, and A_vv,
+    # its nonlocal columns (their coupling entries lie above the matrix)
+    heat = BandSplit(generator.band[-2:, :nl0], 0).factor(w_local, dt)
+    jump = BandSplit(generator.band[:, nl0:], 0).factor(w_nonlocal, dt)
 
     def states(values):
         for start in range(0, n_steps, window_steps):
@@ -321,14 +309,11 @@ def _picard_states(generator: GeneratorMatrix, scheme: StepScheme, dt: float,
             norms: list[float] = []
             for _ in range(scheme.picard_max_iters):
                 for k in range(1, m + 1):  # u still holds the last iterate's trace
-                    rhs = v[k - 1] + dt * trace_coeff * u[k, iface]
-                    v[k] = dpbtrs(chol_v, w_nonlocal * rhs, overwrite_b=1)[0]
+                    jump.solve(v[k - 1] + dt * trace_coeff * u[k, iface], out=v[k])
 
                 previous = u.copy()
                 for k in range(1, m + 1):
-                    rhs = w_local * u[k - 1]
-                    rhs[iface] += w_local[iface] * dt * float(robin_coeff @ v[k])
-                    u[k] = dpbtrs(chol_u, rhs, overwrite_b=1)[0]
+                    heat.solve(u[k - 1] + dt * float(robin_coeff @ v[k]) * unit[:nl0], out=u[k])
 
                 diff = u - previous
                 delta = float(np.sqrt(np.max(np.sum(w_local * diff * diff, axis=1))))

@@ -16,6 +16,7 @@ from couplediff import (
     generator_edges,
     make_kernel,
 )
+from couplediff.discretization import BandSplit
 from couplediff.energy_spectrum import _symmetrized_eigh
 from couplediff.kernels import FAMILIES
 from couplediff.verify import _structure_defects
@@ -403,10 +404,33 @@ def test_split_is_dense_exactly_when_band_is_full():
     assert seen == {True, False}
 
 
+@pytest.mark.parametrize("eps", [1.0, 0.95, 0.3])
+def test_split_of_nonlocal_columns_has_no_chain(eps):
+    """The picard window's jump sub-band band[:, nl0:] keeps its coupling
+    entries above the matrix, in the storage triangle LAPACK never reads: its
+    split has p = 0 and solves like the dense W_v + dt A_vv, and it makes no
+    dense copy, not even where the band is full over the nonlocal block
+    (eps = 0.95: b = n_nonlocal - 1)."""
+    gen = _layout_generator("triangle", eps, 20, 23)
+    nl0 = gen.grid.interface_index + 1
+    split = BandSplit(gen.band[:, nl0:], 0)
+    assert split.p == 0
+    w_v = gen.weights[nl0:]
+    dt = 0.3
+    factor = split.factor(w_v, dt)
+    a_vv = -(gen.weights[:, None] * gen.dense())[nl0:, nl0:]
+    r = np.random.default_rng(44).standard_normal(len(w_v))
+    x = factor.solve(r)
+    ref = np.linalg.solve(np.diag(w_v) + dt * a_vv, w_v * r)
+    assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert "dense" not in vars(split)
+    assert (gen.half_bandwidth == len(w_v) - 1) == (eps == 0.95)
+
+
 @pytest.mark.parametrize("case", ["dense block", "band block", "heat", "no chain"])
 def test_split_factor_solves_blocks_of_columns(case):
-    """SplitFactor.solve of an (n, 3) right-hand side is W + dt A's dense
-    solve, column by column equal to the (n,) solve, for a chain at the
+    """SplitFactor.solve of an (n, 3) right-hand side R is W + dt A's dense
+    solve of W R, column by column equal to the (n,) solve, for a chain at the
     interface node over a dense and a banded block, the heat generator's
     chain over every node, and a far link from node 0 (p = 0)."""
     if case == "heat":
@@ -421,7 +445,8 @@ def test_split_factor_solves_blocks_of_columns(case):
     M = np.diag(gen.weights) - dt * (gen.weights[:, None] * gen.dense())
     R = np.random.default_rng(43).standard_normal((gen.size, 3))
     X = factor.solve(R)
-    assert np.max(np.abs(X - np.linalg.solve(M, R))) <= 1e-12 * np.max(np.abs(X))
+    ref = np.linalg.solve(M, gen.weights[:, None] * R)
+    assert np.max(np.abs(X - ref)) <= 1e-12 * np.max(np.abs(X))
     for k in range(3):
         assert np.array_equal(factor.solve(R[:, k].copy()), X[:, k])
     out = R.copy()
