@@ -1,7 +1,11 @@
 """Convolution kernels driving the jump diffusion on (0, 1).
 
-Three built-in families (uniform, triangle, epanechnikov), each an even,
-compactly supported, unit-mass density on [-R, R].  The rescaled kernel is
+Each family is declared once, in DENSITIES, by the exact coefficients of its
+density p(t), a polynomial in t = 1 - |s|/R (the distance from the support's
+edge in units of R): the unscaled kernel is p(1 - |s|/R) / R on |s| <= R,
+even, of unit mass (2 * integral of p over [0, 1] = 1).  Its values, its cdf
+(so the interface profile q) and its second moment are integrals of p, so a
+further family is one table entry.  The rescaled kernel is
 
     J_eps(z) = eps^-3 * J(z / eps),
 
@@ -10,42 +14,33 @@ to that of the base family.  That cancellation is what turns the jump
 operator into the Laplacian as eps -> 0 once the diffusion strength is set
 to 2 / M(J) with M(J) the base second moment.
 
-The uniform family is discontinuous at |z| = R, which violates one of the
-admissibility hypotheses; it is kept for its simple closed forms and is fine
-everywhere continuity of the kernel is not needed.
+Continuity at the support's edge, one of the paper's admissibility
+hypotheses, means p(0) = 0: the uniform family (p = 1/2) violates it, and is
+fine everywhere continuity of the kernel is not needed.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-FAMILIES = ("uniform", "triangle", "epanechnikov")
+# p(t), highest power first (np.polyval's order)
+DENSITIES = {
+    "triangle": (Fraction(1), Fraction(0)),  # 1 - a, a = |s|/R
+    "uniform": (Fraction(1, 2),),  # 1/2
+    "epanechnikov": (Fraction(-3, 4), Fraction(3, 2), Fraction(0)),  # 3/4 (1 - a^2)
+}
+FAMILIES = tuple(DENSITIES)
 
 
-def _base_eval(family: str, radius: float, s):
-    """Unscaled family density at s, vectorized."""
-    a = np.abs(s) / radius
-    inside = a <= 1.0
-    if family == "uniform":
-        val = 0.5 / radius * np.ones_like(a)
-    elif family == "triangle":
-        val = (1.0 - a) / radius
-    else:  # epanechnikov
-        val = 0.75 * (1.0 - a * a) / radius
-    return np.where(inside, val, 0.0)
+def _antiderivative(p):
+    """Exact coefficients of Q(t) = integral of p over [0, t]."""
+    return tuple(c / (len(p) - k) for k, c in enumerate(p)) + (Fraction(0),)
 
 
-def _base_cdf(family: str, radius: float, s):
-    """Antiderivative of the unscaled family, normalized to [0, 1]."""
-    a = np.clip(np.asarray(s, dtype=float) / radius, -1.0, 1.0)
-    if family == "uniform":
-        return 0.5 * (a + 1.0)
-    if family == "triangle":
-        neg = 0.5 * (a + 1.0) ** 2
-        pos = 1.0 - 0.5 * (1.0 - a) ** 2
-        return np.where(a <= 0.0, neg, pos)
-    return 0.5 + 0.25 * (3.0 * a - a**3)  # epanechnikov
+_P = {family: np.array(p, dtype=float) for family, p in DENSITIES.items()}
+_Q = {family: np.array(_antiderivative(p), dtype=float) for family, p in DENSITIES.items()}
 
 
 @dataclass(frozen=True)
@@ -71,14 +66,19 @@ class Kernel:
         return self.radius * self.epsilon
 
     def __call__(self, z):
-        z = np.asarray(z, dtype=float)
-        return _base_eval(self.family, self.radius, z / self.epsilon) / self.epsilon**3
+        a = np.abs(np.asarray(z, dtype=float) / self.epsilon) / self.radius
+        p = np.polyval(_P[self.family], 1.0 - np.minimum(a, 1.0))
+        return np.where(a <= 1.0, p / self.radius, 0.0) / self.epsilon**3
+
+    def _cdf(self, z):
+        """Unscaled cdf at z/eps: Q(1 - |a|), a = z/(eps R) <= 0; 1 - Q(1 - a) beyond."""
+        a = np.clip(np.asarray(z, dtype=float) / self.epsilon / self.radius, -1.0, 1.0)
+        q = np.polyval(_Q[self.family], 1.0 - np.abs(a))
+        return np.where(a <= 0.0, q, 1.0 - q)
 
     def integral(self, a, b):
         """Exact integral of the rescaled kernel over [a, b]."""
-        lo = _base_cdf(self.family, self.radius, np.asarray(a, dtype=float) / self.epsilon)
-        hi = _base_cdf(self.family, self.radius, np.asarray(b, dtype=float) / self.epsilon)
-        return (hi - lo) / self.epsilon**2
+        return (self._cdf(b) - self._cdf(a)) / self.epsilon**2
 
 
 @dataclass(frozen=True)
@@ -106,13 +106,10 @@ def make_kernel(family: str, radius: float, epsilon: float = 1.0) -> Kernel:
 
 
 def second_moment(kernel: Kernel) -> float:
-    """Second moment of the UNSCALED base family (independent of epsilon)."""
-    r2 = kernel.radius**2
-    if kernel.family == "uniform":
-        return r2 / 3.0
-    if kernel.family == "triangle":
-        return r2 / 6.0
-    return r2 / 5.0  # epanechnikov
+    """Second moment of the UNSCALED base family (independent of epsilon):
+    R^2 M, with M = 2 * integral of (1 - t)^2 p(t) over [0, 1] exact."""
+    m = 2 * sum(_antiderivative(np.polymul(DENSITIES[kernel.family], (1, -2, 1))))
+    return kernel.radius**2 * m.numerator / m.denominator
 
 
 def coupling_constants(kernel: Kernel) -> CouplingConstants:

@@ -38,7 +38,7 @@ from .config import SimConfig, initial_state
 from .discretization import assemble_generator, build_grid, generator_edges
 from .energy_spectrum import _semigroup_oracle, estimate_beta1
 from .evolution import StepScheme, _explicit_step, _ImplicitStepper, cfl_limit, evolve
-from .kernels import coupling_constants, make_kernel
+from .kernels import FAMILIES, coupling_constants, make_kernel
 
 
 def _structure_defects(generator):
@@ -144,7 +144,8 @@ def _coupled_setup(cfg, n=100):
 
 
 def check_operator_structure(cfg):
-    cases = (("triangle", 1.0), ("uniform", 0.25), ("epanechnikov", 1.0))
+    # each family, alternately on the dense block (eps = 1) and a narrow band
+    cases = tuple((family, 0.25 if k % 2 else 1.0) for k, family in enumerate(FAMILIES))
     defects = structure_defect_by_case(cases, cfg.kernel_radius, 50)
     detail = "; ".join(f"{family}/eps={eps}: {d:.2e}" for (family, eps), d in defects.items())
     worst = max(defects.values())

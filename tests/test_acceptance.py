@@ -30,6 +30,7 @@ from couplediff import (
     supersolution_check,
 )
 from couplediff.config import SimConfig
+from couplediff.kernels import FAMILIES
 from couplediff.verify import (
     decay_fit,
     ordering_violation,
@@ -180,8 +181,7 @@ def test_criterion_09_semigroup_oracle():
 
 
 def test_criterion_10_operator_structure():
-    cases = [(family, eps) for family in ("uniform", "triangle", "epanechnikov")
-             for eps in (1.0, 0.25)]
+    cases = [(family, eps) for family in FAMILIES for eps in (1.0, 0.25)]
     worst = max(structure_defect_by_case(cases, 1.0, 50).values())
     ok = worst <= 1e-12
     assert report(10, "operator-structure", ok, f"worst defect={worst:.2e}")
