@@ -10,6 +10,7 @@ W L w = -A w, and barrier_fields returns the barrier as such a block.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,6 +31,11 @@ class _HeatReference:
     the discrete mass exactly, maps constants to themselves exactly, and its
     t = 0 projection error is monotone in the mode count.  Modes beyond the
     grid resolution would alias and are dropped.
+
+    Mode k's term coeff_k exp(-rate_k t) is below tiny / e, so zeroed as
+    subnormal, once rate_k t exceeds reach_k = ln(|coeff_k| / tiny) + 1
+    (-inf for a zero coefficient): at() multiplies only the modes up to
+    the last one still live at its earliest time.
     """
 
     def __init__(self, grid: Grid, w0: np.ndarray, n_modes: int = 256):
@@ -49,12 +55,21 @@ class _HeatReference:
         self.rates = (0.5 * np.pi * k) ** 2
         self.modes = q / root_w[:, None]
 
+    @cached_property
+    def reach(self) -> np.ndarray:
+        with np.errstate(divide="ignore"):  # log(0) = -inf: a zero term is never live
+            return np.log(np.abs(self.coeff)) - np.log(_TINY) + 1.0
+
     def at(self, t) -> np.ndarray:
         """The reference at time t, or one row per time for an array of times
-        (one matrix product for all of them)."""
-        c = self.coeff * np.exp(-np.multiply.outer(t, self.rates))
+        (one matrix product for all of them).  Only the modes up to the last
+        one live at the earliest time enter the exp and the product: every
+        term dropped is one the subnormal zeroing would have made 0."""
+        live = np.flatnonzero(self.rates * np.min(t) <= self.reach)
+        k = live[-1] + 1 if live.size else 0
+        c = self.coeff[:k] * np.exp(-np.multiply.outer(t, self.rates[:k]))
         c[np.abs(c) < _TINY] = 0.0  # subnormal terms (< 2.2e-308) slow the product severalfold
-        return self.mean + (self.modes @ c.T).T
+        return self.mean + (self.modes[:, :k] @ c.T).T
 
 
 def heat_reference(grid: Grid, w0: np.ndarray, t: float, n_modes: int = 256) -> np.ndarray:

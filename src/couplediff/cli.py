@@ -13,7 +13,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import verify as verify_mod
 from .analysis import DecayFitError, decay_report, epsilon_sweep, sweep_members
 from .config import (
     ConfigError,
@@ -289,7 +288,9 @@ def main(argv=None) -> int:
         elif args.command == "sweep-epsilon":
             artifacts = run_sweep(cfg, _parse_eps(args.eps), svg=args.svg)
         else:
-            return verify_mod.run_all(cfg)
+            from .verify import run_all  # only verify pays for its import
+
+            return run_all(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

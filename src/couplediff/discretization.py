@@ -20,12 +20,12 @@ read the band split there (BandSplit), never the zeros of the band over the
 local nodes.  The block behind the chain is read as a band, or, when the
 kernel reaches across the whole nonlocal region and the band holds no zeros
 there, as one dense symmetric copy (symv for A x, one GEMM for a block of
-rows).  The split also owns the Cholesky factor of W + dt A
-(BandSplit.factor, SplitFactor): a tridiagonal factor over the chain and a
-band factor of the block, whose solve applies (I - dt L)^-1 = (W + dt A)^-1 W
-to a state or an (n, k) block: every implicit solve of the package is it.
-generator_edges reads the edges (i, j, c),
-c = -A_ij, off the band as local, nonlocal or coupling; the local and
+rows).  The split also owns the factor of W + dt A (BandSplit.factor,
+SplitFactor): a tridiagonal L D L^T factor over the chain and a band
+Cholesky factor of the block, whose solve applies
+(I - dt L)^-1 = (W + dt A)^-1 W to a state or an (n, k) block: every
+implicit solve of the package is it.  generator_edges reads the edges
+(i, j, c), c = -A_ij, off the band as local, nonlocal or coupling; the local and
 coupling energies are sums over those edges, while the nonlocal energy is
 read from the split's block (energy_spectrum.energy_form), and the interface
 fluxes are rows of A w, one split product.
@@ -39,7 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._lapack import dpbtrf, dpbtrs, dsbmv, dsymv
+from ._lapack import dpbtrf, dpbtrs, dpttrf, dpttrs, dsbmv, dsymv
 from .kernels import CouplingConstants, Kernel, coupling_profile_analytic
 
 
@@ -193,8 +193,16 @@ class BandSplit:
         return out
 
     def factor(self, weights: np.ndarray, dt: float) -> "SplitFactor":
-        """The Cholesky factor of W + dt A along this split."""
+        """The factor of W + dt A along this split."""
         return SplitFactor(self, weights, dt)
+
+
+def _not_positive_definite(routine: str, info: int, first: int) -> RuntimeError:
+    """The error for LAPACK's info > 0 from a factorization whose first row
+    is node `first` of the generator: the pivot of node first + info - 1 is
+    not positive."""
+    return RuntimeError(f"W + dt A is not positive definite: {routine} fails at node "
+                        f"{first + info - 1}")
 
 
 def _cholesky(band: np.ndarray, diagonal: np.ndarray, dt: float, first: int = 0) -> np.ndarray:
@@ -204,15 +212,15 @@ def _cholesky(band: np.ndarray, diagonal: np.ndarray, dt: float, first: int = 0)
     factor[-1] += diagonal
     factor, info = dpbtrf(factor, overwrite_ab=1)
     if info != 0:
-        raise RuntimeError(
-            f"Cholesky factorization of W + dt A failed: pbtrf info = {first + info}")
+        raise _not_positive_definite("pbtrf", info, first)
     return factor
 
 
-def _pbtrs_into(factor: np.ndarray, b: np.ndarray):
-    """pbtrs of b, written into b: in place when b is one contiguous vector,
-    copied back when pbtrs had to copy it (a slice of rows of a 2-D b)."""
-    x = dpbtrs(factor, b, overwrite_b=1)[0]
+def _solve_into(b: np.ndarray, routine, *factor):
+    """routine(*factor, b) (pttrs or pbtrs), written into b: in place when b
+    is one contiguous vector, copied back when LAPACK had to copy it (a
+    slice of rows of a 2-D b)."""
+    x = routine(*factor, b, overwrite_b=1)[0]
     if x is not b:
         b[...] = x
 
@@ -221,12 +229,13 @@ class SplitFactor:
     """W + dt A factored in two parts along a BandSplit at the interface node p.
 
     M_c = W_c + dt A_c on the chain of nodes 0..p-1 and the block on nodes
-    p..n-1 meet in the one entry m = dt A[p-1, p].  This is the natural-order
-    Cholesky factor that pbtrf computes on the whole band, minus the band's
-    zeros over the chain: chain = chol(M_c) (tridiagonal),
-    sigma = (m / chain[p-1, p-1])^2 and block = chol(W_R + dt A_R - sigma
-    e0 e0^T), the Schur complement.  solve() is block elimination on s = W r:
-    y_c = M_c^-1 s_c, then the block's solve of s_R - m y_c[-1] e0, then
+    p..n-1 meet in the one entry m = dt A[p-1, p].  The chain is tridiagonal
+    and factored as L D L^T by pttrf, its unit bidiagonal L's subdiagonal in
+    e and D in d; the block is band Cholesky factored by pbtrf, after the
+    Schur complement's one change sigma = m^2 / d[p-1] = m^2 (M_c^-1)[p-1,
+    p-1] to its first diagonal entry: block = chol(W_R + dt A_R - sigma
+    e0 e0^T).  solve() is block elimination on s = W r: y_c = M_c^-1 s_c
+    (pttrs), then the block's solve of s_R - m y_c[-1] e0 (pbtrs), then
     y_c -= m x_R[0] z with z = M_c^-1 e_{p-1}.  The factor takes
     (b + 1)(n - p) entries plus 3 p for the chain and z: about n^2 / 4 at
     epsilon = 1 on a square grid (b = p = n/2), O(n b) at small epsilon.
@@ -235,14 +244,17 @@ class SplitFactor:
     def __init__(self, split: BandSplit, weights: np.ndarray, dt: float):
         p = self.p = split.p
         self.weights = weights
-        self.chain = _cholesky(split.chain[:, :p], weights[:p], dt)
         self.m = m = dt * split.chain[0, p]  # dt A[p-1, p]; 0 when p = 0
         self.z = np.zeros(p)
         diagonal = weights[p:].copy()
-        if p:
+        if p:  # pttrf refuses an empty chain
+            self.d, self.e, info = dpttrf(weights[:p] + dt * split.chain[1, :p],
+                                          dt * split.chain[0, 1:p], overwrite_d=1, overwrite_e=1)
+            if info != 0:
+                raise _not_positive_definite("pttrf", info, 0)
             self.z[-1] = 1.0
-            _pbtrs_into(self.chain, self.z)  # z = M_c^-1 e_{p-1}
-            diagonal[0] -= (m / self.chain[1, -1]) ** 2
+            _solve_into(self.z, dpttrs, self.d, self.e)  # z = M_c^-1 e_{p-1}
+            diagonal[0] -= m * m / self.d[-1]
         self.block = _cholesky(split.block, diagonal, dt, first=p)
 
     def solve(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -251,10 +263,10 @@ class SplitFactor:
         weights = self.weights if r.ndim == 1 else self.weights[:, None]
         out = np.multiply(weights, r, out=out)
         p = self.p
-        if p:  # LAPACK refuses an empty 2-D right-hand side (ldb = 0)
-            _pbtrs_into(self.chain, out[:p])
+        if p:  # LAPACK refuses an empty right-hand side
+            _solve_into(out[:p], dpttrs, self.d, self.e)
             out[p] -= self.m * out[p - 1]
-        _pbtrs_into(self.block, out[p:])
+        _solve_into(out[p:], dpbtrs, self.block)
         if p:
             z = self.z if out.ndim == 1 else self.z[:, None]
             out[:p] -= (self.m * out[p]) * z

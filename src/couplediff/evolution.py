@@ -12,8 +12,9 @@ dt and the step count off StepScheme.plan, as does the CLI's refusal of an
 oversized run.  The picard iteration's report is Trajectory.picard.
 
 L = -W^-1 A with A symmetric positive semidefinite, so every implicit solve
-x = (I - dt L)^-1 b is the SPD system (W + dt A) x = W b, band-Cholesky
-factored once per step size and split at the interface node like A's band:
+x = (I - dt L)^-1 b is the SPD system (W + dt A) x = W b, factored once per
+step size and split at the interface node like A's band (L D L^T over the
+tridiagonal chain, band Cholesky behind it):
 discretization.SplitFactor.solve applies it, W included, for the stepper,
 the eigensolver (energy_spectrum.estimate_beta1, at dt = 1) and the window
 iteration's two sub-solves (splits with no chain, p = 0, not refined).  The

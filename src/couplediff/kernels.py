@@ -1,8 +1,9 @@
 """Convolution kernels driving the jump diffusion on (0, 1).
 
 Each family is declared once, in DENSITIES, by the exact coefficients of its
-density p(t), a polynomial in t = 1 - |s|/R (the distance from the support's
-edge in units of R): the unscaled kernel is p(1 - |s|/R) / R on |s| <= R,
+density p(t), integer numerators over one integer denominator, a polynomial
+in t = 1 - |s|/R (the distance from the support's edge in units of R): the
+unscaled kernel is p(1 - |s|/R) / R on |s| <= R,
 even, of unit mass (2 * integral of p over [0, 1] = 1).  Its values, its cdf
 (so the interface profile q) and its second moment are integrals of p, so a
 further family is one table entry.  The rescaled kernel is
@@ -20,27 +21,37 @@ fine everywhere continuity of the kernel is not needed.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-# p(t), highest power first (np.polyval's order)
+# p(t) = (n_0 t^d + n_1 t^(d - 1) + ... + n_d) / denominator: (numerators,
+# highest power first as in np.polyval, denominator)
 DENSITIES = {
-    "triangle": (Fraction(1), Fraction(0)),  # 1 - a, a = |s|/R
-    "uniform": (Fraction(1, 2),),  # 1/2
-    "epanechnikov": (Fraction(-3, 4), Fraction(3, 2), Fraction(0)),  # 3/4 (1 - a^2)
+    "triangle": ((1, 0), 1),  # 1 - a, a = |s|/R
+    "uniform": ((1,), 2),  # 1/2
+    "epanechnikov": ((-3, 6, 0), 4),  # 3/4 (1 - a^2)
 }
 FAMILIES = tuple(DENSITIES)
 
 
-def _antiderivative(p):
-    """Exact coefficients of Q(t) = integral of p over [0, t]."""
-    return tuple(c / (len(p) - k) for k, c in enumerate(p)) + (Fraction(0),)
+def _antiderivative(numerators, denominator):
+    """Q(t) = integral of p over [0, t] in the same form, exact: t^k
+    integrates to t^(k + 1) / (k + 1), over one common denominator."""
+    top = len(numerators)
+    common = math.lcm(*range(1, top + 1))
+    return [c * (common // (top - k)) for k, c in enumerate(numerators)] + [0], denominator * common
 
 
-_P = {family: np.array(p, dtype=float) for family, p in DENSITIES.items()}
-_Q = {family: np.array(_antiderivative(p), dtype=float) for family, p in DENSITIES.items()}
+def _floats(numerators, denominator) -> np.ndarray:
+    """Each coefficient the one rounding of its exact value (Python's
+    int / int is correctly rounded)."""
+    return np.array([c / denominator for c in numerators])
+
+
+_P = {family: _floats(*p) for family, p in DENSITIES.items()}
+_Q = {family: _floats(*_antiderivative(*p)) for family, p in DENSITIES.items()}
 
 
 @dataclass(frozen=True)
@@ -107,9 +118,13 @@ def make_kernel(family: str, radius: float, epsilon: float = 1.0) -> Kernel:
 
 def second_moment(kernel: Kernel) -> float:
     """Second moment of the UNSCALED base family (independent of epsilon):
-    R^2 M, with M = 2 * integral of (1 - t)^2 p(t) over [0, 1] exact."""
-    m = 2 * sum(_antiderivative(np.polymul(DENSITIES[kernel.family], (1, -2, 1))))
-    return kernel.radius**2 * m.numerator / m.denominator
+    R^2 M, with M = 2 * integral of (1 - t)^2 p(t) over [0, 1] exact, in
+    lowest terms, in integers."""
+    n, d = DENSITIES[kernel.family]
+    q, den = _antiderivative(np.polymul(n, (1, -2, 1)).tolist(), d)
+    num = 2 * sum(q)  # 2 Q(1)
+    g = math.gcd(num, den)
+    return kernel.radius**2 * (num // g) / (den // g)
 
 
 def coupling_constants(kernel: Kernel) -> CouplingConstants:

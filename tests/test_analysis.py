@@ -19,7 +19,7 @@ from couplediff import (
 from couplediff.analysis import _HeatReference
 from couplediff.energy_spectrum import _semigroup_oracle
 from couplediff.config import SimConfig, initial_state
-from couplediff.evolution import _States
+from couplediff.evolution import BLOCK_STATES, _States
 from couplediff.kernels import coupling_constants, make_kernel
 from conftest import weighted_norm, with_edges
 
@@ -55,6 +55,38 @@ def test_heat_reference_drops_subnormal_terms():
     assert np.any((terms != 0.0) & (np.abs(terms) < np.finfo(float).tiny))
     full = ref.mean + ref.modes @ terms
     assert np.max(np.abs(ref.at(t) - full)) <= 1e-15
+
+
+def _all_modes(ref, t):
+    """The reference summed over every mode, live or not."""
+    c = ref.coeff * np.exp(-np.multiply.outer(t, ref.rates))
+    c[np.abs(c) < np.finfo(float).tiny] = 0.0
+    return ref.mean + (ref.modes @ c.T).T
+
+
+def test_heat_reference_live_modes_bit_identical():
+    """On every block of criterion 06's sweep (200 x 200, dt = 5e-4, horizon
+    0.5: 16 blocks of up to 64 times) at() equals the product over all 200
+    modes bit for bit, though it multiplies fewer from the second block on.
+    So it does with the lowest coefficient exactly 0, whose mode is dead from
+    t = 0 while the next ones live: the live modes are not a prefix."""
+    cfg = SimConfig(init_kind="gaussian", init_center=-0.5, init_width=0.15,
+                    grid_n_local=200, grid_n_nonlocal=200, time_dt=5e-4)
+    grid = build_grid(200, 200)
+    w0 = initial_state(cfg, grid)
+    dt, n_steps = StepScheme(dt=cfg.time_dt).plan(0.5)[:2]
+    times = np.arange(n_steps + 1) * dt  # _States' k dt
+    blocks = [times[k : k + BLOCK_STATES] for k in range(0, times.size, BLOCK_STATES)]
+    assert len(blocks) == 16
+    ref, zero = _HeatReference(grid, w0), _HeatReference(grid, w0)
+    zero.coeff[0] = 0.0  # before the first at(), which reads the reach off coeff
+    assert ref.modes.shape[1] == 200
+    assert np.count_nonzero(ref.rates * blocks[1][0] <= ref.reach) < 200
+    live = zero.rates * blocks[-1][0] <= zero.reach
+    assert not live[0] and live[1]
+    for block in blocks:
+        for r in (ref, zero):
+            assert np.array_equal(r.at(block), _all_modes(r, block))
 
 
 def test_heat_reference_long_time_constant(grid100):

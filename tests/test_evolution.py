@@ -206,19 +206,22 @@ def test_band_layout_conserves_mass_and_dissipates(constants):
 
 
 def test_stepper_rejects_singular_factor(grid50):
-    """pbtrf reporting a non-positive pivot raises instead of stepping on, and
-    a dense L whose W L is not symmetric is refused before it becomes a band."""
+    """A non-positive pivot, in the chain's pttrf or the block's pbtrf, raises
+    naming its node instead of stepping on, and a dense L whose W L is not
+    symmetric is refused before it becomes a band."""
     dt = 0.1
     n = grid50.size
     zero = GeneratorMatrix.from_dense(grid50, np.eye(n) / dt)  # W + dt A = 0
-    with pytest.raises(RuntimeError, match="pbtrf info = 1"):
+    with pytest.raises(RuntimeError, match="pttrf fails at node 0$"):
         _ImplicitStepper(zero, dt)
     # symmetric and indefinite with a positive diagonal: W + dt A = W except
-    # for rows 5 and 6, which hold h [[1, -2], [-2, 1]] (h = 0.02)
-    L = np.zeros((n, n))
-    L[5, 6] = L[6, 5] = 2.0 / dt
-    with pytest.raises(RuntimeError, match="pbtrf info = 7"):
-        _ImplicitStepper(GeneratorMatrix.from_dense(grid50, L), dt)
+    # for rows i and i + 1, which hold h [[1, -2], [-2, 1]] (h = 0.02); the
+    # chain is nodes 0..49, the block 50..100
+    for i, routine in ((5, "pttrf"), (60, "pbtrf")):
+        L = np.zeros((n, n))
+        L[i, i + 1] = L[i + 1, i] = 2.0 / dt
+        with pytest.raises(RuntimeError, match=f"{routine} fails at node {i + 1}$"):
+            _ImplicitStepper(GeneratorMatrix.from_dense(grid50, L), dt)
     skew = np.zeros((n, n))
     skew[0, 0] = 1.0 / dt
     skew[0, -1] = 1.0  # no (W L)[-1, 0] to match it

@@ -166,12 +166,12 @@ def test_kernel_integrals_match_sympy(family, r_eps):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_declaration_exact_unit_mass_and_nonnegative(family):
-    """Each declared p(t) has 2 * integral over [0, 1] equal to 1 exactly, and
-    is nonnegative on [0, 1]."""
+    """Each declared p(t), integer numerators over an integer denominator, has
+    2 * integral over [0, 1] equal to 1 exactly, and is nonnegative on [0, 1]."""
     t = sp.Symbol("t", real=True)
-    p = sum(sp.Rational(c.numerator, c.denominator) * t**k
-            for k, c in enumerate(reversed(DENSITIES[family])))
-    assert all(isinstance(c, Fraction) for c in DENSITIES[family])
+    numerators, denominator = DENSITIES[family]
+    assert all(type(c) is int for c in (*numerators, denominator)) and denominator > 0
+    p = sum(c * t**k for k, c in enumerate(reversed(numerators))) / sp.Integer(denominator)
     assert 2 * sp.integrate(p, (t, 0, 1)) == 1
     assert sp.minimum(p, t, sp.Interval(0, 1)) >= 0
 

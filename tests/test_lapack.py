@@ -1,5 +1,5 @@
-"""couplediff reaches scipy's compiled BLAS/LAPACK without importing
-scipy.linalg, and what it reaches is scipy's public API, bit for bit.
+"""couplediff reaches scipy's compiled BLAS/LAPACK without importing scipy
+or scipy.linalg, and what it reaches is scipy's public API, bit for bit.
 
 Which modules a process has imported depends on everything it imported
 before, so each check runs in a fresh interpreter (warnings as errors, as
@@ -33,9 +33,10 @@ def run_fresh(code: str, *args: str) -> str:
 def test_import_leaves_scipy_linalg_out():
     out = run_fresh(
         "import couplediff, couplediff.cli\n"
-        "print('scipy.linalg' in sys.modules, 'scipy.linalg._flapack' in sys.modules)\n"
+        "print('scipy' in sys.modules, 'scipy.linalg' in sys.modules,\n"
+        "      'scipy.linalg._flapack' in sys.modules)\n"
     )
-    assert out.split() == ["False", "True"]
+    assert out.split() == ["False", "False", "True"]
 
 
 def test_cli_runs_leave_scipy_linalg_out(tmp_path):
@@ -54,11 +55,9 @@ def test_cli_runs_leave_scipy_linalg_out(tmp_path):
         "        called.add(name)\n"
         "        return fn(*a, **k)\n"
         "    return wrapped\n"
-        "import couplediff.discretization as d, couplediff.evolution as e\n"
-        "for mod, names in ((d, ['dsbmv', 'dsymv', 'dpbtrf', 'dpbtrs']),\n"
-        "                   (e, ['dsbmv', 'dpbtrf', 'dpbtrs'])):\n"
-        "    for name in names:\n"
-        "        setattr(mod, name, count(name))\n"
+        "import couplediff.discretization as d\n"
+        "for name in ['dsbmv', 'dsymv', 'dpbtrf', 'dpbtrs', 'dpttrf', 'dpttrs']:\n"
+        "    setattr(d, name, count(name))\n"
         "cfg, out = sys.argv[1], sys.argv[2]\n"
         "assert main(['simulate', '--config', cfg, '--out', out + '/sim']) == 0\n"
         "assert main(['spectrum', '--config', cfg, '--out', out + '/spec']) == 0\n"
@@ -66,7 +65,8 @@ def test_cli_runs_leave_scipy_linalg_out(tmp_path):
         str(cfg),
         str(tmp_path),
     )
-    assert out.splitlines()[-1] == "['dpbtrf', 'dpbtrs', 'dsbmv', 'dsymv'] False"
+    assert out.splitlines()[-1] == (
+        "['dpbtrf', 'dpbtrs', 'dpttrf', 'dpttrs', 'dsbmv', 'dsymv'] False")
 
 
 EQUIVALENCE = """
@@ -79,6 +79,8 @@ assert _lapack.dsbmv is scipy.linalg.blas.dsbmv
 assert _lapack.dsymv is scipy.linalg.blas.dsymv
 assert _lapack.dpbtrf is scipy.linalg.lapack.dpbtrf
 assert _lapack.dpbtrs is scipy.linalg.lapack.dpbtrs
+assert _lapack.dpttrf is scipy.linalg.lapack.dpttrf
+assert _lapack.dpttrs is scipy.linalg.lapack.dpttrs
 
 print("same objects")
 """
