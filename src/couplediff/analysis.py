@@ -45,15 +45,18 @@ class _HeatReference:
         x = grid.positions
         ww = grid.weights
         k = np.arange(1, n_modes + 1)
-        modes = np.cos(0.5 * np.pi * k[None, :] * (x[:, None] + 1.0))
+        # one n x n_modes array, built and weighted in place (QR copies it)
+        modes = np.multiply.outer(x + 1.0, 0.5 * np.pi * k)
+        np.cos(modes, out=modes)
         modes -= 0.5 * (modes.T @ ww)[None, :]
         root_w = np.sqrt(ww)
-        q = np.linalg.qr(root_w[:, None] * modes)[0]
+        modes *= root_w[:, None]
+        q = np.linalg.qr(modes)[0]
         self.grid = grid
         self.mean = float(ww @ w0) / float(np.sum(ww))
         self.coeff = q.T @ (root_w * w0)
         self.rates = (0.5 * np.pi * k) ** 2
-        self.modes = q / root_w[:, None]
+        self.modes = np.divide(q, root_w[:, None], out=q)
 
     @cached_property
     def reach(self) -> np.ndarray:

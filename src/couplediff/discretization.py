@@ -23,8 +23,9 @@ there, as one dense symmetric copy (symv for A x, one GEMM for a block of
 rows).  The split also owns the factor of W + dt A (BandSplit.factor,
 SplitFactor): a tridiagonal L D L^T factor over the chain and a band
 Cholesky factor of the block, whose solve applies
-(I - dt L)^-1 = (W + dt A)^-1 W to a state or an (n, k) block: every
-implicit solve of the package is it.  generator_edges reads the edges
+(I - dt L)^-1 = (W + dt A)^-1 W: every implicit solve of the package is it.
+A x and the solve take one state of n values and return a new array.
+generator_edges reads the edges
 (i, j, c), c = -A_ij, off the band as local, nonlocal or coupling; the local and
 coupling energies are sums over those edges, while the nonlocal energy is
 read from the split's block (energy_spectrum.energy_form), and the interface
@@ -170,13 +171,13 @@ class BandSplit:
         # Fortran order, which BLAS reads without a copy
         return _symmetric(self.block).T if self.block.shape[1] == self.half_bandwidth + 1 else None
 
-    def __call__(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """A x, into out when given: the chain's sbmv, then the block's
-        product added into the same y."""
-        y = np.empty(x.shape[0]) if out is None else out
-        y.fill(0.0)  # beta = 1 below reads y
-        dsbmv(1, 1.0, self.chain, x, y=y, overwrite_y=1)
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """A x for one state x, a new array: the chain's sbmv, then the
+        block's product added into the same y."""
         p = self.p
+        _check_state(x, p + self.block.shape[1])
+        y = np.zeros(x.shape)  # beta = 1 below reads y
+        dsbmv(1, 1.0, self.chain, x, y=y, overwrite_y=1)
         if self.dense is not None:
             return dsymv(1.0, self.dense, x, offx=p, beta=1.0, y=y, offy=p, overwrite_y=1)
         return dsbmv(self.half_bandwidth, 1.0, self.block, x, offx=p, beta=1.0, y=y,
@@ -197,32 +198,19 @@ class BandSplit:
         return SplitFactor(self, weights, dt)
 
 
+def _check_state(x: np.ndarray, n: int):
+    """Refuse the array x unless it is one state of n values: BLAS would read
+    an (n, k) block's first column, numpy broadcast a (k, n) one."""
+    if x.shape != (n,):
+        raise ValueError(f"expected one state of shape ({n},), got shape {x.shape}")
+
+
 def _not_positive_definite(routine: str, info: int, first: int) -> RuntimeError:
     """The error for LAPACK's info > 0 from a factorization whose first row
     is node `first` of the generator: the pivot of node first + info - 1 is
     not positive."""
     return RuntimeError(f"W + dt A is not positive definite: {routine} fails at node "
                         f"{first + info - 1}")
-
-
-def _cholesky(band: np.ndarray, diagonal: np.ndarray, dt: float, first: int = 0) -> np.ndarray:
-    """Band Cholesky factor of dt A + diag(diagonal), A in LAPACK upper band
-    storage whose first column is node `first` of the generator."""
-    factor = np.multiply(band, dt, order="F")
-    factor[-1] += diagonal
-    factor, info = dpbtrf(factor, overwrite_ab=1)
-    if info != 0:
-        raise _not_positive_definite("pbtrf", info, first)
-    return factor
-
-
-def _solve_into(b: np.ndarray, routine, *factor):
-    """routine(*factor, b) (pttrs or pbtrs), written into b: in place when b
-    is one contiguous vector, copied back when LAPACK had to copy it (a
-    slice of rows of a 2-D b)."""
-    x = routine(*factor, b, overwrite_b=1)[0]
-    if x is not b:
-        b[...] = x
 
 
 class SplitFactor:
@@ -253,24 +241,27 @@ class SplitFactor:
             if info != 0:
                 raise _not_positive_definite("pttrf", info, 0)
             self.z[-1] = 1.0
-            _solve_into(self.z, dpttrs, self.d, self.e)  # z = M_c^-1 e_{p-1}
+            dpttrs(self.d, self.e, self.z, overwrite_b=1)  # z = M_c^-1 e_{p-1}
             diagonal[0] -= m * m / self.d[-1]
-        self.block = _cholesky(split.block, diagonal, dt, first=p)
+        block = np.multiply(split.block, dt, order="F")
+        block[-1] += diagonal
+        self.block, info = dpbtrf(block, overwrite_ab=1)
+        if info != 0:
+            raise _not_positive_definite("pbtrf", info, p)
 
-    def solve(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """(I - dt L)^-1 r = (W + dt A)^-1 W r for r of shape (n,) or (n, k),
-        in out (a new array when not given; out may be r)."""
-        weights = self.weights if r.ndim == 1 else self.weights[:, None]
-        out = np.multiply(weights, r, out=out)
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        """(I - dt L)^-1 r = (W + dt A)^-1 W r for one state r, a new array.
+        LAPACK overwrites the array's two contiguous pieces in place."""
+        _check_state(r, self.weights.size)
+        x = self.weights * r
         p = self.p
         if p:  # LAPACK refuses an empty right-hand side
-            _solve_into(out[:p], dpttrs, self.d, self.e)
-            out[p] -= self.m * out[p - 1]
-        _solve_into(out[p:], dpbtrs, self.block)
+            dpttrs(self.d, self.e, x[:p], overwrite_b=1)
+            x[p] -= self.m * x[p - 1]
+        dpbtrs(self.block, x[p:], overwrite_b=1)
         if p:
-            z = self.z if out.ndim == 1 else self.z[:, None]
-            out[:p] -= (self.m * out[p]) * z
-        return out
+            x[:p] -= (self.m * x[p]) * self.z
+        return x
 
 
 @dataclass

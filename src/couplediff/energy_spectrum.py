@@ -28,10 +28,10 @@ at once).
 
 estimate_beta1 finds lambda2 by block inverse iteration with the stepper's
 solve at dt = 1, (I - L)^-1 = (W + A)^-1 W (discretization.SplitFactor), on
-four columns at once with Rayleigh-Ritz: it never forms an n x n array.
-numpy.linalg.eigh of W^-1/2 A W^-1/2, A
-written out dense from its band (_symmetrized_eigh), remains only as an
-oracle, for tests and for verify's semigroup check.
+four columns, each solved as one state, with Rayleigh-Ritz: it never forms
+an n x n array.  numpy.linalg.eigh of W^-1/2 A W^-1/2, A written out dense
+from its band (_symmetrized_eigh), remains only as an oracle, for tests and
+for verify's semigroup check.
 """
 from __future__ import annotations
 
@@ -200,9 +200,9 @@ def estimate_beta1(generator: GeneratorMatrix) -> SpectralReport:
     Solves A x = lambda W x (A = -W L) by block inverse iteration with
     Rayleigh-Ritz on the split band: the iteration operator is
     (I - L)^-1 = (W + A)^-1 W, the stepper's SplitFactor.solve at dt = 1
-    (BandSplit.factor), whose eigenvalues 1 / (1 + lambda)
-    are largest for the smallest lambda.  It iterates on EIGEN_COLUMNS
-    W-orthonormal columns started from the cosines
+    (BandSplit.factor) applied to each column as one state, whose
+    eigenvalues 1 / (1 + lambda) are largest for the smallest lambda.  It
+    iterates on EIGEN_COLUMNS W-orthonormal columns started from the cosines
     cos(j pi (x - x_0) / (x_end - x_0)), j = 1..4, with the constant (zero)
     mode projected out every iteration; A X comes from the split, and the
     4 x 4 matrix X^T A X gives the Ritz pairs (numpy.linalg.eigh).  It stops
@@ -232,7 +232,7 @@ def estimate_beta1(generator: GeneratorMatrix) -> SpectralReport:
     X = np.cos(np.pi * np.multiply.outer((x - x[0]) / (x[-1] - x[0]), j))
     previous = np.inf
     for iterations in range(1, EIGEN_MAX_ITERATIONS + 1):
-        X = factor.solve(X)
+        X = np.column_stack([factor.solve(column) for column in X.T])
         X -= (W @ X) / measure  # the constant mode, W-orthogonally
         X = np.linalg.qr(root_w * X)[0] / root_w
         AX = np.column_stack([split(column) for column in X.T])

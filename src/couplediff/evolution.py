@@ -17,12 +17,13 @@ step size and split at the interface node like A's band (L D L^T over the
 tridiagonal chain, band Cholesky behind it):
 discretization.SplitFactor.solve applies it, W included, for the stepper,
 the eigensolver (energy_spectrum.estimate_beta1, at dt = 1) and the window
-iteration's two sub-solves (splits with no chain, p = 0, not refined).  The
-stepper refines its solves so the per-step residual stays near machine
-precision, and keeps the mass drift near 1e-13 over ten thousand steps (see
-_ImplicitStepper).  A x reads the block as a band, or as a dense copy (symv)
-when the kernel reaches across the whole nonlocal region; the solves read
-the band factors either way.
+iteration's two sub-solves (splits with no chain, p = 0, not refined); it and
+A x (the BandSplit) take one state and return a new array, which the
+stepper works on.  The stepper refines its solves so the per-step residual
+stays near machine precision, and keeps the mass drift near 1e-13 over ten
+thousand steps (see _ImplicitStepper).  A x reads the block as a band, or
+as a dense copy (symv) when the kernel reaches across the whole nonlocal
+region; the solves read the band factors either way.
 
 The per-state diagnostics (mass, energy terms, distance to the mean) are
 evaluated on blocks of BLOCK_STATES states (_States.blocks), not state by
@@ -230,35 +231,34 @@ class _ImplicitStepper:
         self.scale = -dt / generator.weights
         self.stiffness = generator.split
         self.factor = self.stiffness.factor(generator.weights, dt)
-        # dt L w, dt L x (first the shifted state) and the residual of a
-        # step: the step allocates only the state it returns
-        self.lw, self.lx, self.residual = (np.empty(generator.size) for _ in range(3))
 
-    def _apply(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """dt L x = -dt (A x) / W, written into out."""
-        return np.multiply(self.stiffness(x, out), self.scale, out=out)
+    def _apply(self, x: np.ndarray) -> np.ndarray:
+        """dt L x = -dt (A x) / W."""
+        y = self.stiffness(x)
+        y *= self.scale
+        return y
 
-    def _residual(self, b: np.ndarray, x: np.ndarray) -> float:
-        """||r|| for r = (b - x) + dt L x, left in the residual buffer."""
-        r = np.subtract(b, x, out=self.residual)
-        r += self._apply(x, self.lx)
-        return math.sqrt(r @ r)
+    def _residual(self, b: np.ndarray, x: np.ndarray) -> tuple:
+        """r = (b - x) + dt L x and ||r||."""
+        r = b - x
+        r += self._apply(x)
+        return r, math.sqrt(r @ r)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         x = self.factor.solve(b)
         norm_b = math.sqrt(b @ b) or 1.0
         for _ in range(3):
-            if self._residual(b, x) <= 1e-14 * norm_b:
+            r, norm_r = self._residual(b, x)
+            if norm_r <= 1e-14 * norm_b:
                 return x
-            x += self.factor.solve(self.residual, out=self.residual)
-        norm_r = self._residual(b, x)
+            x += self.factor.solve(r)
+        norm_r = self._residual(b, x)[1]
         if norm_r > 1e-12 * norm_b:
             raise RuntimeError(f"implicit solve residual {norm_r:.3e} above 1e-12 * ||b||")
         return x
 
     def step(self, w: np.ndarray) -> np.ndarray:
-        shifted = np.subtract(w, w[self.iface], out=self.lx)
-        x = self.solve(self._apply(shifted, self.lw))
+        x = self.solve(self._apply(w - w[self.iface]))
         x += w
         return x
 
@@ -284,14 +284,14 @@ def _picard_states(generator: GeneratorMatrix, scheme: StepScheme, dt: float,
     and nonlocal columns, and each sweep rewrites its columns of rows 1..m in
     place.  The coupling is column iface of A (one split product with the
     unit vector at the interface node): A[nl0:, iface] = -W_v L[nl0:, iface].
-    Both subsystem solves (SplitFactor.solve into the block's rows, not
-    refined) use implicit sub-steps and exchange full histories
-    at sub-step resolution, evaluating the frozen data at the new time level;
-    the fixed point therefore coincides with the monolithic implicit solution
-    at the same step size.  Convergence is measured in the sup-over-window
-    discrete L2(-1, 0) norm of the trace-side update; each window's update
-    norms are appended to the report.  The window yields its rows 1..m, and
-    the next window starts from its last row.
+    Both subsystem solves (SplitFactor.solve of one row's columns, its new
+    array assigned to the next row, not refined) use implicit sub-steps and
+    exchange full histories at sub-step resolution, evaluating the frozen
+    data at the new time level; the fixed point therefore coincides with the
+    monolithic implicit solution at the same step size.  Convergence is
+    measured in the sup-over-window discrete L2(-1, 0) norm of the trace-side
+    update; each window's update norms are appended to the report.  The
+    window yields its rows 1..m, and the next window starts from its last row.
     """
     grid = generator.grid
     nl0 = grid.interface_index + 1
@@ -315,11 +315,11 @@ def _picard_states(generator: GeneratorMatrix, scheme: StepScheme, dt: float,
             norms: list[float] = []
             for _ in range(scheme.picard_max_iters):
                 for k in range(1, m + 1):  # u still holds the last iterate's trace
-                    jump.solve(v[k - 1] + dt * trace_coeff * u[k, iface], out=v[k])
+                    v[k] = jump.solve(v[k - 1] + dt * trace_coeff * u[k, iface])
 
                 previous = u.copy()
                 for k in range(1, m + 1):
-                    heat.solve(u[k - 1] + dt * float(robin_coeff @ v[k]) * unit[:nl0], out=u[k])
+                    u[k] = heat.solve(u[k - 1] + dt * float(robin_coeff @ v[k]) * unit[:nl0])
 
                 diff = u - previous
                 delta = float(np.sqrt(np.max(np.sum(w_local * diff * diff, axis=1))))

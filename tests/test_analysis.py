@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,28 @@ def test_heat_reference_live_modes_bit_identical():
     for block in blocks:
         for r in (ref, zero):
             assert np.array_equal(r.at(block), _all_modes(r, block))
+
+
+def test_heat_reference_peak_memory():
+    """Building the 401 x 200 reference of criterion 06 holds at most 3.75
+    n x m float arrays (n = 401 dofs, m = 200 modes) at once.  The modes are
+    one array built and weighted in place; numpy's QR adds its working copy
+    of it and q (three arrays), then R = triu(...) of its top m rows, an
+    m x m float array and an m x m boolean mask: since m <= (n - 1) / 2,
+    9 m^2 bytes are at most 9/16 of an n x m float array.  The O(n + m)
+    vectors (positions, weights, rates, coefficients, tau) are well inside
+    the last 3/16."""
+    grid = build_grid(200, 200)
+    w0 = np.where(grid.positions < 0.1, 1.0, 0.0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ref = _HeatReference(grid, w0)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert ref.modes.shape == (401, 200)
+    assert peak <= 3.75 * ref.modes.nbytes
 
 
 def test_heat_reference_long_time_constant(grid100):

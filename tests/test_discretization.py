@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -427,28 +428,63 @@ def test_split_of_nonlocal_columns_has_no_chain(eps):
     assert (gen.half_bandwidth == len(w_v) - 1) == (eps == 0.95)
 
 
-@pytest.mark.parametrize("case", ["dense block", "band block", "heat", "no chain"])
-def test_split_factor_solves_blocks_of_columns(case):
-    """SplitFactor.solve of an (n, 3) right-hand side R is W + dt A's dense
-    solve of W R, column by column equal to the (n,) solve, for a chain at the
-    interface node over a dense and a banded block, the heat generator's
-    chain over every node, and a far link from node 0 (p = 0)."""
+LAYOUTS = ["dense block", "band block", "heat", "no chain"]
+
+
+def _layout_case(case):
+    """A chain at the interface node over a dense and a banded block, the
+    heat generator's chain over every node, and a far link from node 0
+    (p = 0)."""
     if case == "heat":
-        gen = assemble_heat_generator(60)
-    else:
-        gen = _layout_generator("triangle", 1.0 if case != "band block" else 0.3, 20, 23)
+        return assemble_heat_generator(60)
+    gen = _layout_generator("triangle", 1.0 if case != "band block" else 0.3, 20, 23)
     if case == "no chain":
         gen = with_edges(gen, [(0, gen.size - 1, 0.7)])
         assert gen.split.p == 0
+    return gen
+
+
+@pytest.mark.parametrize("case", LAYOUTS)
+def test_split_factor_solves_blocks_of_columns(case):
+    """SplitFactor.solve of each column of an (n, 3) right-hand side R, one
+    state at a time, is W + dt A's dense solve of W R; the block itself and
+    its transpose are refused, not read as their first column or broadcast."""
+    gen = _layout_case(case)
     dt = 0.3
     factor = gen.split.factor(gen.weights, dt)
     M = np.diag(gen.weights) - dt * (gen.weights[:, None] * gen.dense())
     R = np.random.default_rng(43).standard_normal((gen.size, 3))
-    X = factor.solve(R)
+    X = np.column_stack([factor.solve(column) for column in R.T])
     ref = np.linalg.solve(M, gen.weights[:, None] * R)
     assert np.max(np.abs(X - ref)) <= 1e-12 * np.max(np.abs(X))
-    for k in range(3):
-        assert np.array_equal(factor.solve(R[:, k].copy()), X[:, k])
-    out = R.copy()
-    assert factor.solve(out, out=out) is out
-    assert np.array_equal(out, X)
+    for block in (R, R.T):
+        with pytest.raises(ValueError, match=re.escape(f"({gen.size},), got shape {block.shape}")):
+            factor.solve(block)
+
+
+@pytest.mark.parametrize("case", LAYOUTS)
+def test_split_and_solve_return_new_arrays(case):
+    """split(x) and factor.solve(r) return arrays that share no memory with
+    their argument, which they leave bitwise unchanged."""
+    gen = _layout_case(case)
+    factor = gen.split.factor(gen.weights, 0.3)
+    x = np.random.default_rng(45).standard_normal(gen.size)
+    kept = x.copy()
+    for operator in (gen.split, factor.solve):
+        y = operator(x)
+        assert y.shape == x.shape and not np.shares_memory(x, y)
+        assert np.array_equal(x, kept)
+
+
+@pytest.mark.parametrize("shape", [(41, 3), (3, 41), (40,), (41, 1), ()])
+def test_operators_refuse_anything_but_one_state(shape):
+    """A block, a state of the wrong length or a scalar is refused with a
+    ValueError naming its shape, by the product (split, apply) and the solve:
+    BLAS alone would return the product of a (41, 3) block's first column."""
+    gen = _layout_generator("triangle", 1.0, 20, 20)
+    assert gen.size == 41
+    factor = gen.split.factor(gen.weights, 0.3)
+    x = np.ones(shape)
+    for operator in (gen.split, gen.apply, factor.solve):
+        with pytest.raises(ValueError, match=rf"got shape {re.escape(str(shape))}"):
+            operator(x)
