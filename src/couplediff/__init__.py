@@ -10,11 +10,11 @@ spectral-gap decay rate verifiable identities rather than approximations.
 from .analysis import (
     BarrierSpec,
     DecayReport,
+    HeatReference,
     SweepRow,
     barrier_fields,
     decay_report,
     epsilon_sweep,
-    heat_reference,
     interface_jump,
     supersolution_check,
 )
@@ -27,10 +27,8 @@ from .discretization import (
     generator_edges,
 )
 from .energy_spectrum import (
-    EnergyBreakdown,
     SpectralReport,
     edge_energy,
-    energy,
     energy_form,
     estimate_beta1,
     estimate_energy_control_k,
@@ -38,14 +36,14 @@ from .energy_spectrum import (
     rayleigh,
 )
 from .evolution import (
+    ImplicitStepper,
     PicardReport,
     StepScheme,
     Trajectory,
     cfl_limit,
     contraction_factor,
     evolve,
-    step_explicit,
-    step_implicit,
+    explicit_step,
 )
 from .kernels import (
     CouplingConstants,

@@ -15,16 +15,24 @@ from functools import cached_property
 import numpy as np
 
 from .config import SimConfig, initial_state, kernel_from
-from .discretization import GeneratorMatrix, Grid, assemble_generator, build_grid
+from .discretization import (
+    GeneratorMatrix,
+    Grid,
+    assemble_generator,
+    build_grid,
+    resolved_n_nonlocal,
+)
 from .energy_spectrum import SpectralReport, estimate_beta1
 from .evolution import StepScheme, Trajectory, _States
 from .kernels import coupling_constants, make_kernel
 
 _TINY = np.finfo(float).tiny
+HEAT_REFERENCE_MODES = 256  # the cosine modes of a heat reference, at most
 
 
-class _HeatReference:
-    """Cosine-series Neumann heat solution on (-1, 1), sampled on a grid.
+class HeatReference:
+    """Cosine-series Neumann heat solution on (-1, 1), sampled on a grid:
+    built once from the initial data w0, at(t) evaluates it at any times.
 
     The sampled cosine modes are deflated by their discrete means and then
     orthonormalized in the weighted inner product, so the reference conserves
@@ -38,7 +46,7 @@ class _HeatReference:
     the last one still live at its earliest time.
     """
 
-    def __init__(self, grid: Grid, w0: np.ndarray, n_modes: int = 256):
+    def __init__(self, grid: Grid, w0: np.ndarray, n_modes: int = HEAT_REFERENCE_MODES):
         if n_modes < 1:
             raise ValueError("need at least one cosine mode")
         n_modes = min(n_modes, grid.n_local, grid.n_nonlocal)
@@ -73,12 +81,6 @@ class _HeatReference:
         c = self.coeff[:k] * np.exp(-np.multiply.outer(t, self.rates[:k]))
         c[np.abs(c) < _TINY] = 0.0  # subnormal terms (< 2.2e-308) slow the product severalfold
         return self.mean + (self.modes[:, :k] @ c.T).T
-
-
-def heat_reference(grid: Grid, w0: np.ndarray, t: float, n_modes: int = 256) -> np.ndarray:
-    """Exact Neumann heat solution at time t from the initial data w0 sampled
-    on grid."""
-    return _HeatReference(grid, w0, n_modes).at(t)
 
 
 class DecayFitError(ValueError):
@@ -144,25 +146,22 @@ def interface_jump(grid: Grid, w: np.ndarray) -> float:
 def sweep_members(base_config: SimConfig, eps_list) -> list:
     """(epsilon, n_nonlocal) of each member of a sweep over eps_list, which
     must be strictly decreasing, positive and finite (ValueError otherwise).
-    The nonlocal resolution is n_nonlocal = max(base, ceil(4 / (eps R))):
-    at least four cells across the kernel's reach, so the last member has
-    the finest grid."""
+    The nonlocal resolution is resolved_n_nonlocal's, max(base,
+    ceil(4 / (eps R))): at least four cells across the kernel's reach, so
+    the last member has the finest grid."""
     eps = [float(e) for e in eps_list]
     if not eps or not all(0.0 < e < np.inf for e in eps):
         raise ValueError(f"eps_list must contain positive, finite values, got {eps}")
     if any(b >= a for a, b in zip(eps[:-1], eps[1:])):
         raise ValueError("eps_list must be strictly decreasing")
-    return [(e, max(base_config.grid_n_nonlocal,
-                    int(np.ceil(4.0 / (e * base_config.kernel_radius))))) for e in eps]
+    return [(e, resolved_n_nonlocal(base_config.grid_n_nonlocal, e, base_config.kernel_radius))
+            for e in eps]
 
 
-def epsilon_sweep(
-    base_config: SimConfig,
-    eps_list,
-    horizon: float | None = None,
-) -> list[SweepRow]:
-    """Run the rescaled problem for each epsilon and measure the sup-in-time
-    weighted L2 distance to the exact heat solution from the same data.
+def epsilon_sweep(base_config: SimConfig, eps_list) -> list[SweepRow]:
+    """Run the rescaled problem for each epsilon to the config's time
+    horizon and measure the sup-in-time weighted L2 distance to the exact
+    heat solution from the same data.
 
     Each member's nonlocal resolution is sweep_members', the implicit scheme
     is forced, and every member starts from the same initial profile.  The
@@ -170,7 +169,6 @@ def epsilon_sweep(
     n_nonlocal share it.
     """
     members = sweep_members(base_config, eps_list)
-    horizon = base_config.time_horizon if horizon is None else float(horizon)
     base_kernel = kernel_from(base_config)
     constants = coupling_constants(base_kernel)
 
@@ -180,12 +178,12 @@ def epsilon_sweep(
         if ref is None or ref.grid.n_nonlocal != n_nl:  # members on one grid share it
             grid = build_grid(base_config.grid_n_local, n_nl)
             w0 = initial_state(base_config, grid)
-            ref = _HeatReference(grid, w0)
-        rows.append(_sweep_member(base_config, e, constants, scheme, horizon, w0, ref))
+            ref = HeatReference(grid, w0)
+        rows.append(_sweep_member(base_config, e, constants, scheme, w0, ref))
     return rows
 
 
-def _sweep_member(base_config, e, constants, scheme, horizon, w0, ref) -> SweepRow:
+def _sweep_member(base_config, e, constants, scheme, w0, ref) -> SweepRow:
     """One sweep row from w0 and the heat reference ref on the member's grid
     (ref.grid), stepping the member once.  The generator and the stepper
     live in this frame only, so they are freed before the next member is
@@ -194,7 +192,7 @@ def _sweep_member(base_config, e, constants, scheme, horizon, w0, ref) -> SweepR
     kernel = make_kernel(base_config.kernel_family, base_config.kernel_radius, e)
     generator = assemble_generator(grid, kernel, constants)
     spectral = estimate_beta1(generator)
-    states = _States(generator, w0, scheme, horizon)
+    states = _States(generator, w0, scheme, base_config.time_horizon)
     sup = 0.0
     for times, block in states.blocks():
         diff = ref.at(times)

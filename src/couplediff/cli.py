@@ -10,10 +10,17 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 
-from .analysis import DecayFitError, decay_report, epsilon_sweep, sweep_members
+from .analysis import (
+    HEAT_REFERENCE_MODES,
+    DecayFitError,
+    SweepRow,
+    decay_report,
+    epsilon_sweep,
+    sweep_members,
+)
 from .config import (
     ConfigError,
     SimConfig,
@@ -203,18 +210,13 @@ def run_sweep(cfg: SimConfig, eps_list, svg: bool = False) -> list:
     for e, n_nl in members:  # every member's generator and heat reference modes, up front
         _check_memory(replace(cfg, kernel_epsilon=e, grid_n_nonlocal=n_nl),
                       f"sweep epsilon list: epsilon = {e:g} on n_nonlocal = {n_nl}",
-                      min(256, cfg.grid_n_local, n_nl))
+                      min(HEAT_REFERENCE_MODES, cfg.grid_n_local, n_nl))
     try:
         rows = epsilon_sweep(cfg, eps_list)
     except ValueError as exc:
         raise ConfigError(f"sweep epsilon list: {exc}") from exc
     path = Path(cfg.output_dir) / "sweep.csv"
-    write_csv(
-        path,
-        ("epsilon", "n_nonlocal", "dt", "sup_error_l2", "beta1_eps", "interface_jump"),
-        [(r.epsilon, r.n_nonlocal, r.dt, r.sup_error_l2, r.beta1_eps, r.interface_jump)
-         for r in rows],
-    )
+    write_csv(path, [f.name for f in fields(SweepRow)], [astuple(r) for r in rows])
     artifacts = [path]
     if svg:
         plot = Path(cfg.output_dir) / "sweep.svg"

@@ -109,6 +109,13 @@ def build_grid(n_local: int, n_nonlocal: int) -> Grid:
     return Grid(n_local, n_nonlocal)
 
 
+def resolved_n_nonlocal(n_nonlocal: int, epsilon: float, radius: float) -> int:
+    """max(n_nonlocal, ceil(4 / (epsilon radius))): at least four nonlocal
+    cells across the reach of the kernel of the given epsilon and radius,
+    the coarsest grid assemble_generator accepts for it."""
+    return max(n_nonlocal, int(np.ceil(4.0 / (epsilon * radius))))
+
+
 def _add_path_stiffness(band: np.ndarray, n_edges: int, h: float):
     """Add sum over i < n_edges of (w_{i+1} - w_i)^2 / h to A's band."""
     b = band.shape[0] - 1

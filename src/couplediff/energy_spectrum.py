@@ -11,10 +11,11 @@ holds to roundoff, and the smallest nonzero eigenvalue lambda2 of -L in the
 weighted inner product equals twice the gap constant beta1 that controls the
 exponential decay of ||w - mean||.
 
-energy_form(generator) evaluates the three terms of a generator's energy,
-for one state or a block of states.  The local and coupling terms have O(n)
-edges and are edge sums in difference form (edge_energy over their
-generator_edges groups).  The nonlocal term has O(n b) edges, about n^2 / 2
+energy_form(generator) is the one evaluator of a generator's energy: built
+once, it gives the three terms for one state or a block of states, and the
+energy is their sum.  The local and coupling terms have O(n) edges and are
+edge sums in difference form (edge_energy over their generator_edges
+groups).  The nonlocal term has O(n b) edges, about n^2 / 2
 at epsilon = 1, so it is read from the block of A's band split
 (discretization.BandSplit) instead, applied to a block of states at once:
 one GEMM per block when the kernel reaches across the whole nonlocal region,
@@ -43,17 +44,6 @@ from .discretization import GeneratorMatrix, Grid, _symmetric, generator_edges
 from .kernels import Kernel
 
 
-@dataclass
-class EnergyBreakdown:
-    local_term: float
-    nonlocal_term: float
-    coupling_term: float
-
-    @property
-    def total(self) -> float:
-        return self.local_term + self.nonlocal_term + self.coupling_term
-
-
 def edge_energy(edges, values) -> tuple:
     """Energy of each edge group in difference form, 1/2 sum c (w_j - w_i)^2.
 
@@ -70,7 +60,8 @@ def edge_energy(edges, values) -> tuple:
 
 
 def energy_form(generator: GeneratorMatrix):
-    """terms(values) -> (local, nonlocal, coupling), the generator's energy.
+    """terms(values) -> (local, nonlocal, coupling), the generator's energy,
+    whose total is the sum of the three.
 
     Built once per generator.  values is one state, giving three floats, or
     a 2-D block of states, giving three arrays with one entry per row.  The
@@ -127,12 +118,11 @@ def energy_form(generator: GeneratorMatrix):
     return terms
 
 
-def energy(generator: GeneratorMatrix, w: np.ndarray) -> EnergyBreakdown:
-    return EnergyBreakdown(*energy_form(generator)(w))
-
-
-def _full_energy(grid: Grid, kernel: Kernel, values):
-    """Full-domain nonlocal energy of one state, or of each row of a block.
+def nonlocal_energy_full(grid: Grid, kernel: Kernel, values):
+    """Pure nonlocal energy over the whole domain (-1, 1), of one state or
+    of each row of a block: the double quadrature over all
+    degree-of-freedom pairs, local nodes and nonlocal centers alike, of
+    J_eps(x - y) (w(y) - w(x))^2.
 
     1/2 sum_d sum_i c_d,i (w_{i+d} - w_i)^2, one offset d at a time out to
     the kernel's reach in index (positions sorted), with
@@ -147,15 +137,6 @@ def _full_energy(grid: Grid, kernel: Kernel, values):
         c = 4.0 * ww[:-d] * kernel(x[:-d] - x[d:]) * ww[d:]
         total += np.square(values[..., d:] - values[..., :-d]) @ c
     return 0.5 * total
-
-
-def nonlocal_energy_full(grid: Grid, kernel: Kernel, w: np.ndarray) -> float:
-    """Pure nonlocal energy over the whole domain (-1, 1).
-
-    Double quadrature over all degree-of-freedom pairs, local nodes and
-    nonlocal centers alike, of J_eps(x - y) (w(y) - w(x))^2.
-    """
-    return float(_full_energy(grid, kernel, w))
 
 
 @dataclass
@@ -281,7 +262,7 @@ def rayleigh(generator: GeneratorMatrix, w: np.ndarray) -> float:
     scale = float(np.max(np.abs(w))) or 1.0
     if denom <= 1e-28 * scale * scale:
         raise ValueError("rayleigh quotient undefined for (numerically) constant input")
-    return energy(generator, w).total / denom
+    return sum(energy_form(generator)(w)) / denom
 
 
 def estimate_energy_control_k(generator: GeneratorMatrix, n_samples: int, seed: int) -> float:
@@ -289,10 +270,9 @@ def estimate_energy_control_k(generator: GeneratorMatrix, n_samples: int, seed: 
 
     Draws mean-zero standard normal states sequentially from one seeded
     stream, as the rows of one block, and returns the minimum over samples
-    of energy(w).total / nonlocal_energy_full(w), both evaluated once on
-    the whole block (energy_form and the offset sum behind
-    nonlocal_energy_full).  Samples whose full nonlocal energy is below
-    1e-14 are discarded.
+    of the energy's total over nonlocal_energy_full, both evaluated once on
+    the whole block (energy_form and nonlocal_energy_full's offset sum).
+    Samples whose full nonlocal energy is below 1e-14 are discarded.
     """
     if n_samples < 10:
         raise ValueError("need at least 10 samples")
@@ -303,7 +283,7 @@ def estimate_energy_control_k(generator: GeneratorMatrix, n_samples: int, seed: 
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n_samples, grid.size))  # row k: the k-th draw of the stream
     z -= 0.5 * (z @ ww)[:, None]
-    nlf = _full_energy(grid, generator.kernel, z)
+    nlf = nonlocal_energy_full(grid, generator.kernel, z)
     loc, nl, cp = terms(z)
     kept = nlf >= 1e-14
     best = np.min((loc + nl + cp)[kept] / nlf[kept], initial=np.inf)

@@ -9,7 +9,10 @@ iterate to a fixed point before moving to the next window.  All three go
 through evolve: _States yields the state at t = k dt, from single steps or
 from the window iteration, and evolve records and snapshots it; both read
 dt and the step count off StepScheme.plan, as does the CLI's refusal of an
-oversized run.  The picard iteration's report is Trajectory.picard.
+oversized run.  The picard iteration's report is Trajectory.picard.  The
+single steps are built once per generator and step size and then applied to
+any number of states: explicit_step(generator, dt) is the explicit step
+function, ImplicitStepper(generator, dt).step the implicit one.
 
 L = -W^-1 A with A symmetric positive semidefinite, so every implicit solve
 x = (I - dt L)^-1 b is the SPD system (W + dt A) x = W b, factored once per
@@ -21,7 +24,7 @@ iteration's two sub-solves (splits with no chain, p = 0, not refined); it and
 A x (the BandSplit) take one state and return a new array, which the
 stepper works on.  The stepper refines its solves so the per-step residual
 stays near machine precision, and keeps the mass drift near 1e-13 over ten
-thousand steps (see _ImplicitStepper).  A x reads the block as a band, or
+thousand steps (see ImplicitStepper).  A x reads the block as a band, or
 as a dense copy (symv) when the kernel reaches across the whole nonlocal
 region; the solves read the band factors either way.
 
@@ -106,7 +109,7 @@ class StepScheme:
         if abs(n_steps * dt - horizon) > 1e-9 * horizon:
             n_steps = int(np.ceil(horizon / dt - 1e-12))
         if dt <= cfl * (1.0 + 1e-12) < horizon / n_steps:
-            n_steps += 1  # the nudge would push a dt that _explicit_step allows over its bound
+            n_steps += 1  # the nudge would push a dt that explicit_step allows over its bound
         return horizon / n_steps, n_steps, None, None
 
 
@@ -153,9 +156,8 @@ class Trajectory:
     """table holds one row per recorded state, in TIMESERIES_COLUMNS order;
     it is read-only, and so are the column views times, mass, energy_* and
     dist_to_mean.  snapshots holds (t, state) pairs; every state is an
-    array of grid.size values."""
+    array of one value per grid node."""
 
-    grid: object
     table: np.ndarray
     snapshots: list = field(default_factory=list)
     final_state: np.ndarray | None = None
@@ -200,20 +202,20 @@ def cfl_limit(generator: GeneratorMatrix) -> float:
     return 0.9 / dmax
 
 
-def _explicit_step(generator: GeneratorMatrix, dt: float):
-    """values -> values + dt L values, once dt is checked against the CFL limit."""
+def explicit_step(generator: GeneratorMatrix, dt: float):
+    """The explicit Euler step values -> values + dt L values, once dt is
+    checked against the CFL limit (ValueError above it)."""
     limit = cfl_limit(generator)
     if dt > limit * (1.0 + 1e-12):
         raise ValueError(f"explicit dt = {dt:.6g} exceeds the CFL limit {limit:.6g}")
     return lambda values: values + dt * generator.apply(values)
 
 
-def step_explicit(generator: GeneratorMatrix, w: np.ndarray, dt: float) -> np.ndarray:
-    return _explicit_step(generator, dt)(w)
+class ImplicitStepper:
+    """The implicit Euler step of a generator at a step size dt > 0
+    (ValueError otherwise), factored once: step(w) advances one state.
 
-
-class _ImplicitStepper:
-    """Solve of (I - dt L) x = b with the split's factor, iteratively
+    solve(b) solves (I - dt L) x = b with the split's factor, iteratively
     refined; dt L x is applied as -dt (A x) / W through the BandSplit.
 
     step() advances in increment form: solve (I - dt L) d = dt L w and return
@@ -227,6 +229,8 @@ class _ImplicitStepper:
     """
 
     def __init__(self, generator: GeneratorMatrix, dt: float):
+        if not dt > 0.0:
+            raise ValueError(f"dt must be positive, got {dt}")
         self.iface = generator.grid.interface_index
         self.scale = -dt / generator.weights
         self.stiffness = generator.split
@@ -261,12 +265,6 @@ class _ImplicitStepper:
         x = self.solve(self._apply(w - w[self.iface]))
         x += w
         return x
-
-
-def step_implicit(generator: GeneratorMatrix, w: np.ndarray, dt: float) -> np.ndarray:
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    return _ImplicitStepper(generator, dt).step(w)
 
 
 BLOCK_STATES = 64  # states per block of the per-state diagnostics
@@ -371,9 +369,9 @@ class _States:
             self._windows = _picard_states(generator, scheme, self.dt, window_steps,
                                            self.n_steps, self.picard)
         elif scheme.kind == "explicit":
-            self.step = _explicit_step(generator, self.dt)
+            self.step = explicit_step(generator, self.dt)
         else:
-            self.step = _ImplicitStepper(generator, self.dt).step
+            self.step = ImplicitStepper(generator, self.dt).step
 
     def _stepped(self, values):
         for _ in range(self.n_steps):
@@ -452,4 +450,4 @@ def evolve(
         k += len(times)
     final = block[-1].copy()
     snapshots.append((n_steps * states.dt, final))
-    return Trajectory(generator.grid, table, snapshots, final, states.dt, states.picard)
+    return Trajectory(table, snapshots, final, states.dt, states.picard)

@@ -18,7 +18,9 @@ acceptance criteria that share their functions:
 
 Generators are assembled through this module's assemble_generator, which
 tests replace with one that corrupts the band, to confirm the checks detect
-broken structure.
+broken structure.  Each check's size n is its local cell count; its
+nonlocal side takes sweep_members' rule (resolved_n_nonlocal), so a narrow
+kernel refines the nonlocal grid instead of failing assembly.
 
 The operator-structure check (_structure_defects) reads three facts about A
 in L = -W^-1 A off the band in O(n b): its rows sum to zero, its
@@ -35,9 +37,9 @@ import numpy as np
 
 from .analysis import decay_report
 from .config import SimConfig, initial_state
-from .discretization import assemble_generator, build_grid, generator_edges
+from .discretization import assemble_generator, build_grid, generator_edges, resolved_n_nonlocal
 from .energy_spectrum import _semigroup_oracle, estimate_beta1
-from .evolution import StepScheme, _explicit_step, _ImplicitStepper, cfl_limit, evolve
+from .evolution import ImplicitStepper, StepScheme, cfl_limit, evolve, explicit_step
 from .kernels import FAMILIES, coupling_constants, make_kernel
 
 
@@ -70,13 +72,21 @@ def _w_norm(generator, values) -> float:
     return float(np.sqrt(np.sum(generator.weights * values * values)))
 
 
+def _generator(family, radius, eps, n):
+    """The generator of the (family, radius, eps) kernel on n local cells
+    and resolved_n_nonlocal(n, eps, radius) nonlocal ones: n unless the
+    kernel needs a finer grid."""
+    kernel = make_kernel(family, radius, eps)
+    grid = build_grid(n, resolved_n_nonlocal(n, eps, radius))
+    return assemble_generator(grid, kernel, coupling_constants(kernel))
+
+
 def structure_defect_by_case(cases, radius, n):
     """{(family, eps): the largest of _structure_defects} for the generator
-    of each (family, eps) kernel of the given radius on an n x n grid."""
+    of each (family, eps) kernel of the given radius on n local cells (_generator)."""
     worst = {}
     for family, eps in cases:
-        kernel = make_kernel(family, radius, eps)
-        gen = assemble_generator(build_grid(n, n), kernel, coupling_constants(kernel))
+        gen = _generator(family, radius, eps, n)
         worst[family, eps] = max(_structure_defects(gen).values())
     return worst
 
@@ -96,8 +106,8 @@ def ordering_violation(generator, seed, pairs, explicit_steps, implicit_steps):
     the CFL limit and implicit_steps implicit steps at dt = 5e-3.  Each
     stepper is built once."""
     rng = np.random.default_rng(seed)
-    steppers = ((_explicit_step(generator, cfl_limit(generator)), explicit_steps),
-                (_ImplicitStepper(generator, 5e-3).step, implicit_steps))
+    steppers = ((explicit_step(generator, cfl_limit(generator)), explicit_steps),
+                (ImplicitStepper(generator, 5e-3).step, implicit_steps))
     worst = 0.0
     for _ in range(pairs):
         lo = rng.standard_normal(generator.size)
@@ -139,8 +149,7 @@ def semigroup_gap(generator, t, dt, amplitude):
 
 
 def _coupled_setup(cfg, n=100):
-    kernel = make_kernel(cfg.kernel_family, cfg.kernel_radius, cfg.kernel_epsilon)
-    return assemble_generator(build_grid(n, n), kernel, coupling_constants(kernel))
+    return _generator(cfg.kernel_family, cfg.kernel_radius, cfg.kernel_epsilon, n)
 
 
 def check_operator_structure(cfg):

@@ -123,10 +123,10 @@ def test_criterion_05_eigensolver_anchor():
 def test_criterion_06_rescaling_limit():
     cfg = SimConfig(
         init_kind="gaussian", init_center=-0.5, init_width=0.15,
-        grid_n_local=200, grid_n_nonlocal=200, time_dt=5e-4,
+        grid_n_local=200, grid_n_nonlocal=200, time_dt=5e-4, time_horizon=0.5,
     )
     start = time.time()
-    rows = epsilon_sweep(cfg, [0.4, 0.2, 0.1, 0.05], horizon=0.5)
+    rows = epsilon_sweep(cfg, [0.4, 0.2, 0.1, 0.05])
     elapsed = time.time() - start
     errs = [r.sup_error_l2 for r in rows]
     decreasing = all(a > b for a, b in zip(errs, errs[1:]))

@@ -5,6 +5,7 @@ import pytest
 
 from couplediff import (
     BarrierSpec,
+    HeatReference,
     StepScheme,
     assemble_generator,
     assemble_heat_generator,
@@ -14,11 +15,9 @@ from couplediff import (
     epsilon_sweep,
     estimate_beta1,
     evolve,
-    heat_reference,
     interface_jump,
     supersolution_check,
 )
-from couplediff.analysis import _HeatReference
 from couplediff.energy_spectrum import _semigroup_oracle
 from couplediff.config import SimConfig, initial_state
 from couplediff.evolution import BLOCK_STATES, _States
@@ -28,7 +27,7 @@ from conftest import weighted_norm, with_edges
 
 def test_heat_reference_single_mode(grid100):
     mode = np.cos(np.pi * (grid100.positions + 1) / 2)
-    ref = heat_reference(grid100, mode, 1.0, 100)
+    ref = HeatReference(grid100, mode, 100).at(1.0)
     exact = np.exp(-np.pi**2 / 4) * mode
     assert np.max(np.abs(ref - exact)) <= 1e-5
 
@@ -36,22 +35,23 @@ def test_heat_reference_single_mode(grid100):
 def test_heat_reference_conserves_mass(grid100):
     prof = np.exp(-((grid100.positions + 0.5) ** 2) / (2 * 0.15**2))
     W = grid100.weights
+    reference = HeatReference(grid100, prof, 100)
     for t in (0.0, 0.05, 1.0):
-        ref = heat_reference(grid100, prof, t, 100)
+        ref = reference.at(t)
         assert abs(W @ ref - W @ prof) <= 1e-8
 
 
 def test_heat_reference_projection_improves_with_modes():
     grid = build_grid(300, 300)
     prof = np.exp(-((grid.positions + 0.5) ** 2) / (2 * 0.15**2))
-    errs = [weighted_norm(grid, heat_reference(grid, prof, 0.0, m) - prof) for m in (16, 64, 256)]
+    errs = [weighted_norm(grid, HeatReference(grid, prof, m).at(0.0) - prof) for m in (16, 64, 256)]
     assert errs[0] > errs[1] >= errs[2]
 
 
 def test_heat_reference_drops_subnormal_terms():
     grid = build_grid(200, 200)
     w0 = np.exp(-((grid.positions + 0.5) ** 2) / (2 * 0.15**2))
-    ref = _HeatReference(grid, w0, 256)
+    ref = HeatReference(grid, w0, 256)
     t = 0.05
     terms = ref.coeff * np.exp(-ref.rates * t)
     assert np.any((terms != 0.0) & (np.abs(terms) < np.finfo(float).tiny))
@@ -80,7 +80,7 @@ def test_heat_reference_live_modes_bit_identical():
     times = np.arange(n_steps + 1) * dt  # _States' k dt
     blocks = [times[k : k + BLOCK_STATES] for k in range(0, times.size, BLOCK_STATES)]
     assert len(blocks) == 16
-    ref, zero = _HeatReference(grid, w0), _HeatReference(grid, w0)
+    ref, zero = HeatReference(grid, w0), HeatReference(grid, w0)
     zero.coeff[0] = 0.0  # before the first at(), which reads the reach off coeff
     assert ref.modes.shape[1] == 200
     assert np.count_nonzero(ref.rates * blocks[1][0] <= ref.reach) < 200
@@ -105,7 +105,7 @@ def test_heat_reference_peak_memory():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        ref = _HeatReference(grid, w0)
+        ref = HeatReference(grid, w0)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -115,7 +115,7 @@ def test_heat_reference_peak_memory():
 
 def test_heat_reference_long_time_constant(grid100):
     prof = np.exp(-((grid100.positions + 0.5) ** 2) / (2 * 0.15**2))
-    ref = heat_reference(grid100, prof, 50.0, 100)
+    ref = HeatReference(grid100, prof, 100).at(50.0)
     assert np.max(np.abs(ref - grid100.weights @ prof / 2)) <= 1e-12
 
 
@@ -161,7 +161,7 @@ def _sweep_config(**kw):
 
 
 def test_epsilon_sweep_monotone():
-    rows = epsilon_sweep(_sweep_config(), [0.4, 0.2, 0.1, 0.05], horizon=0.5)
+    rows = epsilon_sweep(_sweep_config(time_horizon=0.5), [0.4, 0.2, 0.1, 0.05])
     errs = [r.sup_error_l2 for r in rows]
     assert all(a > b for a, b in zip(errs, errs[1:]))
     betas = [r.beta1_eps for r in rows]
@@ -177,15 +177,15 @@ def test_epsilon_sweep_error_matches_per_state_loop():
     relative, and its interface jump is that of the loop's last state.  The
     horizons make 64 states (one full block), 65 (a full block and one state)
     and 131 (two full blocks and a partial one)."""
-    cfg = _sweep_config()
     constants = coupling_constants(make_kernel("triangle", 1.0, 1.0))
     for horizon, n_steps in ((0.063, 63), (0.064, 64), (0.13, 130)):
-        rows = epsilon_sweep(cfg, [0.4, 0.2], horizon=horizon)
+        cfg = _sweep_config(time_horizon=horizon)
+        rows = epsilon_sweep(cfg, [0.4, 0.2])
         for row in rows:
             grid = build_grid(cfg.grid_n_local, row.n_nonlocal)
             gen = assemble_generator(grid, make_kernel("triangle", 1.0, row.epsilon), constants)
             w0 = initial_state(cfg, grid)
-            ref = _HeatReference(grid, w0, 256)
+            ref = HeatReference(grid, w0, 256)
             states = _States(gen, w0, StepScheme(dt=cfg.time_dt), horizon)
             sup = 0.0
             for t, values in states:
@@ -197,7 +197,7 @@ def test_epsilon_sweep_error_matches_per_state_loop():
 
 def test_heat_reference_at_array_of_times(grid100):
     w0 = np.exp(-((grid100.positions + 0.5) ** 2) / (2 * 0.15**2))
-    ref = _HeatReference(grid100, w0, 256)
+    ref = HeatReference(grid100, w0, 256)
     times = np.array([0.0, 1e-3, 0.05, 1.0, 400.0])
     block = ref.at(times)
     assert block.shape == (times.size, grid100.size)
@@ -206,15 +206,15 @@ def test_heat_reference_at_array_of_times(grid100):
 
 
 def test_epsilon_sweep_constant_data_exact():
-    rows = epsilon_sweep(_sweep_config(init_kind="constant"), [0.4, 0.1], horizon=0.3)
+    rows = epsilon_sweep(_sweep_config(init_kind="constant", time_horizon=0.3), [0.4, 0.1])
     assert all(r.sup_error_l2 <= 1e-10 for r in rows)
 
 
 def test_epsilon_sweep_rejects_bad_lists():
     with pytest.raises(ValueError):
-        epsilon_sweep(_sweep_config(), [0.1, 0.2], horizon=0.3)
+        epsilon_sweep(_sweep_config(time_horizon=0.3), [0.1, 0.2])
     with pytest.raises(ValueError):
-        epsilon_sweep(_sweep_config(), [], horizon=0.3)
+        epsilon_sweep(_sweep_config(time_horizon=0.3), [])
 
 
 def test_supersolution_exact_solution_margins(triangle_kernel, constants):
@@ -262,7 +262,7 @@ def test_supersolution_reads_its_generator(grid50, gen50):
 
 def test_heat_reference_needs_a_mode(grid100):
     with pytest.raises(ValueError):
-        heat_reference(grid100, np.zeros(grid100.size), 0.1, 0)
+        HeatReference(grid100, np.zeros(grid100.size), 0)
 
 
 def test_barrier_spec_properties():

@@ -863,6 +863,15 @@ def test_verify_clean_passes(tmp_path, capsys):
     assert "FAIL" not in out
 
 
+def test_verify_passes_at_narrow_kernel(tmp_path, capsys):
+    """At eps = 0.1 the fixed check grids under-resolve the kernel; each
+    check refines its nonlocal side (resolved_n_nonlocal) and all seven pass."""
+    cfg = write_cfg(tmp_path, SMALL)
+    assert main(["verify", "--config", cfg, "--set", "kernel.epsilon=0.1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 7 and all(line.startswith("PASS  ") for line in lines)
+
+
 @pytest.mark.parametrize("n_rows", (6, 1100))
 def test_float_csv_matches_write_csv(tmp_path, n_rows):
     """The streamed float writer gives write_csv's text byte for byte: for

@@ -9,7 +9,6 @@ from couplediff import (
     build_grid,
     coupling_constants,
     edge_energy,
-    energy,
     energy_form,
     estimate_beta1,
     estimate_energy_control_k,
@@ -20,7 +19,7 @@ from couplediff import (
     supersolution_check,
 )
 from couplediff import energy_spectrum
-from couplediff.energy_spectrum import EIGEN_MAX_ITERATIONS, _full_energy, _symmetrized_eigh
+from couplediff.energy_spectrum import EIGEN_MAX_ITERATIONS, _symmetrized_eigh
 from couplediff.kernels import FAMILIES
 from conftest import transmission_beta1, with_edges
 
@@ -28,20 +27,21 @@ PI2_OVER_8 = np.pi**2 / 8.0
 
 
 def test_energy_zero_for_constants(grid50, gen50):
-    e = energy(gen50, np.full(grid50.size, 5.0))
-    assert e.local_term == 0.0
-    assert e.nonlocal_term == 0.0
-    assert e.coupling_term == 0.0
-    assert e.total == 0.0
+    loc, nl, cp = e = energy_form(gen50)(np.full(grid50.size, 5.0))
+    assert loc == 0.0
+    assert nl == 0.0
+    assert cp == 0.0
+    assert sum(e) == 0.0
 
 
 def test_energy_terms_nonnegative_and_additive(grid50, gen50):
+    energy = energy_form(gen50)
     rng = np.random.default_rng(2)
     for _ in range(10):
         w = rng.standard_normal(grid50.size)
-        e = energy(gen50, w)
-        assert e.local_term >= 0 and e.nonlocal_term >= 0 and e.coupling_term >= 0
-        assert e.total == e.local_term + e.nonlocal_term + e.coupling_term
+        loc, nl, cp = e = energy(w)
+        assert loc >= 0 and nl >= 0 and cp >= 0
+        assert sum(e) == loc + nl + cp
 
 
 def test_energy_coupling_closed_form(triangle_kernel, constants):
@@ -51,10 +51,10 @@ def test_energy_coupling_closed_form(triangle_kernel, constants):
     for n in (50, 200):
         g = build_grid(n, n)
         w = np.where(g.positions <= 0, 0.0, 1.0)
-        e = energy(assemble_generator(g, triangle_kernel, constants), w)
-        assert e.local_term == 0.0
-        assert e.nonlocal_term == 0.0
-        errs.append(abs(e.coupling_term - 1.0 / 12.0))
+        loc, nl, cp = energy_form(assemble_generator(g, triangle_kernel, constants))(w)
+        assert loc == 0.0
+        assert nl == 0.0
+        errs.append(abs(cp - 1.0 / 12.0))
     assert errs[1] < errs[0]
     assert errs[1] <= 1e-5
 
@@ -65,25 +65,26 @@ def test_tiny_energy_implies_near_constant(grid100, gen100):
     rep = estimate_beta1(gen100)
     scale = np.sqrt(0.99e-14 / rep.beta1)
     w = 3.0 + scale * rep.eigvec
-    e = energy(gen100, w)
-    assert e.total < 1e-14
+    energy = energy_form(gen100)
+    assert sum(energy(w)) < 1e-14
     assert np.max(w) - np.min(w) < 1e-6
     rng = np.random.default_rng(9)
     for _ in range(5):
         z = rng.standard_normal(grid100.size)
-        ez = energy(gen100, z).total
+        ez = sum(energy(z))
         d = np.sqrt(0.9e-14 / ez)
         wz = 1.0 + d * z
-        assert energy(gen100, wz).total < 1e-14
+        assert sum(energy(wz)) < 1e-14
         assert np.max(wz) - np.min(wz) < 1e-6
 
 
 def test_energy_generator_identity(grid50, gen50):
+    energy = energy_form(gen50)
     rng = np.random.default_rng(4)
     for _ in range(100):
         w = rng.standard_normal(grid50.size)
         quad_form = 0.5 * float(np.sum(grid50.weights * w * (-gen50.dense() @ w)))
-        total = energy(gen50, w).total
+        total = sum(energy(w))
         assert total == pytest.approx(quad_form, rel=1e-10)
 
 
@@ -246,7 +247,7 @@ def test_full_energy_matches_all_pairs_double_sum(family, eps, n_local, n_nonloc
 
     rng = np.random.default_rng(31)
     block = np.vstack([rng.standard_normal((3, grid.size)), _first_cosine_mode(grid)])
-    rows = _full_energy(grid, kernel, block)
+    rows = nonlocal_energy_full(grid, kernel, block)
     assert rows.shape == (len(block),)
     for v, row in zip(block, rows):
         single = nonlocal_energy_full(grid, kernel, v)
@@ -419,12 +420,13 @@ def test_energy_control_estimate_matches_sample_loop(eps):
     on a dense (eps = 1) and a banded (eps = 0.25) block, to 1e-13 relative."""
     gen = _coupled_generator("triangle", 100, 100, eps)
     grid = gen.grid
+    energy = energy_form(gen)
     rng = np.random.default_rng(78)
     ratios = []
     for _ in range(60):
         z = rng.standard_normal(grid.size)
         z -= 0.5 * float(grid.weights @ z)
-        ratios.append(energy(gen, z).total / nonlocal_energy_full(grid, gen.kernel, z))
+        ratios.append(sum(energy(z)) / nonlocal_energy_full(grid, gen.kernel, z))
     assert estimate_energy_control_k(gen, 60, seed=78) == pytest.approx(min(ratios), rel=1e-13)
 
 
@@ -438,7 +440,7 @@ def test_routines_read_the_given_generator(grid50, gen50):
     w = np.random.default_rng(3).standard_normal(grid50.size)
     states = np.tile(np.where(grid50.positions > 0.0, 1.0, 0.0), (3, 1))
     pairs = [
-        (energy(g, w).total, rayleigh(g, w), estimate_energy_control_k(g, 50, seed=11),
+        (sum(energy_form(g)(w)), rayleigh(g, w), estimate_energy_control_k(g, 50, seed=11),
          supersolution_check(states, [0.0, 0.1, 0.2], g, 1e-6).margin_interface_flux)
         for g in (gen50, doubled)
     ]
