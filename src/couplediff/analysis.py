@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import SimConfig, initial_state, kernel_from
+from .config import SimConfig, initial_state
 from .discretization import (
     GeneratorMatrix,
     Grid,
@@ -92,7 +92,6 @@ class DecayReport:
     fitted_rate: float
     fit_window: tuple
     r_squared: float
-    beta1_used: float
     bound_satisfied: bool
 
 
@@ -115,13 +114,11 @@ def decay_report(traj: Trajectory, spectral: SpectralReport) -> DecayReport:
     resid = logd - (slope * tw + intercept)
     ss_tot = float(np.sum((logd - logd.mean()) ** 2))
     r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0.0 else 1.0
-    beta1 = spectral.beta1
-    bound = bool(np.all(d <= d[0] * np.exp(-beta1 * t) * (1.0 + 1e-6)))
+    bound = bool(np.all(d <= d[0] * np.exp(-spectral.beta1 * t) * (1.0 + 1e-6)))
     return DecayReport(
         fitted_rate=float(-slope),
         fit_window=(float(tw[0]), float(tw[-1])),
         r_squared=r2,
-        beta1_used=beta1,
         bound_satisfied=bound,
     )
 
@@ -169,9 +166,6 @@ def epsilon_sweep(base_config: SimConfig, eps_list) -> list[SweepRow]:
     n_nonlocal share it.
     """
     members = sweep_members(base_config, eps_list)
-    base_kernel = kernel_from(base_config)
-    constants = coupling_constants(base_kernel)
-
     scheme = StepScheme(kind="implicit", dt=base_config.time_dt)
     rows, ref = [], None
     for e, n_nl in members:
@@ -179,18 +173,18 @@ def epsilon_sweep(base_config: SimConfig, eps_list) -> list[SweepRow]:
             grid = build_grid(base_config.grid_n_local, n_nl)
             w0 = initial_state(base_config, grid)
             ref = HeatReference(grid, w0)
-        rows.append(_sweep_member(base_config, e, constants, scheme, w0, ref))
+        rows.append(_sweep_member(base_config, e, scheme, w0, ref))
     return rows
 
 
-def _sweep_member(base_config, e, constants, scheme, w0, ref) -> SweepRow:
+def _sweep_member(base_config, e, scheme, w0, ref) -> SweepRow:
     """One sweep row from w0 and the heat reference ref on the member's grid
     (ref.grid), stepping the member once.  The generator and the stepper
     live in this frame only, so they are freed before the next member is
     assembled; the eigensolve runs before the stepper exists."""
     grid = ref.grid
     kernel = make_kernel(base_config.kernel_family, base_config.kernel_radius, e)
-    generator = assemble_generator(grid, kernel, constants)
+    generator = assemble_generator(grid, kernel, coupling_constants(kernel))
     spectral = estimate_beta1(generator)
     states = _States(generator, w0, scheme, base_config.time_horizon)
     sup = 0.0

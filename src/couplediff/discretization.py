@@ -358,7 +358,7 @@ def assemble_generator(
     # kernel's own support rule settles once per offset.
     width = min(n_nl - 1, int(np.ceil(kernel.support_radius / hn)))
     s = kernel(np.arange(width + 1) * hn)
-    beta = constants.c2 * coupling_profile_analytic(kernel, grid.nonlocal_centers) * hn
+    beta = coupling_profile_analytic(kernel, grid.nonlocal_centers) * hn
     b = max(1, int(np.flatnonzero(s)[-1]), int(np.max(np.flatnonzero(beta), initial=-1)) + 1)
     band = np.zeros((b + 1, grid.size), order="F")
 
@@ -375,7 +375,7 @@ def assemble_generator(
     rows = np.minimum(np.arange(n_nl), width)
     band[b, nl0:] = (partial[rows] + partial[rows[::-1]]) * c
 
-    # Interface exchange: (c2/2) sum_j q_j (v_j - u_I)^2 h, an edge of
+    # Interface exchange: (1/2) sum_j q_j (v_j - u_I)^2 h, an edge of
     # offset j + 1 from the interface node nl0 - 1 to cell j.
     j = np.arange(b)
     band[b - 1 - j, nl0 + j] = np.negative(beta[:b])

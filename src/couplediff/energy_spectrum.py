@@ -50,7 +50,7 @@ def edge_energy(edges, values) -> tuple:
     With the groups of generator_edges this is (local, nonlocal, coupling):
     local    = 1/2 sum_i (u_{i+1} - u_i)^2 / h
     nonlocal = (c1/4) sum_jk K_jk (v_k - v_j)^2 h^2
-    coupling = (c2/2) sum_j q_j (v_j - u_I)^2 h
+    coupling = (1/2) sum_j q_j (v_j - u_I)^2 h
     energy_form sums the local and coupling groups this way; the nonlocal
     group, all pairs within the kernel's reach, it reads from the band, and
     this sum over its edges is the oracle the tests hold it to.  values is
@@ -141,11 +141,15 @@ def nonlocal_energy_full(grid: Grid, kernel: Kernel, values):
 
 @dataclass
 class SpectralReport:
-    beta1: float
     lambda2: float
     eigvec: np.ndarray
     residual: float
     iterations: int
+
+    @property
+    def beta1(self) -> float:
+        """The gap constant of the decay bound, lambda2 / 2."""
+        return 0.5 * self.lambda2
 
 
 def _symmetrized_eigh(generator: GeneratorMatrix):
@@ -171,6 +175,9 @@ def _semigroup_oracle(generator: GeneratorMatrix, values, times) -> np.ndarray:
     return (decay * coeff) @ vecs.T * d
 
 
+# n x n arrays alive at _semigroup_oracle's peak: A dense, its scaled copy,
+# and in eigh the input's copy, syevd's workspace (2 n^2) and the eigenvectors
+DENSE_ORACLE_ARRAYS = 6
 EIGEN_COLUMNS = 4  # columns of the block inverse iteration
 EIGEN_MAX_ITERATIONS = 100
 
@@ -246,7 +253,6 @@ def estimate_beta1(generator: GeneratorMatrix) -> SpectralReport:
             f"eigensolver residual {residual:.3e} exceeds 1e-8 * lambda2 = {1e-8 * lam:.3e}"
         )
     return SpectralReport(
-        beta1=0.5 * lam,
         lambda2=lam,
         eigvec=x,
         residual=residual,

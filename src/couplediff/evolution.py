@@ -65,14 +65,14 @@ class StepScheme:
             raise ValueError("picard tolerance and iteration cap must be positive")
 
     def window_for(self, constants: CouplingConstants) -> float:
-        """Window length; 'auto' takes 80% of the contraction bound."""
-        sup = 1.0 / (2.0 * constants.c1 + constants.c2)
+        """Window length; 'auto' takes 80% of the contraction bound 1/(2 c1 + 1)."""
+        sup = 1.0 / (2.0 * constants.c1 + 1.0)
         if self.picard_window == "auto":
             return 0.8 * sup
         tw = float(self.picard_window)
         if not 0.0 < tw < sup:
             raise ValueError(
-                f"picard window {tw} must lie in (0, 1/(2 c1 + c2)) = (0, {sup:.6g})"
+                f"picard window {tw} must lie in (0, 1/(2 c1 + 1)) = (0, {sup:.6g})"
             )
         return tw
 
@@ -179,19 +179,22 @@ class Trajectory:
 def contraction_factor(constants: CouplingConstants, window: float) -> float:
     """Estimated contraction of one alternating sweep over a window of given length.
 
-    The factor c2/2 is c2 times half the unscaled kernel's mass.  It is not
-    the double integral of J_eps across the interface, which is the
-    half-moment over eps (1/(6 eps) for the unit triangle); what holds is
-    q <= half of J_eps's mass, eps^-2 / 2.  So kappa is no bound at small
-    eps: for the triangle at eps = 0.05 (50 x 160 cells, step data, horizon
-    0.2, tol 1e-10) the largest measured ratio is 0.1147 against kappa =
-    0.0800.  The remaining factor is the data dependence of the jump
-    subsystem on the frozen trace.
+    kappa = (window / 2) / (1 - (2 c1 + 1) window), so the auto window
+    0.8 / (2 c1 + 1) gives kappa = 2 / (2 c1 + 1), whatever eps or the grid.
+    Its factor 1/2 is half the unscaled kernel's mass, not the double
+    integral of J_eps across the interface, which is the half-moment over
+    eps (1/(6 eps) for the unit triangle); what holds is q <= half of
+    J_eps's mass, eps^-2 / 2.  So kappa is no bound at small eps: on
+    verify's picard check (50 local cells, the auto window) the largest
+    ratio first exceeds it at eps = 0.06 for the triangle (0.084 > 0.080)
+    and the epanechnikov (0.118 > 0.095), and at 0.07 for the uniform
+    (0.181 > 0.154).  The remaining factor is the data dependence of the
+    jump subsystem on the frozen trace.
     """
-    denom = 1.0 - (2.0 * constants.c1 + constants.c2) * window
+    denom = 1.0 - (2.0 * constants.c1 + 1.0) * window
     if denom <= 0.0:
         raise ValueError("window too long: contraction denominator not positive")
-    return 0.5 * constants.c2 * (constants.c2 * window) / denom
+    return 0.5 * window / denom
 
 
 def cfl_limit(generator: GeneratorMatrix) -> float:
@@ -297,8 +300,8 @@ def _picard_states(generator: GeneratorMatrix, scheme: StepScheme, dt: float,
     w_local, w_nonlocal = grid.weights[:nl0], grid.weights[nl0:]
     unit = np.zeros(generator.size)
     unit[iface] = 1.0
-    coupling = -generator.split(unit)[nl0:]  # c2 q h_nl per cell
-    trace_coeff = coupling / w_nonlocal  # L[nl0:, iface] = c2 q, source for the jump solve
+    coupling = -generator.split(unit)[nl0:]  # q h_nl per cell
+    trace_coeff = coupling / w_nonlocal  # L[nl0:, iface] = q, source for the jump solve
     robin_coeff = coupling / w_local[iface]  # L[iface, nl0:], source for the heat solve
     # splits with no chain of A_uu, the band's tridiagonal corner, and A_vv,
     # its nonlocal columns (their coupling entries lie above the matrix)

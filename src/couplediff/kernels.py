@@ -13,7 +13,7 @@ further family is one table entry.  The rescaled kernel is
 so its integral over the line is eps^-2 while its second moment stays equal
 to that of the base family.  That cancellation is what turns the jump
 operator into the Laplacian as eps -> 0 once the diffusion strength is set
-to 2 / M(J) with M(J) the base second moment.
+to c1 = 2 / M(J) with M(J) the base second moment.
 
 Continuity at the support's edge, one of the paper's admissibility
 hypotheses, means p(0) = 0: the uniform family (p = 1/2) violates it, and is
@@ -94,22 +94,18 @@ class Kernel:
 
 @dataclass(frozen=True)
 class CouplingConstants:
-    """Diffusion strengths of the coupled flow.
+    """Diffusion strength c1 of the jump operator.
 
-    c1 multiplies the jump operator, c2 the interface exchange; m_j is the
-    second moment of the unscaled kernel family.  The defaults c1 = 2/m_j and
-    c2 = 1 make the eps -> 0 limit of the jump operator the unit Laplacian.
+    c1 = 2 / M(J), M(J) the second moment of the unscaled kernel family,
+    makes the eps -> 0 limit of the jump operator the unit Laplacian.  The
+    interface exchange has unit strength, so c1 is the model's one constant.
     """
 
     c1: float
-    c2: float
-    m_j: float
 
     def __post_init__(self):
-        if not (self.m_j > 0.0 and np.isfinite(self.m_j)):
-            raise ValueError(f"second moment must be positive and finite, got {self.m_j}")
-        if not (0.0 < self.c1 < np.inf and 0.0 < self.c2 < np.inf):
-            raise ValueError(f"coupling constants must be positive and finite, c1 = {self.c1}")
+        if not (0.0 < self.c1 < np.inf):
+            raise ValueError(f"coupling constant must be positive and finite, c1 = {self.c1}")
 
 
 def make_kernel(family: str, radius: float, epsilon: float = 1.0) -> Kernel:
@@ -129,8 +125,7 @@ def second_moment(kernel: Kernel) -> float:
 
 def coupling_constants(kernel: Kernel) -> CouplingConstants:
     try:
-        m = second_moment(kernel)
-        return CouplingConstants(c1=2.0 / m, c2=1.0, m_j=m)
+        return CouplingConstants(c1=2.0 / second_moment(kernel))
     except ArithmeticError:
         raise ValueError(f"kernel radius {kernel.radius}: radius**2 over- or underflows") from None
 

@@ -42,6 +42,8 @@ from .energy_spectrum import _semigroup_oracle, estimate_beta1
 from .evolution import ImplicitStepper, StepScheme, cfl_limit, evolve, explicit_step
 from .kernels import FAMILIES, coupling_constants, make_kernel
 
+SEMIGROUP_CELLS = 20  # the semigroup check's local cells, which the CLI's memory guard reads
+
 
 def _structure_defects(generator):
     """Relative defect of each of the three facts about A (module docstring),
@@ -200,7 +202,7 @@ def check_picard_oracle(cfg):
 
 
 def check_semigroup_oracle(cfg):
-    gap = semigroup_gap(_coupled_setup(cfg, n=20), 0.5, 1e-4, 0.25)
+    gap = semigroup_gap(_coupled_setup(cfg, n=SEMIGROUP_CELLS), 0.5, 1e-4, 0.25)
     return gap <= 1e-5, f"L2 gap to matrix exponential {gap:.2e}"
 
 

@@ -161,7 +161,7 @@ def test_criterion_07_comparison_principle():
 def test_criterion_08_picard_fidelity():
     generator = triangle_generator(100)
     constants = generator.constants
-    window = 0.8 / (2 * constants.c1 + constants.c2)
+    window = 0.8 / (2 * constants.c1 + 1.0)
     gap, rep = picard_gap(generator, window, 0.5)
     converged = all(n <= rep.tol for n in rep.final_update_norms)
     ratios_ok = rep.kappa >= 1.0 or all(r <= rep.kappa for r in rep.contraction_ratios)

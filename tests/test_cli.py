@@ -872,6 +872,23 @@ def test_verify_passes_at_narrow_kernel(tmp_path, capsys):
     assert len(lines) == 7 and all(line.startswith("PASS  ") for line in lines)
 
 
+def test_verify_oracle_beyond_memory_exit_2(tmp_path, capsys, monkeypatch):
+    """verify's semigroup check writes its oracle out dense on 20 local cells
+    and max(20, ceil(4 / (eps R))) nonlocal ones: at eps = 1e-4 that is 40,021
+    nodes, whose six n x n float64 arrays (12.8 GB each) 8 GiB cannot hold,
+    so verify exits 2 naming the kernel keys before any check runs; at
+    eps = 1e-3 (4,021 nodes, 0.78 GB in all) it goes on to the checks."""
+    cfg = write_cfg(tmp_path, SMALL)
+    reached = []
+    monkeypatch.setattr(verify, "run_all", lambda cfg: reached.append(cfg.kernel_epsilon) or 0)
+    _fake_memory(monkeypatch, 8)
+    assert main(["verify", "--config", cfg, "--set", "kernel.epsilon=1e-4"]) == 2
+    assert "kernel.epsilon / kernel.radius: " in capsys.readouterr().err
+    assert reached == []
+    assert main(["verify", "--config", cfg, "--set", "kernel.epsilon=1e-3"]) == 0
+    assert reached == [1e-3]
+
+
 @pytest.mark.parametrize("n_rows", (6, 1100))
 def test_float_csv_matches_write_csv(tmp_path, n_rows):
     """The streamed float writer gives write_csv's text byte for byte: for

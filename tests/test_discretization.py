@@ -134,10 +134,10 @@ def test_generator_rows_match_stated_stencil(grid50, triangle_kernel, constants)
 
     assert L[I, I - 1] == pytest.approx(2 / h**2)
     np.testing.assert_allclose(
-        L[I, I + 1 :], (2 / h) * constants.c2 * q * hn, rtol=1e-13
+        L[I, I + 1 :], (2 / h) * q * hn, rtol=1e-13
     )
     assert L[I, I] == pytest.approx(
-        -2 / h**2 - (2 / h) * constants.c2 * np.sum(q * hn), rel=1e-13
+        -2 / h**2 - (2 / h) * np.sum(q * hn), rel=1e-13
     )
 
     j = 7
@@ -147,9 +147,9 @@ def test_generator_rows_match_stated_stencil(grid50, triangle_kernel, constants)
         constants.c1 * hn * np.delete(K[j], j),
         rtol=1e-13,
     )
-    assert L[row, I] == pytest.approx(constants.c2 * q[j], rel=1e-13)
+    assert L[row, I] == pytest.approx(q[j], rel=1e-13)
     assert L[row, row] == pytest.approx(
-        -constants.c1 * hn * (np.sum(K[j]) - K[j, j]) - constants.c2 * q[j], rel=1e-13
+        -constants.c1 * hn * (np.sum(K[j]) - K[j, j]) - q[j], rel=1e-13
     )
     assert np.all(L[row, : I - 1] == 0.0)
 

@@ -403,7 +403,7 @@ def test_semigroup_oracle_small_instance(triangle_kernel, constants):
 
 
 def test_picard_window_validation(constants):
-    sup = 1.0 / (2 * constants.c1 + constants.c2)
+    sup = 1.0 / (2 * constants.c1 + 1.0)
     with pytest.raises(ValueError):
         StepScheme(kind="picard", picard_window=sup * 1.01).window_for(constants)
     scheme = StepScheme(kind="picard", picard_window=0.8 * sup, dt=0.8 * sup / 7.3)
@@ -424,6 +424,17 @@ def test_picard_constant_state(grid50, gen50, constants):
     assert np.max(traj.dist_to_mean) <= 1e-12
     assert report.kappa == pytest.approx(contraction_factor(constants, window))
     assert report.kappa < 1.0
+
+
+@pytest.mark.parametrize("radius", (0.5, 1.0, 2.0))
+@pytest.mark.parametrize("family", ("triangle", "uniform", "epanechnikov"))
+def test_contraction_factor_of_auto_window(family, radius):
+    """Under the auto window 0.8 / (2 c1 + 1), kappa = 2 / (2 c1 + 1): it
+    depends on the kernel only through c1, not on eps or the grid."""
+    constants = coupling_constants(make_kernel(family, radius))
+    window = StepScheme(kind="picard").window_for(constants)
+    expected = 2.0 / (2.0 * constants.c1 + 1.0)
+    assert contraction_factor(constants, window) == pytest.approx(expected, rel=1e-14)
 
 
 def test_picard_matches_monolithic(grid100, gen100):

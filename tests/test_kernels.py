@@ -73,10 +73,10 @@ def test_second_moment_invariant_under_rescaling(family, eps):
 
 def test_coupling_constants():
     for family, c1 in (("uniform", 6.0), ("triangle", 12.0), ("epanechnikov", 10.0)):
-        cc = coupling_constants(make_kernel(family, 1.0))
+        k = make_kernel(family, 1.0)
+        cc = coupling_constants(k)
         assert cc.c1 == pytest.approx(c1)
-        assert cc.c2 == 1.0
-        assert cc.c1 == pytest.approx(2.0 / cc.m_j)
+        assert cc.c1 == 2 / second_moment(k)
 
 
 def test_coupling_profile_closed_values():
