@@ -34,6 +34,7 @@ from .energy_spectrum import (
     estimate_energy_control_k,
     nonlocal_energy_full,
     rayleigh,
+    semigroup,
 )
 from .evolution import (
     ImplicitStepper,

@@ -33,7 +33,7 @@ from .config import (
     validate,
 )
 from .discretization import assemble_generator, assemble_heat_generator, resolved_n_nonlocal
-from .energy_spectrum import DENSE_ORACLE_ARRAYS, estimate_beta1, estimate_energy_control_k
+from .energy_spectrum import EIGEN_MAX_ITERATIONS, estimate_beta1, estimate_energy_control_k
 from .evolution import TIMESERIES_COLUMNS, StepScheme, cfl_limit, evolve
 from .kernels import coupling_constants
 from .output import atomic_write_text, svg_line_plot, write_csv, write_float_csv
@@ -79,19 +79,6 @@ def _check_memory(cfg: SimConfig, keys: str, states: int = 0, rows: int = 0):
         raise ConfigError(f"{keys}: {need / 2**30:.3g} GiB (the generator and its factor on {n} "
                           f"nodes, plus {states:.3g} states and {rows:.3g} rows of diagnostics)"
                           f" exceed physical memory ({memory / 2**30:.3g} GiB)")
-
-
-def _check_oracle_memory(cfg: SimConfig, n_local: int):
-    """Refuse, naming the kernel keys, a verify run whose semigroup check,
-    on n_local local cells and resolved_n_nonlocal's nonlocal ones (n nodes),
-    cannot hold its dense oracle's DENSE_ORACLE_ARRAYS n x n arrays."""
-    keys = "kernel.epsilon / kernel.radius"
-    try:
-        n_nl = resolved_n_nonlocal(n_local, cfg.kernel_epsilon, cfg.kernel_radius)
-        _check_memory(replace(cfg, grid_n_local=n_local, grid_n_nonlocal=n_nl), keys,
-                      DENSE_ORACLE_ARRAYS * (n_local + 1 + n_nl))
-    except ArithmeticError as exc:  # a cell count too large for a float
-        raise ConfigError(f"{keys}: the semigroup check's grid overflows ({exc})") from exc
 
 
 def _write_snapshot(path, grid, state):
@@ -303,9 +290,17 @@ def main(argv=None) -> int:
         elif args.command == "sweep-epsilon":
             artifacts = run_sweep(cfg, _parse_eps(args.eps), svg=args.svg)
         else:
-            from .verify import SEMIGROUP_CELLS, run_all  # only verify pays for its import
+            from .verify import CHECK_CELLS, run_all  # only verify pays for its import
 
-            _check_oracle_memory(cfg, SEMIGROUP_CELLS)
+            keys = "kernel.epsilon / kernel.radius"
+            # the largest check grid, with the Krylov basis at the cap: growing by doubling,
+            # it holds its new and old capacity at once, 400 + 256 states, below the count
+            try:
+                n_nl = resolved_n_nonlocal(CHECK_CELLS, cfg.kernel_epsilon, cfg.kernel_radius)
+                _check_memory(replace(cfg, grid_n_local=CHECK_CELLS, grid_n_nonlocal=n_nl), keys,
+                              2 * EIGEN_MAX_ITERATIONS)
+            except ArithmeticError as exc:  # a cell count too large for a float
+                raise ConfigError(f"{keys}: the check grid overflows ({exc})") from exc
             return run_all(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -23,7 +23,8 @@ there, as one dense symmetric copy (symv for A x, one GEMM for a block of
 rows).  The split also owns the factor of W + dt A (BandSplit.factor,
 SplitFactor): a tridiagonal L D L^T factor over the chain and a band
 Cholesky factor of the block, whose solve applies
-(I - dt L)^-1 = (W + dt A)^-1 W: every implicit solve of the package is it.
+(I - dt L)^-1 = (W + dt A)^-1 W: every implicit solve of the package is it,
+the stepper's and the one Krylov basis's (energy_spectrum) alike.
 A x and the solve take one state of n values and return a new array.
 generator_edges reads the edges
 (i, j, c), c = -A_ij, off the band as local, nonlocal or coupling; the local and
@@ -311,24 +312,10 @@ class GeneratorMatrix:
 
     def dense(self) -> np.ndarray:
         """L as an n x n array, the tests' dense oracle; nothing in the
-        package calls it (the eigen oracle reads A's band directly)."""
+        package calls it."""
         L = _symmetric(self.band)
         L /= -self.weights[:, None]
         return L
-
-    @classmethod
-    def from_dense(cls, grid, L):
-        """The generator of a dense L (small, hand-built ones).  Only A's upper
-        triangle is kept, so W L must be symmetric to roundoff."""
-        WL = grid.weights[:, None] * L
-        if np.max(np.abs(WL - WL.T)) > 1e-12 * np.max(np.abs(np.diagonal(WL))):
-            raise ValueError("W L is not symmetric to roundoff: L is not self-adjoint in W")
-        i, j = np.nonzero(L)
-        b = int(np.max(np.abs(j - i), initial=0))
-        band = np.zeros((b + 1, L.shape[0]), order="F")
-        for k in range(b + 1):
-            band[b - k, k:] = -np.diagonal(WL, k)
-        return cls(grid, band)
 
 
 def assemble_generator(

@@ -27,12 +27,13 @@ one index offset at a time out to the kernel's reach, for one state or a
 block of states (estimate_energy_control_k reads it for all its samples
 at once).
 
-estimate_beta1 finds lambda2 by block inverse iteration with the stepper's
-solve at dt = 1, (I - L)^-1 = (W + A)^-1 W (discretization.SplitFactor), on
-four columns, each solved as one state, with Rayleigh-Ritz: it never forms
-an n x n array.  numpy.linalg.eigh of W^-1/2 A W^-1/2, A written out dense
-from its band (_symmetrized_eigh), remains only as an oracle, for tests and
-for verify's semigroup check.
+One Krylov iteration serves the spectral quantities (_krylov): a
+W-orthonormal, mean-free basis grown by the stepper's solve
+(I - gamma L)^-1 = (W + gamma A)^-1 W (discretization.SplitFactor), one
+state per solve, with Rayleigh-Ritz on A over it.  estimate_beta1 reads
+lambda2 off its lowest Ritz pair, and semigroup the exact flow exp(t L) w
+off all of them.  Neither forms an n x n array; the dense eigendecomposition
+they are checked against lives in the tests.
 """
 from __future__ import annotations
 
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretization import GeneratorMatrix, Grid, _symmetric, generator_edges
+from .discretization import GeneratorMatrix, Grid, generator_edges
 from .kernels import Kernel
 
 
@@ -152,98 +153,103 @@ class SpectralReport:
         return 0.5 * self.lambda2
 
 
-def _symmetrized_eigh(generator: GeneratorMatrix):
-    """Eigenpairs of D A D with A = -W L and D = W^-1/2, from A's band
-    written out dense: an oracle for small sizes (estimate_beta1 never
-    builds it).
+EIGEN_MAX_ITERATIONS = 400  # the cap of the Krylov basis, in vectors (one solve each)
 
-    Returns the ascending eigenvalues, the orthonormal eigenvectors and the
-    diagonal d of D; d * vecs[:, k] is the W-orthonormal eigenfunction of -L.
+
+def _krylov(generator: GeneratorMatrix, start: np.ndarray, probe: np.ndarray):
+    """Rayleigh-Ritz on A over a growing Krylov basis of (W + gamma A)^-1 W.
+
+    The shift is gamma = 1 / rho, rho the W-Rayleigh quotient of probe's
+    mean-free part (one split product), and the operator is the stepper's
+    SplitFactor.solve at dt = gamma, whose eigenvalues 1 / (1 + gamma
+    lambda) single out the low end of the spectrum.  The basis starts from
+    start; each new vector is the solve of the newest one, then two passes of
+    W-orthogonalization against the basis, each pass projecting out the
+    constant (zero) mode first, then W-normalization.  After each new vector
+    it yields (basis, ritz, vectors, residual, settled): the (m, n) basis,
+    W-orthonormal and mean-free, one vector per row; the ascending
+    eigenvalues and eigenvectors (columns) of H = basis A basis^T, the Ritz
+    pairs of A x = lambda W x on the basis (one split product per vector);
+    the W-norm residual of the lowest pair, A x / W - lambda x (one more);
+    and whether that pair has settled, which, once true, stays true: its
+    residual at most 1e-10 lambda, or no longer halving below the roundoff
+    floor of A x in the W-norm, 8 u max_i sum_j |A_ij| / W_i =
+    16 u max_i A_ii / W_i (u the unit roundoff; A is a Laplacian with
+    nonpositive off-diagonal entries).  It stops at EIGEN_MAX_ITERATIONS
+    vectors, or when a solve leaves nothing new.  The basis grows by
+    doubling, never allocated at the cap: at most the new and the old
+    capacity, below 2 EIGEN_MAX_ITERATIONS states, are held at once.
     """
-    A = _symmetric(generator.band)
-    d = 1.0 / np.sqrt(generator.weights)
-    vals, vecs = np.linalg.eigh(d[:, None] * A * d[None, :])
-    return vals, vecs, d
-
-
-def _semigroup_oracle(generator: GeneratorMatrix, values, times) -> np.ndarray:
-    """exp(t L) w for each t in times (one row each), from the dense
-    eigendecomposition: the exact semi-discrete flow, for small sizes."""
-    vals, vecs, d = _symmetrized_eigh(generator)
-    coeff = vecs.T @ (np.sqrt(generator.weights) * values)
-    decay = np.exp(-np.outer(np.atleast_1d(times), vals))
-    return (decay * coeff) @ vecs.T * d
-
-
-# n x n arrays alive at _semigroup_oracle's peak: A dense, its scaled copy,
-# and in eigh the input's copy, syevd's workspace (2 n^2) and the eigenvectors
-DENSE_ORACLE_ARRAYS = 6
-EIGEN_COLUMNS = 4  # columns of the block inverse iteration
-EIGEN_MAX_ITERATIONS = 100
+    W, split = generator.weights, generator.split
+    measure = float(np.sum(W))
+    floor = 8.0 * np.finfo(float).eps * float(np.max(generator.band[-1] / W))  # eps = 2 u
+    probe = probe - float(W @ probe) / measure
+    factor = split.factor(W, float(probe @ (W * probe)) / float(probe @ split(probe)))
+    basis, gram = np.empty((0, generator.size)), np.empty((0, 0))
+    previous, settled, v = np.inf, False, start
+    for m in range(EIGEN_MAX_ITERATIONS):
+        for _ in range(2):  # twice is enough
+            v = v - float(W @ v) / measure
+            v -= (basis[:m] @ (W * v)) @ basis[:m]
+        norm = np.sqrt(float(v @ (W * v)))
+        if norm == 0.0:
+            return
+        if m == len(basis):
+            grown = np.empty((min(max(2 * m, 8), EIGEN_MAX_ITERATIONS), generator.size))
+            grown[:m] = basis
+            basis, gram = grown, np.pad(gram, (0, len(grown) - m))
+        basis[m] = v / norm
+        gram[m, : m + 1] = gram[: m + 1, m] = basis[: m + 1] @ split(basis[m])
+        ritz, vectors = np.linalg.eigh(gram[: m + 1, : m + 1])
+        lam, x = float(ritz[0]), vectors[:, 0] @ basis[: m + 1]
+        r = split(x) / W - lam * x
+        residual = float(np.sqrt(r @ (W * r)))
+        settled = settled or residual <= 1e-10 * lam or floor >= residual > 0.5 * previous
+        yield basis[: m + 1], ritz, vectors, residual, settled
+        previous = residual
+        v = factor.solve(basis[m])
 
 
 def estimate_beta1(generator: GeneratorMatrix) -> SpectralReport:
     """Smallest nonzero eigenvalue of -L in the weighted inner product.
 
-    Solves A x = lambda W x (A = -W L) by block inverse iteration with
-    Rayleigh-Ritz on the split band: the iteration operator is
-    (I - L)^-1 = (W + A)^-1 W, the stepper's SplitFactor.solve at dt = 1
-    (BandSplit.factor) applied to each column as one state, whose
-    eigenvalues 1 / (1 + lambda) are largest for the smallest lambda.  It
-    iterates on EIGEN_COLUMNS W-orthonormal columns started from the cosines
-    cos(j pi (x - x_0) / (x_end - x_0)), j = 1..4, with the constant (zero)
-    mode projected out every iteration; A X comes from the split, and the
-    4 x 4 matrix X^T A X gives the Ritz pairs (numpy.linalg.eigh).  It stops
-    when the W-norm Ritz residual of lambda2 is at most 1e-10 lambda2, or
-    no longer halving below the roundoff floor of A X in the W-norm,
-    8 u max_i sum_j |A_ij| / W_i = 16 u max_i A_ii / W_i (u the unit
-    roundoff; A is a Laplacian with nonpositive off-diagonal entries), and
-    raises after EIGEN_MAX_ITERATIONS.  Nothing n x n is formed: the factor
-    of the block and a few (n, 4) arrays.
+    Solves A x = lambda W x (A = -W L) by Rayleigh-Ritz on the Krylov basis
+    of _krylov, started from the sum of the cosines
+    cos(j pi (x - x_0) / (x_end - x_0)), j = 1..4, and shifted by the first
+    of them (shifted by the sum, it needs 21-22 vectors where it needs 13 on
+    the 401- to 3,201-dof generators at epsilon = 1).  Its rate depends on the
+    square root of the relative gap, so wide kernels, whose low eigenvalues
+    cluster, converge too.  It stops once the lowest Ritz pair has settled
+    (its residual at most 1e-10 lambda2, or stalled at the roundoff floor),
+    and raises after EIGEN_MAX_ITERATIONS basis vectors.  Nothing n x n is
+    formed: the factor of the block and the basis.
 
     Returns lambda2 together with beta1 = lambda2 / 2, the mass-zero
     eigenfunction (W-normalized, its largest entry positive), the residual
-    of -L x = lambda2 x through generator.apply, and the iteration count.
-    The constant must be in the kernel: its Rayleigh quotient
+    of -L x = lambda2 x through generator.apply, and the number of basis
+    vectors.  The constant must be in the kernel: its Rayleigh quotient
     1^T A 1 / 1^T W 1 must be at most 1e-8 max(lambda2, 1).
     """
     W = generator.weights
-    split = generator.split
     ones = np.ones(generator.size)
-    measure = float(np.sum(W))
-    constant = float(ones @ split(ones)) / measure
-    factor = split.factor(W, 1.0)
-    floor = 8.0 * np.finfo(float).eps * float(np.max(generator.band[-1] / W))  # eps = 2 u
-    root_w = np.sqrt(W)[:, None]
+    constant = float(ones @ generator.split(ones)) / float(np.sum(W))
     x = generator.grid.positions
-    j = np.arange(1, EIGEN_COLUMNS + 1)
-    X = np.cos(np.pi * np.multiply.outer((x - x[0]) / (x[-1] - x[0]), j))
-    previous = np.inf
-    for iterations in range(1, EIGEN_MAX_ITERATIONS + 1):
-        X = np.column_stack([factor.solve(column) for column in X.T])
-        X -= (W @ X) / measure  # the constant mode, W-orthogonally
-        X = np.linalg.qr(root_w * X)[0] / root_w
-        AX = np.column_stack([split(column) for column in X.T])
-        ritz, V = np.linalg.eigh(X.T @ AX)
-        X, AX = X @ V, AX @ V
-        lam = float(ritz[0])
-        r = AX[:, 0] / W - lam * X[:, 0]
-        ritz_residual = float(np.sqrt(r @ (W * r)))
-        converged = (ritz_residual <= 1e-10 * lam
-                     or floor >= ritz_residual > 0.5 * previous)
-        if converged:
+    cosines = np.cos(np.pi * np.multiply.outer(np.arange(1, 5), (x - x[0]) / (x[-1] - x[0])))
+    krylov = _krylov(generator, cosines.sum(axis=0), cosines[0])
+    for basis, ritz, vectors, ritz_residual, settled in krylov:
+        if settled:
             break
-        previous = ritz_residual
+    lam = float(ritz[0])
     if constant > 1e-8 * max(lam, 1.0):
         raise RuntimeError(
             f"constant mode not found in the spectrum (lowest eigenvalue {constant:.3e})"
         )
-    if not converged:
+    if not settled:
         raise RuntimeError(
             f"eigensolver did not converge in {EIGEN_MAX_ITERATIONS} iterations: Ritz residual "
             f"{ritz_residual:.3e} of lambda2 = {lam:.6g} above 1e-10 * lambda2"
         )
-    x = X[:, 0].copy()
+    x = vectors[:, 0] @ basis
     x /= np.sqrt(np.sum(W * x * x))
     x *= np.sign(x[np.argmax(np.abs(x))]) or 1.0
     r = -generator.apply(x) - lam * x
@@ -256,8 +262,43 @@ def estimate_beta1(generator: GeneratorMatrix) -> SpectralReport:
         lambda2=lam,
         eigvec=x,
         residual=residual,
-        iterations=iterations,
+        iterations=len(basis),
     )
+
+
+def semigroup(generator: GeneratorMatrix, w0: np.ndarray, times) -> np.ndarray:
+    """exp(t L) w0 for each t in times, one row each: the exact semi-discrete
+    flow, with no time step.
+
+    The mean m = W w0 / sum(W), a constant state the flow keeps, is added back
+    exactly; the rest is the Rayleigh-Ritz flow on _krylov's basis B started
+    from, and shifted by, w0 - m:
+    m + ||w0 - m||_W B^T c(t), c(t) = V exp(-t mu) V^T e1, with (mu, V) the
+    Ritz pairs.  The basis stops growing once both hold: the lowest Ritz
+    pair has settled, so the slowest mode the start reaches is in the basis
+    (without it, a late time where exp(-t mu) is below 1e-13 for every Ritz
+    value of the first vectors would stop there and drop that mode), and
+    the coefficient c(t)_m on the newest vector is at most 1e-13 at every
+    requested time.  A basis that spans an invariant subspace, where the
+    flow on it is exact, stops too; one that reaches EIGEN_MAX_ITERATIONS
+    vectors raises.
+    """
+    W = generator.weights
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    mean = float(W @ w0) / float(np.sum(W))
+    start = w0 - mean
+    scale = np.sqrt(float(start @ (W * start)))
+    if scale == 0.0:
+        return np.full((times.size, generator.size), mean)
+    for basis, ritz, vectors, _, settled in _krylov(generator, start, start):
+        coeff = (np.exp(-np.outer(times, ritz)) * vectors[0]) @ vectors.T
+        if settled and np.all(np.abs(coeff[:, -1]) <= 1e-13):
+            break
+    else:  # the basis stopped growing: at its cap, or on an invariant subspace
+        if len(basis) == EIGEN_MAX_ITERATIONS:
+            raise RuntimeError(
+                f"semigroup did not converge in {EIGEN_MAX_ITERATIONS} basis vectors")
+    return mean + scale * (coeff @ basis)
 
 
 def rayleigh(generator: GeneratorMatrix, w: np.ndarray) -> float:

@@ -19,7 +19,9 @@ x = (I - dt L)^-1 b is the SPD system (W + dt A) x = W b, factored once per
 step size and split at the interface node like A's band (L D L^T over the
 tridiagonal chain, band Cholesky behind it):
 discretization.SplitFactor.solve applies it, W included, for the stepper,
-the eigensolver (energy_spectrum.estimate_beta1, at dt = 1) and the window
+the Krylov basis of the eigensolver and of the exact flow
+(energy_spectrum.estimate_beta1 and semigroup, at dt = 1 / rho, rho a
+Rayleigh quotient of the start) and the window
 iteration's two sub-solves (splits with no chain, p = 0, not refined); it and
 A x (the BandSplit) take one state and return a new array, which the
 stepper works on.  The stepper refines its solves so the per-step residual

@@ -9,6 +9,7 @@ from couplediff import (
     coupling_constants,
     make_kernel,
 )
+from couplediff.discretization import _symmetric
 
 
 @pytest.fixture(scope="session")
@@ -68,4 +69,40 @@ def with_edges(gen, edges):
         L[j, i] += c / W[j]
         L[i, i] -= c / W[i]
         L[j, j] -= c / W[j]
-    return GeneratorMatrix.from_dense(gen.grid, L)
+    return from_dense(gen.grid, L)
+
+
+def from_dense(grid, L):
+    """The generator of a dense L (small, hand-built ones).  Only A's upper
+    triangle is kept, so W L must be symmetric to roundoff."""
+    WL = grid.weights[:, None] * L
+    if np.max(np.abs(WL - WL.T)) > 1e-12 * np.max(np.abs(np.diagonal(WL))):
+        raise ValueError("W L is not symmetric to roundoff: L is not self-adjoint in W")
+    i, j = np.nonzero(L)
+    b = int(np.max(np.abs(j - i), initial=0))
+    band = np.zeros((b + 1, L.shape[0]), order="F")
+    for k in range(b + 1):
+        band[b - k, k:] = -np.diagonal(WL, k)
+    return GeneratorMatrix(grid, band)
+
+
+def _symmetrized_eigh(generator):
+    """Eigenpairs of D A D with A = -W L and D = W^-1/2, from A's band
+    written out dense: the dense oracle of the eigensolver, for small sizes.
+
+    Returns the ascending eigenvalues, the orthonormal eigenvectors and the
+    diagonal d of D; d * vecs[:, k] is the W-orthonormal eigenfunction of -L.
+    """
+    A = _symmetric(generator.band)
+    d = 1.0 / np.sqrt(generator.weights)
+    vals, vecs = np.linalg.eigh(d[:, None] * A * d[None, :])
+    return vals, vecs, d
+
+
+def _semigroup_oracle(generator, values, times):
+    """exp(t L) w for each t in times (one row each), from the dense
+    eigendecomposition: the exact semi-discrete flow, for small sizes."""
+    vals, vecs, d = _symmetrized_eigh(generator)
+    coeff = vecs.T @ (np.sqrt(generator.weights) * values)
+    decay = np.exp(-np.outer(np.atleast_1d(times), vals))
+    return (decay * coeff) @ vecs.T * d

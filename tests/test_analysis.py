@@ -18,11 +18,10 @@ from couplediff import (
     interface_jump,
     supersolution_check,
 )
-from couplediff.energy_spectrum import _semigroup_oracle
 from couplediff.config import SimConfig, initial_state
 from couplediff.evolution import BLOCK_STATES, _States
 from couplediff.kernels import coupling_constants, make_kernel
-from conftest import weighted_norm, with_edges
+from conftest import _semigroup_oracle, weighted_norm, with_edges
 
 
 def test_heat_reference_single_mode(grid100):

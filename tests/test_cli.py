@@ -641,6 +641,21 @@ def test_spectrum_eps_one_fine_grid(tmp_path):
     assert float(rows[0][5]) <= 1e-8 * float(rows[0][4])
 
 
+@pytest.mark.parametrize("command", ["simulate", "spectrum"])
+@pytest.mark.parametrize("radius", ["3", "10"])
+def test_wide_kernel_runs_exit_0(tmp_path, command, radius):
+    """A kernel of radius 3 or 10 clusters the low spectrum, where the
+    eigensolver once stalled and both runs exited 3; now each exits 0
+    (simulate's eigensolve runs before its stepping and writes)."""
+    cfg = write_cfg(tmp_path, SMALL, f"output.dir = {tmp_path}/out\n")
+    assert main([command, "--config", cfg, "--set", f"kernel.radius={radius}"]) == 0
+    if command == "spectrum":
+        _, rows = read_csv(tmp_path / "out" / "spectrum.csv")
+        assert float(rows[0][5]) <= 1e-8 * float(rows[0][4])
+    else:
+        assert (tmp_path / "out" / "timeseries.csv").exists()
+
+
 def test_spectrum_pure_heat_flag(tmp_path):
     cfg = write_cfg(tmp_path, SMALL, f"output.dir = {tmp_path}/out\n")
     assert main(["spectrum", "--config", cfg, "--pure-heat"]) == 0
@@ -873,20 +888,24 @@ def test_verify_passes_at_narrow_kernel(tmp_path, capsys):
 
 
 def test_verify_oracle_beyond_memory_exit_2(tmp_path, capsys, monkeypatch):
-    """verify's semigroup check writes its oracle out dense on 20 local cells
-    and max(20, ceil(4 / (eps R))) nonlocal ones: at eps = 1e-4 that is 40,021
-    nodes, whose six n x n float64 arrays (12.8 GB each) 8 GiB cannot hold,
-    so verify exits 2 naming the kernel keys before any check runs; at
-    eps = 1e-3 (4,021 nodes, 0.78 GB in all) it goes on to the checks."""
+    """verify's largest check grid has 100 local cells and
+    max(100, ceil(4 / (eps R))) nonlocal ones, and its eigensolve and
+    semigroup hold a Krylov basis counted as 2 EIGEN_MAX_ITERATIONS = 800
+    states (it grows by doubling: 400 + 256 at the cap).  At eps = 1e-6 that is 4,000,101
+    nodes and 25.6 GB of basis, which 8 GiB cannot hold, so verify exits 2
+    naming the kernel keys before any check runs; at eps = 1e-3 (4,101
+    nodes, 26 MB) and eps = 1e-4 (40,101 nodes, 0.26 GB) it goes on to the
+    checks."""
     cfg = write_cfg(tmp_path, SMALL)
     reached = []
     monkeypatch.setattr(verify, "run_all", lambda cfg: reached.append(cfg.kernel_epsilon) or 0)
     _fake_memory(monkeypatch, 8)
-    assert main(["verify", "--config", cfg, "--set", "kernel.epsilon=1e-4"]) == 2
+    assert main(["verify", "--config", cfg, "--set", "kernel.epsilon=1e-6"]) == 2
     assert "kernel.epsilon / kernel.radius: " in capsys.readouterr().err
     assert reached == []
-    assert main(["verify", "--config", cfg, "--set", "kernel.epsilon=1e-3"]) == 0
-    assert reached == [1e-3]
+    for eps in (1e-3, 1e-4):
+        assert main(["verify", "--config", cfg, "--set", f"kernel.epsilon={eps}"]) == 0
+    assert reached == [1e-3, 1e-4]
 
 
 @pytest.mark.parametrize("n_rows", (6, 1100))

@@ -18,10 +18,9 @@ from couplediff import (
     make_kernel,
 )
 from couplediff.discretization import BandSplit
-from couplediff.energy_spectrum import _symmetrized_eigh
 from couplediff.kernels import FAMILIES
 from couplediff.verify import _structure_defects
-from conftest import weighted_norm, with_edges
+from conftest import _symmetrized_eigh, weighted_norm, with_edges
 
 
 def test_build_grid_layout():

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from couplediff import (
-    GeneratorMatrix,
     ImplicitStepper,
     StepScheme,
     assemble_generator,
@@ -23,9 +22,8 @@ from couplediff import (
     make_kernel,
 )
 from couplediff.config import SimConfig, initial_state
-from couplediff.energy_spectrum import _semigroup_oracle
 from couplediff.evolution import SCHEME_KINDS, _States
-from conftest import weighted_norm, with_edges
+from conftest import _semigroup_oracle, from_dense, weighted_norm, with_edges
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +47,7 @@ def test_cfl_decreases_with_epsilon(constants):
 
 
 def test_cfl_zero_generator(grid50):
-    gen = GeneratorMatrix.from_dense(grid50, np.zeros((grid50.size,) * 2))
+    gen = from_dense(grid50, np.zeros((grid50.size,) * 2))
     with pytest.raises(ValueError):
         cfl_limit(gen)
 
@@ -182,7 +180,7 @@ def test_far_link_from_node_zero_leaves_no_chain(gen20):
     L[0, n - 1], L[n - 1, 0] = c / W[0], c / W[n - 1]
     L[0, 0] -= c / W[0]
     L[n - 1, n - 1] -= c / W[n - 1]
-    gen = GeneratorMatrix.from_dense(grid, L)
+    gen = from_dense(grid, L)
     assert gen.half_bandwidth == n - 1
     assert gen.split.p == 0
     dt = 5e-4
@@ -212,7 +210,7 @@ def test_stepper_rejects_singular_factor(grid50):
     symmetric is refused before it becomes a band."""
     dt = 0.1
     n = grid50.size
-    zero = GeneratorMatrix.from_dense(grid50, np.eye(n) / dt)  # W + dt A = 0
+    zero = from_dense(grid50, np.eye(n) / dt)  # W + dt A = 0
     with pytest.raises(RuntimeError, match="pttrf fails at node 0$"):
         ImplicitStepper(zero, dt)
     # symmetric and indefinite with a positive diagonal: W + dt A = W except
@@ -222,12 +220,12 @@ def test_stepper_rejects_singular_factor(grid50):
         L = np.zeros((n, n))
         L[i, i + 1] = L[i + 1, i] = 2.0 / dt
         with pytest.raises(RuntimeError, match=f"{routine} fails at node {i + 1}$"):
-            ImplicitStepper(GeneratorMatrix.from_dense(grid50, L), dt)
+            ImplicitStepper(from_dense(grid50, L), dt)
     skew = np.zeros((n, n))
     skew[0, 0] = 1.0 / dt
     skew[0, -1] = 1.0  # no (W L)[-1, 0] to match it
     with pytest.raises(ValueError, match="not symmetric"):
-        GeneratorMatrix.from_dense(grid50, skew)
+        from_dense(grid50, skew)
 
 
 def test_small_eps_fine_grid_implicit_run(constants):
@@ -323,7 +321,7 @@ def test_evolve_aborts_on_blowup():
     # sign-flipped heat generator is anti-dissipative: explicit stepping
     # overflows and evolve must abort instead of emitting corrupt series
     base = assemble_heat_generator(50)
-    blow = GeneratorMatrix.from_dense(base.grid, -base.dense())
+    blow = from_dense(base.grid, -base.dense())
     w = np.cos(np.pi * (base.grid.positions + 1) / 2)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(RuntimeError, match="non-finite"):
