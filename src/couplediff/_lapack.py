@@ -1,8 +1,10 @@
 """scipy's compiled BLAS/LAPACK wrappers, without importing scipy.
 
-couplediff calls six routines of scipy's f2py extensions ``_fblas`` and
-``_flapack``: sbmv, symv, pbtrf, pbtrs, pttrf and pttrs.  Importing them
-through ``scipy.linalg`` costs about 0.3 s and 24 MB per process (it pulls
+couplediff calls eight routines of scipy's f2py extensions ``_fblas`` and
+``_flapack``: sbmv and symv (A x, discretization), pbtrf, pbtrs, pttrf and
+pttrs (the split factor, discretization), and geqrf and orgqr (the heat
+reference's in-place QR, analysis).  Importing them through
+``scipy.linalg`` costs about 0.3 s and 24 MB per process (it pulls
 in ``scipy._lib._array_api``, ``array_api_compat`` and ``numpy.f2py``),
 about a third of a whole epsilon sweep, and even ``import scipy`` alone
 costs 8-14 ms (``subprocess`` and ``sysconfig`` included) where the two
@@ -45,3 +47,4 @@ dsbmv, dsymv = _fblas.dsbmv, _fblas.dsymv
 _flapack = _extension("_flapack")
 dpbtrf, dpbtrs = _flapack.dpbtrf, _flapack.dpbtrs
 dpttrf, dpttrs = _flapack.dpttrf, _flapack.dpttrs
+dgeqrf, dorgqr = _flapack.dgeqrf, _flapack.dorgqr

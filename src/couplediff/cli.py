@@ -69,7 +69,8 @@ def _check_memory(cfg: SimConfig, keys: str, states: int = 0, rows: int = 0):
     and factor, 5 (n_local + 1), and a dense copy of the block when
     b = n_nonlocal), `states` more states and a table of `rows` rows of
     diagnostics (len(TIMESERIES_COLUMNS) float64 each) exceed physical
-    memory.  Every count is read off the config: nothing is allocated."""
+    memory.  Every count is read off the config: nothing is allocated.
+    Returns the count, in bytes."""
     n, block = cfg.grid_n_local + 1 + cfg.grid_n_nonlocal, cfg.grid_n_nonlocal + 1
     b = _half_bandwidth(cfg)
     solve = (b + 1) * block + 5 * (n - block + 1) + (block * block if b == block - 1 else 0)
@@ -79,6 +80,7 @@ def _check_memory(cfg: SimConfig, keys: str, states: int = 0, rows: int = 0):
         raise ConfigError(f"{keys}: {need / 2**30:.3g} GiB (the generator and its factor on {n} "
                           f"nodes, plus {states:.3g} states and {rows:.3g} rows of diagnostics)"
                           f" exceed physical memory ({memory / 2**30:.3g} GiB)")
+    return need
 
 
 def _write_snapshot(path, grid, state):

@@ -27,10 +27,11 @@ Cholesky factor of the block, whose solve applies
 the stepper's and the one Krylov basis's (energy_spectrum) alike.
 A x and the solve take one state of n values and return a new array.
 generator_edges reads the edges
-(i, j, c), c = -A_ij, off the band as local, nonlocal or coupling; the local and
-coupling energies are sums over those edges, while the nonlocal energy is
-read from the split's block (energy_spectrum.energy_form), and the interface
-fluxes are rows of A w, one split product.
+(i, j, c), c = -A_ij, off the band one offset at a time as local, nonlocal or
+coupling (edge_group, one group at a time); the local and coupling energies
+are sums over those edges, while the nonlocal energy is read from the
+split's block (energy_spectrum.energy_form), which never lists the nonlocal
+edges, and the interface fluxes are rows of A w, one split product.
 The GeneratorMatrix also carries its grid, kernel and constants: every
 routine after assembly takes it, and none assembles again.
 """
@@ -143,7 +144,10 @@ class BandSplit:
     the rest only through node p, and at most last = grid.interface_index
     (n - 1 for the heat generator); a band with a far link from node 0 has
     p = 0, and the block is then the whole band.  Entries stored above the
-    matrix (row j - (b - row) < 0, never read by LAPACK) are not links.
+    matrix (row j - (b - row) < 0, never read by LAPACK) are not links.  p
+    is found one far offset d = b..2 at a time, each scan reading only the
+    nodes below the current p, so making the split holds no copy or index
+    of the band.
 
     chain holds A on nodes 0..p in (2, p + 1) upper band storage with its
     (p, p) entry zero; block = band[:, p:] is A[p:, p:] in place, an
@@ -161,9 +165,11 @@ class BandSplit:
 
     def __init__(self, band: np.ndarray, last: int):
         b = band.shape[0] - 1
-        rows, j = np.nonzero(band[: max(b - 1, 0)])  # offsets b..2
-        far = j - (b - rows)  # the first node of each far link
-        p = int(np.min(far[far >= 0], initial=last))
+        p = last
+        for d in range(b, 1, -1):  # far links of offset d from nodes 0..p-1
+            far = np.flatnonzero(band[b - d, d : d + p])
+            if far.size:
+                p = int(far[0])
         chain = np.zeros((2, p + 1), order="F")
         if b > 0:
             chain[0, 1:] = band[b - 1, 1 : p + 1]
@@ -390,15 +396,28 @@ def generator_edges(generator: GeneratorMatrix):
 
     Returns three (i, j, c) triples of arrays -- local, nonlocal, coupling --
     holding every pair i < j with c = -A_ij = (W L)_ij nonzero, the
-    conductance of the edge, read off the band diagonal by diagonal.  An edge
-    is local when both ends are local degrees of freedom (every edge of an
-    IntervalGrid generator is), nonlocal when both are nonlocal cells, and
-    coupling when it joins the interface node to a cell.
+    conductance of the edge.  An edge is local when both ends are local
+    degrees of freedom (every edge of an IntervalGrid generator is), nonlocal
+    when both are nonlocal cells, and coupling when it joins the interface
+    node to a cell.  Each group is edge_group's.
+    """
+    return tuple(edge_group(generator, group) for group in range(3))
+
+
+def edge_group(generator: GeneratorMatrix, group: int):
+    """Group 0 (local), 1 (nonlocal) or 2 (coupling) of generator_edges,
+    read off the band one offset d = j - i at a time, widest first, over the
+    columns j of the group only: j < n_loc, j >= n_loc + d and
+    n_loc <= j < n_loc + d, n_loc the local count.  Within each offset the
+    edges are in increasing j.  Only the group's own edges are held, so the
+    local and coupling groups hold O(n) entries, not the nonlocal O(n b).
     """
     n_loc = generator.grid.interface_index + 1
-    b = generator.half_bandwidth
-    rows, j = np.nonzero(generator.band[:b])
-    i = j - (b - rows)
-    c = -generator.band[rows, j]
-    groups = (j < n_loc, i >= n_loc, (i < n_loc) & (j >= n_loc))
-    return tuple((i[g], j[g], c[g]) for g in groups)
+    band = generator.band
+    b = band.shape[0] - 1
+    parts = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]
+    for d in range(b, 0, -1):
+        start, stop = ((0, n_loc), (n_loc + d, None), (n_loc, n_loc + d))[group]
+        j = start + np.flatnonzero(band[b - d, start:stop])
+        parts.append((j - d, j, -band[b - d, j]))
+    return tuple(np.concatenate(part) for part in zip(*parts))

@@ -14,10 +14,11 @@ exponential decay of ||w - mean||.
 energy_form(generator) is the one evaluator of a generator's energy: built
 once, it gives the three terms for one state or a block of states, and the
 energy is their sum.  The local and coupling terms have O(n) edges and are
-edge sums in difference form (edge_energy over their generator_edges
-groups).  The nonlocal term has O(n b) edges, about n^2 / 2
-at epsilon = 1, so it is read from the block of A's band split
-(discretization.BandSplit) instead, applied to a block of states at once:
+edge sums in difference form (edge_energy over those two groups of
+generator_edges, read by discretization.edge_group).  The nonlocal term has
+O(n b) edges, about n^2 / 2 at epsilon = 1, so its edges are never listed:
+it is read from the block of A's band split (discretization.BandSplit)
+instead, applied to a block of states at once:
 one GEMM per block when the kernel reaches across the whole nonlocal region,
 one symmetric band mat-vec per state otherwise.
 
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretization import GeneratorMatrix, Grid, generator_edges
+from .discretization import GeneratorMatrix, Grid, edge_group
 from .kernels import Kernel
 
 
@@ -66,8 +67,10 @@ def energy_form(generator: GeneratorMatrix):
 
     Built once per generator.  values is one state, giving three floats, or
     a 2-D block of states, giving three arrays with one entry per row.  The
-    local and coupling terms are edge_energy over their generator_edges
-    groups.  The nonlocal term is
+    local and coupling terms are edge_energy over those groups of
+    generator_edges, each read by edge_group; the nonlocal group is not
+    built, so making the form holds O(n) floats besides the split.  The
+    nonlocal term is
 
         1/2 (y^T A_vv y - sum_j c_j y_j^2),   y = v - s,
 
@@ -87,7 +90,7 @@ def energy_form(generator: GeneratorMatrix):
     constant).  A generator without a nonlocal block (an IntervalGrid,
     n_nonlocal = 0) has nonlocal and coupling terms 0.
     """
-    local, _, coupling = generator_edges(generator)
+    local, coupling = edge_group(generator, 0), edge_group(generator, 2)
     grid = generator.grid
     if grid.n_nonlocal:
         nl0 = grid.interface_index + 1
@@ -129,14 +132,16 @@ def nonlocal_energy_full(grid: Grid, kernel: Kernel, values):
     the kernel's reach in index (positions sorted), with
     c_d,i = 4 w_i J_eps(x_i - x_{i+d}) w_{i+d}: the d-th diagonal of the
     full-domain form, each unordered pair counted twice.  The kernel decides
-    every value, and a constant state gives exactly 0.
+    every value, and a constant state gives exactly 0.  Each offset's
+    differences are squared in place: one (samples, n - d) temporary.
     """
     x, ww = grid.positions, grid.weights
     reach = np.searchsorted(x, x + kernel.support_radius * (1.0 + 1e-9), side="right")
     total = np.zeros(np.shape(values)[:-1])
     for d in range(1, int(np.max(reach - np.arange(x.size)))):
         c = 4.0 * ww[:-d] * kernel(x[:-d] - x[d:]) * ww[d:]
-        total += np.square(values[..., d:] - values[..., :-d]) @ c
+        diff = values[..., d:] - values[..., :-d]
+        total += np.square(diff, out=diff) @ c
     return 0.5 * total
 
 

@@ -106,3 +106,16 @@ def _semigroup_oracle(generator, values, times):
     coeff = vecs.T @ (np.sqrt(generator.weights) * values)
     decay = np.exp(-np.outer(np.atleast_1d(times), vals))
     return (decay * coeff) @ vecs.T * d
+
+
+def generator_edges_oracle(generator):
+    """generator_edges from one np.nonzero over the band's off-diagonal rows,
+    grouped by masks: the reference the offset-by-offset reader must match
+    exactly, in groups, order and values."""
+    n_loc = generator.grid.interface_index + 1
+    b = generator.half_bandwidth
+    rows, j = np.nonzero(generator.band[:b])
+    i = j - (b - rows)
+    c = -generator.band[rows, j]
+    groups = (j < n_loc, i >= n_loc, (i < n_loc) & (j >= n_loc))
+    return tuple((i[g], j[g], c[g]) for g in groups)

@@ -20,7 +20,7 @@ from couplediff import (
 from couplediff.discretization import BandSplit
 from couplediff.kernels import FAMILIES
 from couplediff.verify import _structure_defects
-from conftest import _symmetrized_eigh, weighted_norm, with_edges
+from conftest import _symmetrized_eigh, generator_edges_oracle, weighted_norm, with_edges
 
 
 def test_build_grid_layout():
@@ -337,6 +337,53 @@ def _split_generator(family, eps, n):
     kernel = make_kernel(family, 1.0, eps)
     grid = build_grid(n, max(n, int(np.ceil(4.0 / eps))))
     return assemble_generator(grid, kernel, coupling_constants(kernel))
+
+
+def _edge_cases():
+    """Assembled generators of every family at eps in {1, 0.25, 0.05}, the
+    heat generator, and generators with far links added through from_dense:
+    from node 0 to the last cell (p = 0), from local node 3 to a cell, and
+    between local nodes 3 and 12."""
+    gens = [_split_generator(family, eps, 20) for family in FAMILIES for eps in (1.0, 0.25, 0.05)]
+    gens.append(assemble_heat_generator(40))
+    base = gens[0]
+    last = base.size - 1
+    gens += [with_edges(base, edges) for edges in
+             ([(0, last, 0.7)], [(3, 30, 0.4)], [(3, 12, 0.2), (3, 30, 0.4), (0, last, 0.7)])]
+    return gens
+
+
+@pytest.mark.parametrize("gen", _edge_cases())
+def test_generator_edges_match_nonzero_oracle(gen):
+    """generator_edges, read one offset at a time, returns exactly the
+    edges of one np.nonzero over the band (conftest's oracle): the same
+    groups, order, dtypes and values.  The split's p is the first node of
+    a far link (offset >= 2), as read off those edges."""
+    got, want = generator_edges(gen), generator_edges_oracle(gen)
+    for group, ref in zip(got, want):
+        for array, ref_array in zip(group, ref):
+            assert array.dtype == ref_array.dtype
+            assert np.array_equal(array, ref_array)
+    i, j = (np.concatenate(part) for part in zip(*(edges[:2] for edges in want)))
+    p = int(np.min(i[(j - i >= 2) & (i >= 0)], initial=gen.grid.interface_index))
+    assert BandSplit(gen.band, gen.grid.interface_index).p == p
+
+
+def test_band_split_holds_no_copy_of_the_band(constants):
+    """Splitting the 400 x 400, eps = 1 band holds at most 1/8 of the band
+    at once: p is found one far offset at a time, and the chain is a
+    (2, p + 1) copy.  An np.nonzero over the whole band took 1.03 times."""
+    grid = build_grid(400, 400)
+    gen = assemble_generator(grid, make_kernel("triangle", 1.0, 1.0), constants)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        split = BandSplit(gen.band, grid.interface_index)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert split.p == grid.interface_index
+    assert peak <= gen.band.nbytes / 8
 
 
 @pytest.mark.parametrize("family, eps, n", _split_cases())

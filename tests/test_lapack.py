@@ -55,18 +55,22 @@ def test_cli_runs_leave_scipy_linalg_out(tmp_path):
         "        called.add(name)\n"
         "        return fn(*a, **k)\n"
         "    return wrapped\n"
-        "import couplediff.discretization as d\n"
+        "import couplediff.analysis as a, couplediff.discretization as d\n"
         "for name in ['dsbmv', 'dsymv', 'dpbtrf', 'dpbtrs', 'dpttrf', 'dpttrs']:\n"
         "    setattr(d, name, count(name))\n"
+        "for name in ['dgeqrf', 'dorgqr']:\n"
+        "    setattr(a, name, count(name))\n"
         "cfg, out = sys.argv[1], sys.argv[2]\n"
         "assert main(['simulate', '--config', cfg, '--out', out + '/sim']) == 0\n"
         "assert main(['spectrum', '--config', cfg, '--out', out + '/spec']) == 0\n"
+        "assert main(['sweep-epsilon', '--config', cfg, '--out', out + '/sweep',\n"
+        "             '--eps', '0.4,0.2']) == 0\n"
         "print(sorted(called), 'scipy.linalg' in sys.modules)\n",
         str(cfg),
         str(tmp_path),
     )
     assert out.splitlines()[-1] == (
-        "['dpbtrf', 'dpbtrs', 'dpttrf', 'dpttrs', 'dsbmv', 'dsymv'] False")
+        "['dgeqrf', 'dorgqr', 'dpbtrf', 'dpbtrs', 'dpttrf', 'dpttrs', 'dsbmv', 'dsymv'] False")
 
 
 EQUIVALENCE = """
@@ -81,6 +85,8 @@ assert _lapack.dpbtrf is scipy.linalg.lapack.dpbtrf
 assert _lapack.dpbtrs is scipy.linalg.lapack.dpbtrs
 assert _lapack.dpttrf is scipy.linalg.lapack.dpttrf
 assert _lapack.dpttrs is scipy.linalg.lapack.dpttrs
+assert _lapack.dgeqrf is scipy.linalg.lapack.dgeqrf
+assert _lapack.dorgqr is scipy.linalg.lapack.dorgqr
 
 print("same objects")
 """
