@@ -24,11 +24,9 @@ from .discretization import (
     assemble_generator,
     assemble_heat_generator,
     build_grid,
-    generator_edges,
 )
 from .energy_spectrum import (
     SpectralReport,
-    edge_energy,
     energy_form,
     estimate_beta1,
     estimate_energy_control_k,

@@ -26,12 +26,11 @@ Cholesky factor of the block, whose solve applies
 (I - dt L)^-1 = (W + dt A)^-1 W: every implicit solve of the package is it,
 the stepper's and the one Krylov basis's (energy_spectrum) alike.
 A x and the solve take one state of n values and return a new array.
-generator_edges reads the edges
-(i, j, c), c = -A_ij, off the band one offset at a time as local, nonlocal or
-coupling (edge_group, one group at a time); the local and coupling energies
-are sums over those edges, while the nonlocal energy is read from the
-split's block (energy_spectrum.energy_form), which never lists the nonlocal
-edges, and the interface fluxes are rows of A w, one split product.
+The energy reads the same split (energy_spectrum.energy_form): the local
+conductances are the chain's off-diagonal, the exchange conductances node
+p's row of the block, and the nonlocal term goes through the block; the
+interface fluxes are rows of A w, one split product.  No edge list of A is
+kept.
 The GeneratorMatrix also carries its grid, kernel and constants: every
 routine after assembly takes it, and none assembles again.
 """
@@ -390,34 +389,3 @@ def assemble_heat_generator(n_intervals: int) -> GeneratorMatrix:
     _add_path_stiffness(band, grid.n_intervals, grid.spacing)
     return GeneratorMatrix(grid, band)
 
-
-def generator_edges(generator: GeneratorMatrix):
-    """The edges of the weighted graph behind L, grouped by index range.
-
-    Returns three (i, j, c) triples of arrays -- local, nonlocal, coupling --
-    holding every pair i < j with c = -A_ij = (W L)_ij nonzero, the
-    conductance of the edge.  An edge is local when both ends are local
-    degrees of freedom (every edge of an IntervalGrid generator is), nonlocal
-    when both are nonlocal cells, and coupling when it joins the interface
-    node to a cell.  Each group is edge_group's.
-    """
-    return tuple(edge_group(generator, group) for group in range(3))
-
-
-def edge_group(generator: GeneratorMatrix, group: int):
-    """Group 0 (local), 1 (nonlocal) or 2 (coupling) of generator_edges,
-    read off the band one offset d = j - i at a time, widest first, over the
-    columns j of the group only: j < n_loc, j >= n_loc + d and
-    n_loc <= j < n_loc + d, n_loc the local count.  Within each offset the
-    edges are in increasing j.  Only the group's own edges are held, so the
-    local and coupling groups hold O(n) entries, not the nonlocal O(n b).
-    """
-    n_loc = generator.grid.interface_index + 1
-    band = generator.band
-    b = band.shape[0] - 1
-    parts = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]
-    for d in range(b, 0, -1):
-        start, stop = ((0, n_loc), (n_loc + d, None), (n_loc, n_loc + d))[group]
-        j = start + np.flatnonzero(band[b - d, start:stop])
-        parts.append((j - d, j, -band[b - d, j]))
-    return tuple(np.concatenate(part) for part in zip(*parts))

@@ -13,14 +13,14 @@ exponential decay of ||w - mean||.
 
 energy_form(generator) is the one evaluator of a generator's energy: built
 once, it gives the three terms for one state or a block of states, and the
-energy is their sum.  The local and coupling terms have O(n) edges and are
-edge sums in difference form (edge_energy over those two groups of
-generator_edges, read by discretization.edge_group).  The nonlocal term has
-O(n b) edges, about n^2 / 2 at epsilon = 1, so its edges are never listed:
-it is read from the block of A's band split (discretization.BandSplit)
-instead, applied to a block of states at once:
-one GEMM per block when the kernel reaches across the whole nonlocal region,
-one symmetric band mat-vec per state otherwise.
+energy is their sum.  It reads A's band split at the interface node
+(discretization.BandSplit) and nothing else.  The local and coupling terms
+have O(n) edges and are edge sums in difference form, their conductances
+the chain's off-diagonal and the interface node's row of the block.  The
+nonlocal term has O(n b) edges, about n^2 / 2 at epsilon = 1, so its edges
+are never listed: it is read from the split's block, applied to a block of
+states at once: one GEMM per block when the kernel reaches across the whole
+nonlocal region, one symmetric band mat-vec per state otherwise.
 
 nonlocal_energy_full is the jump energy of the kernel over the whole
 domain, local nodes included: not a term of the generator, it is summed
@@ -42,43 +42,36 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretization import GeneratorMatrix, Grid, edge_group
+from .discretization import GeneratorMatrix, Grid
 from .kernels import Kernel
-
-
-def edge_energy(edges, values) -> tuple:
-    """Energy of each edge group in difference form, 1/2 sum c (w_j - w_i)^2.
-
-    With the groups of generator_edges this is (local, nonlocal, coupling):
-    local    = 1/2 sum_i (u_{i+1} - u_i)^2 / h
-    nonlocal = (c1/4) sum_jk K_jk (v_k - v_j)^2 h^2
-    coupling = (1/2) sum_j q_j (v_j - u_I)^2 h
-    energy_form sums the local and coupling groups this way; the nonlocal
-    group, all pairs within the kernel's reach, it reads from the band, and
-    this sum over its edges is the oracle the tests hold it to.  values is
-    one state, or a 2-D block of states with one energy per row.
-    """
-    return tuple(0.5 * (np.square(values[..., j] - values[..., i]) @ c) for i, j, c in edges)
 
 
 def energy_form(generator: GeneratorMatrix):
     """terms(values) -> (local, nonlocal, coupling), the generator's energy,
-    whose total is the sum of the three.
+    whose total is the sum of the three:
 
-    Built once per generator.  values is one state, giving three floats, or
-    a 2-D block of states, giving three arrays with one entry per row.  The
-    local and coupling terms are edge_energy over those groups of
-    generator_edges, each read by edge_group; the nonlocal group is not
-    built, so making the form holds O(n) floats besides the split.  The
-    nonlocal term is
+    local    = 1/2 sum_i (u_{i+1} - u_i)^2 / h
+    nonlocal = (c1/4) sum_jk K_jk (v_k - v_j)^2 h^2
+    coupling = (1/2) sum_j q_j (v_j - u_I)^2 h
+
+    Built once per generator, from its band split (discretization.BandSplit)
+    alone.  Its chain must end at the interface node, p =
+    grid.interface_index, as it does for every generator assemble_generator
+    and assemble_heat_generator build; a split that stops earlier raises
+    ValueError.  values is one state, giving three floats, or a 2-D block of
+    states, giving three arrays with one entry per row.
+
+    The local and coupling terms are sums over their edges in difference
+    form, 1/2 sum c (w_j - w_i)^2.  The local conductances c = -A[i, i + 1]
+    are the chain's off-diagonal.  The coupling conductances c_j = -A[p,
+    nl0 + j] (nl0 = p + 1, the first cell) are node p's row of the block,
+    its nonzero entries, widest offset first.  Making the form holds O(n)
+    floats besides the split.  The nonlocal term is
 
         1/2 (y^T A_vv y - sum_j c_j y_j^2),   y = v - s,
 
-    with A_vv the nonlocal block of A and c_j the coupling conductances.
-    A_vv y is read from the block A_R = A[p:, p:] of the generator's band
-    split, whose chain ends at the interface node p = nl0 - 1 (for an
-    assembled generator; at most that on any two-subdomain grid): the rows
-    [0; y], zero on nodes p..nl0-1, go through BandSplit.block_rows, and
+    with A_vv the nonlocal block of A.  A_vv y is read from the block
+    A_R = A[p:, p:]: the rows [0; y] go through BandSplit.block_rows, and
     A_R [0; y] = [c^T y; A_vv y].  That is one GEMM per block when the block
     is dense, one sbmv per state otherwise, then one row-wise dot per block.
     A_vv is the Laplacian of the nonlocal edges plus diag(c), and a
@@ -90,22 +83,32 @@ def energy_form(generator: GeneratorMatrix):
     constant).  A generator without a nonlocal block (an IntervalGrid,
     n_nonlocal = 0) has nonlocal and coupling terms 0.
     """
-    local, coupling = edge_group(generator, 0), edge_group(generator, 2)
-    grid = generator.grid
-    if grid.n_nonlocal:
-        nl0 = grid.interface_index + 1
-        split = generator.split
-        pad = nl0 - split.p  # leading zeros of each row: nodes p..nl0-1
-        cells, cond = coupling[1] - nl0, coupling[2]
+    grid, split = generator.grid, generator.split
+    p, b = split.p, split.half_bandwidth
+    if p != grid.interface_index:
+        raise ValueError(f"energy_form needs the band's chain to end at the interface node "
+                         f"{grid.interface_index}, but a far link ends it at p = {p}")
+    local = -split.chain[0, 1:]
+    d = np.arange(min(b, split.block.shape[1] - 1), 0, -1)  # node p's row, widest offset first
+    exchange = -split.block[b - d, d]
+    cells, cond = d[exchange != 0] - 1, exchange[exchange != 0]
+    nl0 = p + 1
 
+    def edge_sum(ends, starts, c):
+        # The differences in Fortran order, the layout of an index gather as
+        # the tests' edge oracle forms them: for a C-ordered block matmul
+        # takes another BLAS path, and the sums differ in their last digits.
+        return 0.5 * (np.square(np.subtract(ends, starts, order="F")) @ c)
+
+    if grid.n_nonlocal:
         def nonlocal_term(values):
             v = np.atleast_2d(values[..., nl0:])
             mean = v.sum(axis=1, keepdims=True) / v.shape[1]
             nearest = np.abs(v - mean).argmin(axis=1)
-            rows = np.zeros((len(v), pad + v.shape[1]))
-            y = rows[:, pad:]
+            rows = np.zeros((len(v), 1 + v.shape[1]))  # a leading 0 at node p
+            y = rows[:, 1:]
             np.subtract(v, v[np.arange(len(v)), nearest][:, None], out=y)
-            ay = split.block_rows(rows)[:, pad:]
+            ay = split.block_rows(rows)[:, 1:]
             yc = y[:, cells]
             return 0.5 * (np.einsum("ij,ij->i", y, ay) - (yc * yc) @ cond)
     else:
@@ -113,7 +116,8 @@ def energy_form(generator: GeneratorMatrix):
             return np.zeros(len(np.atleast_2d(values)))
 
     def terms(values):
-        loc, cp = edge_energy((local, coupling), values)
+        loc = edge_sum(values[..., 1:nl0], values[..., :p], local)
+        cp = edge_sum(values[..., nl0 + cells], values[..., p, None], cond)
         nl = nonlocal_term(values)
         if np.ndim(values) == 1:
             return float(loc), float(nl[0]), float(cp)

@@ -83,9 +83,12 @@ class StepScheme:
         """(dt, n_steps, window, window_steps), the last two None but for
         picard.  'auto' takes 1/32 of the picard window, the CFL limit cfl
         (explicit) or horizon / 1000 (implicit).  The picard sub-step must
-        divide the window and the horizon; any other dt is nudged so that
-        n_steps dt = horizon, by one more step where the nudge would push a
-        dt within cfl over it.  A step count that overflows a float is refused."""
+        divide the window and the horizon: where both dt and the window are
+        'auto' and window / 32 does not divide the horizon, dt is horizon /
+        ceil(32 horizon / window) and the window 32 dt.  Any other dt is
+        nudged so that n_steps dt = horizon, by one more step where the nudge
+        would push a dt within cfl over it.  A step count that overflows a
+        float is refused."""
         if not horizon > 0.0:
             raise ValueError(f"horizon must be positive, got {horizon}")
         if self.kind == "picard" and constants is None:
@@ -95,6 +98,10 @@ class StepScheme:
             dt = float(self.dt)
         elif window is not None:
             dt = window / 32.0
+            n_steps = round(horizon / dt)
+            if self.picard_window == "auto" and abs(n_steps * dt - horizon) > 1e-9 * horizon:
+                dt = horizon / math.ceil(horizon / dt)
+                window = 32.0 * dt
         else:
             dt = cfl if self.kind == "explicit" else horizon / 1000.0
         if max(horizon, window or 0.0) / dt == math.inf:

@@ -23,13 +23,13 @@ nonlocal side takes sweep_members' rule (resolved_n_nonlocal), so a narrow
 kernel refines the nonlocal grid instead of failing assembly.
 
 The operator-structure check (_structure_defects) reads three facts about A
-in L = -W^-1 A off the band in O(n b): its rows sum to zero, its
-off-diagonal entries are <= 0 and its diagonal is >= 0.  The rest follows.
-W L = -A is symmetric because the band stores each pair once; the column
-mass 1^T W L = -(A 1)^T is then zero with the row sums; and for every
-dt > 0, I - dt L = I + dt W^-1 A has off-diagonal entries <= 0 and rows
-summing to 1, so it is a strictly diagonally dominant M-matrix (the
-comparison principle of the implicit step).
+in L = -W^-1 A off the band, one offset at a time, in O(n b): its rows sum
+to zero, its off-diagonal entries are <= 0 and its diagonal is >= 0.  The
+rest follows.  W L = -A is symmetric because the band stores each pair
+once; the column mass 1^T W L = -(A 1)^T is then zero with the row sums;
+and for every dt > 0, I - dt L = I + dt W^-1 A has off-diagonal entries
+<= 0 and rows summing to 1, so it is a strictly diagonally dominant
+M-matrix (the comparison principle of the implicit step).
 """
 from __future__ import annotations
 
@@ -37,7 +37,7 @@ import numpy as np
 
 from .analysis import decay_report
 from .config import SimConfig, initial_state
-from .discretization import assemble_generator, build_grid, generator_edges, resolved_n_nonlocal
+from .discretization import assemble_generator, build_grid, resolved_n_nonlocal
 from .energy_spectrum import estimate_beta1, semigroup
 from .evolution import ImplicitStepper, StepScheme, cfl_limit, evolve, explicit_step
 from .kernels import FAMILIES, coupling_constants, make_kernel
@@ -48,23 +48,31 @@ SEMIGROUP_CELLS = 20  # the semigroup check's local cells: criterion 09's size, 
 
 def _structure_defects(generator):
     """Relative defect of each of the three facts about A (module docstring),
-    from the edges (i, j, c), c = -A_ij, and A's diagonal, in O(n b):
-    row_sum, per row |A_ii - sum c| / (|A_ii| + sum |c|) over the edges at i
-    (0 for an empty row); offdiag_sign, the largest -c / min(W_i, W_j), that
-    is the largest positive -L_ij; diag_sign, the largest -A_ii / W_i, the
-    largest positive L_ii.  A NaN defect reads inf, so it fails any bound.
+    read off the band one offset d = j - i at a time, in O(n b): row_sum, per
+    row |sum_j A_ij| / sum_j |A_ij| (0 for an empty row); offdiag_sign, the
+    largest A_ij / min(W_i, W_j) over i != j, that is the largest positive
+    -L_ij; diag_sign, the largest -A_ii / W_i, the largest positive L_ii.
+    Entries stored above the matrix are not read.  A NaN defect reads inf,
+    so it fails any bound.
     """
-    i, j, c = (np.concatenate(part) for part in zip(*generator_edges(generator)))
-    diag = generator.band[-1]
-    weights = generator.weights
-    n = generator.size
-    ends, conductance = np.concatenate((i, j)), np.concatenate((c, c))
-    mag = np.abs(diag) + np.bincount(ends, np.abs(conductance), n)
-    row = np.abs(diag - np.bincount(ends, conductance, n))
+    band, weights = generator.band, generator.weights
+    b = generator.half_bandwidth
+    diag = band[b]
+    total, mag = diag.copy(), np.abs(diag)
+    offdiag = 0.0
+    for d in range(1, b + 1):
+        a = band[b - d, d:]  # A[i, i + d], added to rows i and i + d
+        total[:-d] += a
+        total[d:] += a
+        mag[:-d] += np.abs(a)
+        mag[d:] += np.abs(a)
+        # np.maximum, not max(): a NaN must carry through
+        offdiag = np.maximum(offdiag, np.max(a / np.minimum(weights[:-d], weights[d:])))
+    row = np.abs(total)
     np.divide(row, mag, out=row, where=mag != 0)  # an empty row keeps its 0; NaN stays NaN
     defects = {
         "row_sum": np.max(row, initial=0.0),
-        "offdiag_sign": np.max(-c / np.minimum(weights[i], weights[j]), initial=0.0),
+        "offdiag_sign": offdiag,
         "diag_sign": np.max(-diag / weights, initial=0.0),
     }
     return {name: np.inf if np.isnan(v) else float(v) for name, v in defects.items()}

@@ -108,10 +108,15 @@ def _semigroup_oracle(generator, values, times):
     return (decay * coeff) @ vecs.T * d
 
 
-def generator_edges_oracle(generator):
-    """generator_edges from one np.nonzero over the band's off-diagonal rows,
-    grouped by masks: the reference the offset-by-offset reader must match
-    exactly, in groups, order and values."""
+def generator_edges(generator):
+    """The edges of the weighted graph behind L, from one np.nonzero over the
+    band's off-diagonal rows: three (i, j, c) triples of arrays -- local,
+    nonlocal, coupling -- holding every pair i < j with c = -A_ij nonzero,
+    widest offset first and in increasing j within an offset.  An edge is
+    local when both ends are local degrees of freedom (every edge of an
+    IntervalGrid generator is), nonlocal when both are nonlocal cells, and
+    coupling when it joins a local node to a cell.  The oracle of the
+    energy's local and coupling terms and of the band split."""
     n_loc = generator.grid.interface_index + 1
     b = generator.half_bandwidth
     rows, j = np.nonzero(generator.band[:b])
@@ -119,3 +124,10 @@ def generator_edges_oracle(generator):
     c = -generator.band[rows, j]
     groups = (j < n_loc, i >= n_loc, (i < n_loc) & (j >= n_loc))
     return tuple((i[g], j[g], c[g]) for g in groups)
+
+
+def edge_energy(edges, values):
+    """1/2 sum c (w_j - w_i)^2 over each (i, j, c) group of edges: with
+    generator_edges, the (local, nonlocal, coupling) energy in difference
+    form, of one state or of each row of a 2-D block."""
+    return tuple(0.5 * (np.square(values[..., j] - values[..., i]) @ c) for i, j, c in edges)

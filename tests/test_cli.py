@@ -246,6 +246,25 @@ def test_picard_manifest_roundtrip(tmp_path):
     ).read_bytes()
 
 
+@pytest.mark.parametrize("horizon", ["0.5", "1", "5"])
+def test_picard_auto_dt_at_any_horizon(tmp_path, horizon):
+    """At kernel.radius = 1.14 the auto window / 32 divides none of these
+    horizons; with time.dt and picard.window auto the run shortens its
+    sub-step to divide the horizon instead of refusing it, and a rerun from
+    the manifest retraces the series byte for byte."""
+    cfg = write_cfg(
+        tmp_path, SMALL,
+        f"time.scheme = picard\ntime.dt = auto\nkernel.radius = 1.14\ntime.horizon = {horizon}\n"
+        f"output.dir = {tmp_path}/a\n",
+    )
+    assert main(["simulate", "--config", cfg]) == 0
+    manifest = tmp_path / "a" / "manifest.cfg"
+    assert main(["simulate", "--config", str(manifest), "--out", str(tmp_path / "b")]) == 0
+    assert (tmp_path / "a" / "timeseries.csv").read_bytes() == (
+        tmp_path / "b" / "timeseries.csv"
+    ).read_bytes()
+
+
 def test_picard_simulate_honours_snapshot_stride(tmp_path):
     cfg = write_cfg(tmp_path, SMALL, "time.horizon = 0.064\ntime.snapshot_stride = 8\n")
     for scheme, dt in (("picard", "auto"), ("implicit", "0.001")):
@@ -330,8 +349,9 @@ def _init_csv(tmp_path, header="x,w,region", w="0.5", shift=0.0, row3=None):
         ("init.path", lambda p: _init_csv(p, w="abc")),
         ("picard.window", lambda p: ["time.scheme=picard", "picard.window=0.5"]),
         ("time.dt", lambda p: ["time.scheme=picard", "time.dt=0.003"]),  # window 0.032
-        ("time.horizon",
-         lambda p: ["time.scheme=picard", "time.dt=auto", "time.horizon=0.2005"]),
+        ("time.horizon",  # a given window's sub-step, window / 32, must divide the horizon
+         lambda p: ["time.scheme=picard", "picard.window=0.03", "time.dt=auto",
+                    "time.horizon=0.2005"]),
         ("seed", lambda p: ["seed=-1"]),
         ("kernel.radius", lambda p: ["kernel.radius=1e-300"]),  # its square underflows
         ("kernel.radius", lambda p: ["kernel.radius=1e200"]),  # its square overflows

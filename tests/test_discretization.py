@@ -14,13 +14,12 @@ from couplediff import (
     coupling_constants,
     coupling_profile_analytic,
     evolve,
-    generator_edges,
     make_kernel,
 )
 from couplediff.discretization import BandSplit
 from couplediff.kernels import FAMILIES
 from couplediff.verify import _structure_defects
-from conftest import _symmetrized_eigh, generator_edges_oracle, weighted_norm, with_edges
+from conftest import _symmetrized_eigh, generator_edges, weighted_norm, with_edges
 
 
 def test_build_grid_layout():
@@ -355,18 +354,26 @@ def _edge_cases():
 
 @pytest.mark.parametrize("gen", _edge_cases())
 def test_generator_edges_match_nonzero_oracle(gen):
-    """generator_edges, read one offset at a time, returns exactly the
-    edges of one np.nonzero over the band (conftest's oracle): the same
-    groups, order, dtypes and values.  The split's p is the first node of
-    a far link (offset >= 2), as read off those edges."""
-    got, want = generator_edges(gen), generator_edges_oracle(gen)
-    for group, ref in zip(got, want):
-        for array, ref_array in zip(group, ref):
-            assert array.dtype == ref_array.dtype
-            assert np.array_equal(array, ref_array)
-    i, j = (np.concatenate(part) for part in zip(*(edges[:2] for edges in want)))
+    """The band split holds the edges of one np.nonzero over the band
+    (conftest's generator_edges) where the energy reads them.  The split's p
+    is the first node of a far link (offset >= 2).  Where the chain ends at
+    the interface node, the chain's off-diagonal is the local group's
+    conductances, and node p's row of the block, its nonzero entries widest
+    offset first, is the coupling group, exactly."""
+    edges = generator_edges(gen)
+    local, _, coupling = edges
+    i, j = (np.concatenate(part) for part in zip(*(group[:2] for group in edges)))
     p = int(np.min(i[(j - i >= 2) & (i >= 0)], initial=gen.grid.interface_index))
-    assert BandSplit(gen.band, gen.grid.interface_index).p == p
+    split = BandSplit(gen.band, gen.grid.interface_index)
+    assert split.p == p
+    if p == gen.grid.interface_index:
+        assert np.array_equal(-split.chain[0, 1:], local[2])
+        b = split.half_bandwidth
+        d = np.arange(min(b, split.block.shape[1] - 1), 0, -1)
+        row = -split.block[b - d, d]
+        assert np.array_equal(p + d[row != 0], coupling[1])
+        assert np.array_equal(row[row != 0], coupling[2])
+        assert np.all(coupling[0] == p)
 
 
 def test_band_split_holds_no_copy_of_the_band(constants):

@@ -10,11 +10,9 @@ from couplediff import (
     assemble_heat_generator,
     build_grid,
     coupling_constants,
-    edge_energy,
     energy_form,
     estimate_beta1,
     estimate_energy_control_k,
-    generator_edges,
     make_kernel,
     nonlocal_energy_full,
     rayleigh,
@@ -29,7 +27,9 @@ from couplediff.kernels import FAMILIES
 from conftest import (
     _semigroup_oracle,
     _symmetrized_eigh,
+    edge_energy,
     from_dense,
+    generator_edges,
     transmission_beta1,
     with_edges,
 )
@@ -116,16 +116,30 @@ def _first_cosine_mode(grid):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_energy_form_matches_edge_oracle(family, n_local, n_nonlocal, eps):
     """The band form of the nonlocal term against the difference form over
-    its edges; the local and coupling terms are the same edge sums."""
+    its edges (conftest's oracle); the local and coupling terms are the same
+    edge sums, exactly, for one state and for each row of a (k, n) block."""
     gen = _coupled_generator(family, n_local, n_nonlocal, eps)
     terms = energy_form(gen)
     edges = generator_edges(gen)
-    z = np.random.default_rng(21).standard_normal(gen.size)
-    for values in (z, _first_cosine_mode(gen.grid)):
+    rng = np.random.default_rng(21)
+    z = rng.standard_normal(gen.size)
+    block = np.vstack([rng.standard_normal((6, gen.size)), _first_cosine_mode(gen.grid)])
+    for values in (z, _first_cosine_mode(gen.grid), block):
         loc, nl, cp = terms(values)
         oracle = edge_energy(edges, values)
-        assert (loc, cp) == (oracle[0], oracle[2])
-        assert abs(nl - oracle[1]) <= 1e-13 * oracle[1]
+        assert np.array_equal(loc, oracle[0]) and np.array_equal(cp, oracle[2])
+        assert np.all(np.abs(nl - oracle[1]) <= 1e-13 * oracle[1])
+
+
+def test_energy_form_refuses_a_chain_short_of_the_interface():
+    """A far link from local node 3 to node 12 ends the band's chain at
+    p = 3, before the interface node: energy_form raises, naming p."""
+    kernel = make_kernel("triangle", 1.0, 1.0)
+    base = assemble_generator(build_grid(20, 20), kernel, coupling_constants(kernel))
+    gen = with_edges(base, [(3, 12, 0.2)])
+    assert gen.split.p == 3
+    with pytest.raises(ValueError, match="p = 3"):
+        energy_form(gen)
 
 
 def test_energy_form_zero_for_constants():
@@ -187,7 +201,7 @@ def test_energy_form_chain_through_the_nonlocal_cells(grid50):
 def test_energy_form_lists_no_nonlocal_edges():
     """Making the energy form of the 400 x 400, eps = 1 generator, its band
     split included, holds at most 1/8 of the band at once: the local and
-    coupling edges are read one offset at a time, and the O(n b) nonlocal
+    coupling conductances are read off the split, and the O(n b) nonlocal
     edges are not listed.  Building all three groups from one np.nonzero
     over the band took 1.85 times."""
     gen = _coupled_generator("triangle", 400, 400, 1.0)

@@ -413,6 +413,26 @@ def test_picard_window_validation(constants):
         evolve(gen, w0, scheme, 0.5)
 
 
+@pytest.mark.parametrize("radius, horizon", [(1.0, 0.2), (1.0, 0.2005), (1.14, 0.5),
+                                             (1.14, 1.0), (1.14, 5.0)])
+def test_picard_auto_plan_divides_the_horizon(radius, horizon):
+    """With dt and the window both auto, the sub-step is the auto window / 32
+    where that divides the horizon (R = 1, horizon 0.2: 1e-3), and otherwise
+    horizon / ceil(32 horizon / window), the window then being 32 of the
+    shorter sub-steps."""
+    scheme = StepScheme(kind="picard")
+    constants = coupling_constants(make_kernel("triangle", radius, 1.0))
+    auto = scheme.window_for(constants)
+    dt, n_steps, window, window_steps = scheme.plan(horizon, constants)
+    if (radius, horizon) == (1.0, 0.2):
+        assert (dt, window) == (auto / 32.0, auto)
+    else:
+        assert n_steps == int(np.ceil(horizon / (auto / 32.0)))
+        assert dt == horizon / n_steps and window == 32.0 * dt < auto
+    assert window_steps == 32
+    assert abs(n_steps * dt - horizon) <= 1e-12 * horizon
+
+
 def test_picard_constant_state(grid50, gen50, constants):
     scheme = StepScheme(kind="picard")
     window = scheme.window_for(constants)
